@@ -86,18 +86,18 @@ def test_fig7_time_concentrates_in_the_inference_loop(benchmark):
     """The paper's explanation for the damped overhead: "a significant
     amount of time (almost 70%) is spent in a tight loop".  Check that
     the profiler agrees for our network."""
-    from repro.machine.profile import attach_profiler
+    from repro.obs.blockprof import attach_block_profiler
 
     def profiled():
         runtime = TrustedRuntime()
         runtime.channel(0).feed(make_image(runtime, 0))
         process = compile_and_load(CLASSIFIER_SRC, OUR_MPX, runtime=runtime)
-        profiler = attach_profiler(process.machine)
+        profiler = attach_block_profiler(process.machine)
         process.run()
         return profiler
 
     profiler = benchmark.pedantic(profiled, rounds=1, iterations=1)
-    rows = {r.name: r for r in profiler.report()}
+    rows = {r.name: r for r in profiler.function_report()}
     loop_share = sum(
         rows[name].cycle_share
         for name in ("layer", "classify", "decode_image")

@@ -168,7 +168,7 @@ def _finish_obs(args, registry: events.Registry | None) -> None:
         print(export.render_metrics_table(registry), file=sys.stderr)
 
 
-def _report_run(args, process, runtime, profiler, blockprof=None) -> None:
+def _report_run(args, process, runtime, blockprof=None) -> None:
     # --metrics already dumps the machine counters (and more), so only
     # render the short stats table when it alone was requested.
     if args.stats and not args.metrics:
@@ -181,11 +181,11 @@ def _report_run(args, process, runtime, profiler, blockprof=None) -> None:
             ("machine.t_calls", stats.t_calls),
         ]
         print(export.render_kv_table(rows, title="run stats"), file=sys.stderr)
-    if profiler is not None:
+    if blockprof is not None and getattr(args, "profile", False):
         rows = [
             [row.name, f"{row.cycles:,}", f"{row.cycle_share:.1%}",
              row.bnd_checks, row.cfi_checks]
-            for row in profiler.report(top=12)
+            for row in blockprof.function_report(top=12)
         ]
         print(
             export.render_table(
@@ -230,13 +230,8 @@ def cmd_run(args) -> int:
                                 verify=args.verify)
         runtime = _make_runtime(args)
         process = load(binary, runtime=runtime, engine=args.engine)
-        profiler = None
-        if args.profile:
-            from .machine.profile import attach_profiler
-
-            profiler = attach_profiler(process.machine)
         blockprof = None
-        if args.profile_blocks or args.flamegraph:
+        if args.profile or args.profile_blocks or args.flamegraph:
             from .obs.blockprof import attach_block_profiler
 
             blockprof = attach_block_profiler(process.machine)
@@ -245,7 +240,7 @@ def cmd_run(args) -> int:
         except MachineFault as fault:
             print(f"FAULT: {fault}", file=sys.stderr)
             return 2
-        if blockprof is not None and registry is not None:
+        if registry is not None and (args.profile_blocks or args.flamegraph):
             blockprof.publish(registry)
     finally:
         _finish_obs(args, registry)
@@ -255,7 +250,7 @@ def cmd_run(args) -> int:
         write_flamegraph(blockprof, args.flamegraph)
     for line in process.stdout:
         print(line)
-    _report_run(args, process, runtime, profiler, blockprof)
+    _report_run(args, process, runtime, blockprof)
     return code & 0xFF
 
 

@@ -3,6 +3,5 @@
 from .cache import L1Cache
 from .cpu import Machine, Thread
 from .memory import Memory
-from .profile import Profiler, attach_profiler
 
-__all__ = ["Machine", "Thread", "Memory", "L1Cache", "Profiler", "attach_profiler"]
+__all__ = ["Machine", "Thread", "Memory", "L1Cache"]

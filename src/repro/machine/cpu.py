@@ -14,19 +14,22 @@ The machine implements ConfISA exactly as the instrumentation expects:
 
 Three execution engines share these semantics:
 
-* the **predecoded** engine (default) translates ``self.code`` at load
-  time into a parallel array of per-instruction handler closures with
-  the dispatch decision, base cycle cost, and operand shape resolved
-  once, plus a single-live-thread hot loop that charges the instruction
-  budget per quantum instead of per step;
-* the **superblock** engine builds on the predecoded handler table and
-  additionally fuses each basic block into one generated Python
-  function (:mod:`repro.machine.superblock`), paying dispatch once per
-  block with Stats/cycle accounting batched between fault points; it
-  deoptimizes to per-instruction stepping at quantum tails, step hooks,
-  and multi-thread schedules;
-* the **reference** engine keeps the original one-``_step``-at-a-time
-  dict-dispatch interpreter as a debuggable executable specification.
+* the **reference** engine is the one-``_step``-at-a-time dict-dispatch
+  interpreter over the ``_i_*`` handlers below: the executable
+  specification;
+* the **predecoded** engine (default) runs a per-pc table of handlers,
+  each a single-instruction function generated by
+  :mod:`repro.machine.superblock` the first time execution reaches its
+  pc, with the dispatch decision, base cycle cost, and operand shape
+  resolved once.  Rare instructions (jump tables, indirect control
+  flow, shadow-stack ops) call the reference ``_i_*`` handler.  A
+  single-live-thread hot loop charges the instruction budget per
+  quantum instead of per step;
+* the **superblock** engine additionally fuses each basic block into
+  one generated function, paying dispatch once per block with
+  Stats/cycle accounting batched between fault points; it
+  deoptimizes to the handler table at quantum tails, step hooks, and
+  multi-thread schedules.
 
 The engines are observably identical — simulated cycles, ``Stats``
 counters, fault kinds/addresses, and the ``add_step_hook`` API agree
@@ -41,38 +44,28 @@ time is the maximum core time.
 
 from __future__ import annotations
 
-import operator
-
-from ..arith import MASK64, SIGN_BIT, eval_bin, eval_un, signed
+from ..arith import MASK64, eval_bin, eval_un, signed
 from ..backend import isa, regs
 from ..errors import (
     FAULT_BOUNDS,
     FAULT_CFI,
     FAULT_CHKSTK,
     FAULT_EXEC,
-    FAULT_PERM,
     FAULT_UNMAPPED,
     MachineFault,
 )
 from ..link.layout import CODE_BASE, NATIVE_BASE, THREAD_STACK_SIZE
 from . import costs
 from .cache import LINE_SIZE, L1Cache
-from .memory import PAGE_MASK, PAGE_SIZE, Memory
+from .memory import Memory
+from .superblock import BlockFuser
 
 MASK32 = 0xFFFFFFFF
-TWO64 = 1 << 64
 
 ENGINE_PREDECODED = "predecoded"
 ENGINE_SUPERBLOCK = "superblock"
 ENGINE_REFERENCE = "reference"
 ENGINES = (ENGINE_PREDECODED, ENGINE_SUPERBLOCK, ENGINE_REFERENCE)
-
-_SIGNED_CMPS = {
-    "lt": operator.lt,
-    "le": operator.le,
-    "gt": operator.gt,
-    "ge": operator.ge,
-}
 
 
 class Thread:
@@ -198,10 +191,10 @@ class Machine:
             isa.Fail: self._i_fail,
         }
         self.engine = engine
-        # Predecoded engine state: code[pc] -> specialized handler.
-        # The superblock engine reuses the handler table for its
-        # deoptimization path (quantum tails, generic scheduling) and
-        # lazily fuses blocks on top of it.
+        # Fast-engine state: code[pc] -> handler, emitted lazily by the
+        # fuser.  The superblock engine also uses the handler table for
+        # its deoptimization path (quantum tails, generic scheduling)
+        # and lazily fuses blocks on top of it.
         self._handlers: list | None = None
         self._blocks: list | None = None
         self._fuser = None
@@ -209,15 +202,10 @@ class Machine:
         if engine == ENGINE_REFERENCE:
             self._step = self._step_reference
         else:
-            self._handlers = [
-                self._compile_insn(pc, insn)
-                for pc, insn in enumerate(self.code)
-            ]
+            self._fuser = BlockFuser(self)
+            self._handlers = self._fuser.handlers
             self._step = self._step_predecoded
             if engine == ENGINE_SUPERBLOCK:
-                from .superblock import BlockFuser
-
-                self._fuser = BlockFuser(self)
                 self._blocks = [None] * len(self.code)
                 self._hot = self._run_hot_superblock
             else:
@@ -493,20 +481,27 @@ class Machine:
         insn = self.code[pc]
         hooks = self._step_hooks
         if not hooks:
-            self.stats.instructions += 1
-            self.core_cycles[thread.core] += costs.BASE_COST[insn.cost_class]
-            self._dispatch[type(insn)](thread, insn)
+            self._execute(thread, insn)
             return
         cache = self.caches[thread.core]
         before = self.core_cycles[thread.core]
         misses_before = cache.misses
-        self.stats.instructions += 1
-        self.core_cycles[thread.core] += costs.BASE_COST[insn.cost_class]
-        self._dispatch[type(insn)](thread, insn)
+        self._execute(thread, insn)
         cycles = self.core_cycles[thread.core] - before
         self.hook_cache_misses = cache.misses - misses_before
         for hook in hooks:
             hook(thread, pc, insn, cycles)
+
+    def _execute(self, thread: Thread, insn) -> None:
+        """Retire ``insn``: count it, charge its base cost, run it."""
+        self.stats.instructions += 1
+        try:
+            cost = costs.BASE_COST[insn.cost_class]
+            handler = self._dispatch[type(insn)]
+        except KeyError:
+            cost, handler = 0, self._i_unknown
+        self.core_cycles[thread.core] += cost
+        handler(thread, insn)
 
     def _step_predecoded(self, thread: Thread) -> None:
         """One instruction via the predecoded handler table."""
@@ -813,873 +808,14 @@ class Machine:
     def _i_fail(self, t, insn):
         raise MachineFault(FAULT_CFI, "__debugbreak reached")
 
-    # ------------------------------------------------------------------
-    # Predecoded engine: per-instruction handler compilation.
-    #
-    # Each handler folds the reference engine's per-step work — the
-    # type-dispatch dict lookup, the BASE_COST table read, and generic
-    # `_val`/`effective_address` operand decoding — into one closure
-    # specialized at load time.  Mutable architectural state (bnd
-    # ranges, fs/gs bases, cycle counters, bound registers) is still
-    # read at execute time, so loader and test mutations behave exactly
-    # as under the reference engine.
-
-    def _compile_addr(self, mem_op: isa.Mem):
-        """An effective-address closure specialized for the common
-        reg+disp shapes; anything unusual falls back to the generic
-        :meth:`effective_address`."""
-        m = self
-        disp, scale = mem_op.disp, mem_op.scale
-        if mem_op.abs is not None:
-            const = mem_op.abs + disp
-            if mem_op.index is None and mem_op.seg is None:
-                folded = const & MASK64
-                return lambda t: folded
-            if mem_op.seg is None:
-                idx = mem_op.index
-                if mem_op.use32:
-                    return lambda t: (
-                        const + (t.regs[idx] & MASK32) * scale
-                    ) & MASK64
-                return lambda t: (const + t.regs[idx] * scale) & MASK64
-            return lambda t: m.effective_address(t, mem_op)
-        base = mem_op.base
-        if not mem_op.use32 and mem_op.seg is None:
-            if mem_op.index is None:
-                return lambda t: (t.regs[base] + disp) & MASK64
-            idx = mem_op.index
-            return lambda t: (
-                t.regs[base] + disp + t.regs[idx] * scale
-            ) & MASK64
-        if mem_op.use32:
-            idx = mem_op.index
-            if mem_op.seg == isa.SEG_FS:
-                if idx is None:
-                    return lambda t: (
-                        (t.regs[base] & MASK32) + disp + m.fs_base
-                    ) & MASK64
-                return lambda t: (
-                    (t.regs[base] & MASK32) + disp
-                    + (t.regs[idx] & MASK32) * scale + m.fs_base
-                ) & MASK64
-            if mem_op.seg == isa.SEG_GS:
-                if idx is None:
-                    return lambda t: (
-                        (t.regs[base] & MASK32) + disp + m.gs_base
-                    ) & MASK64
-                return lambda t: (
-                    (t.regs[base] & MASK32) + disp
-                    + (t.regs[idx] & MASK32) * scale + m.gs_base
-                ) & MASK64
-            if idx is None:
-                return lambda t: ((t.regs[base] & MASK32) + disp) & MASK64
-            return lambda t: (
-                (t.regs[base] & MASK32) + disp
-                + (t.regs[idx] & MASK32) * scale
-            ) & MASK64
-        return lambda t: m.effective_address(t, mem_op)
-
-    def _operand_getter(self, operand):
-        if isinstance(operand, isa.Imm):
-            value = operand.value & MASK64
-            return lambda t: value
-        return lambda t: t.regs[operand]
-
-    def _compile_insn(self, pc: int, insn):
-        m = self
-        stats = self.stats
-        core_cycles = self.core_cycles
-        caches = self.caches
-        mem_read = self.mem.read_int
-        mem_write = self.mem.write_int
-        # The page dict and read-only index are mutated in place by the
-        # loader (never reassigned), so capturing the dict objects here
-        # stays coherent with later map_range/protect_read_only calls.
-        pages = self.mem._pages
-        ro_pages = self.mem._ro_pages
-        from_bytes = int.from_bytes
-        bnd = self.bnd
-        RSP = regs.RSP
-        MISS = costs.CACHE_MISS_PENALTY
-        LINE_MASK = LINE_SIZE - 1
-        code_end = CODE_BASE + len(self.code)
-        npc = pc + 1
-        kind = type(insn)
-
-        try:
-            cost = costs.BASE_COST[insn.cost_class]
-        except KeyError:
-            cost = None
-        if cost is None or kind not in self._dispatch:
-            # Unknown instruction (or cost class): replay the reference
-            # engine's behaviour lazily so the error surfaces at the
-            # same moment, not at load time.
-            dispatch = self._dispatch
-
-            def h_fallback(t, insn=insn):
-                stats.instructions += 1
-                core_cycles[t.core] += costs.BASE_COST[insn.cost_class]
-                dispatch[type(insn)](t, insn)
-
-            return h_fallback
-
-        def touch(core, addr, size):
-            if (addr & LINE_MASK) + size <= LINE_SIZE:
-                if not caches[core].access(addr):
-                    core_cycles[core] += MISS
-            else:
-                misses = caches[core].access_span(addr, size)
-                if misses:
-                    core_cycles[core] += misses * MISS
-
-        if kind is isa.MagicWord:
-            def h(t):
-                stats.instructions += 1
-                t.pc = npc
-            return h
-
-        if kind is isa.Halt:
-            RAX = regs.RAX
-
-            def h(t):
-                stats.instructions += 1
-                t.alive = False
-                t.finish_time = core_cycles[t.core]
-                if t.tid == 0:
-                    m.exit_code = t.regs[RAX]
-            return h
-
-        if kind is isa.Fail:
-            def h(t):
-                stats.instructions += 1
-                raise MachineFault(FAULT_CFI, "__debugbreak reached")
-            return h
-
-        if kind is isa.MovRI:
-            dst, value = insn.dst, insn.imm & MASK64
-
-            def h(t):
-                stats.instructions += 1
-                core_cycles[t.core] += cost
-                t.regs[dst] = value
-                t.pc = npc
-            return h
-
-        if kind is isa.MovRR:
-            dst, src = insn.dst, insn.src
-
-            def h(t):
-                stats.instructions += 1
-                core_cycles[t.core] += cost
-                t.regs[dst] = t.regs[src]
-                t.pc = npc
-            return h
-
-        if kind is isa.MovFuncAddr:
-            dst, value = insn.dst, insn.value & MASK64
-
-            def h(t):
-                stats.instructions += 1
-                core_cycles[t.core] += cost
-                t.regs[dst] = value
-                t.pc = npc
-            return h
-
-        if kind is isa.Alu:
-            return self._compile_alu(insn, cost, npc)
-
-        if kind is isa.SetCC:
-            return self._compile_setcc(insn, cost, npc)
-
-        if kind is isa.Load:
-            dst, size = insn.dst, insn.size
-            mask = (1 << (8 * size)) - 1
-            addr_of = self._compile_addr(insn.mem)
-            full = size >= 8
-
-            def h(t):
-                stats.instructions += 1
-                core = t.core
-                core_cycles[core] += cost
-                addr = addr_of(t)
-                if addr >= CODE_BASE:
-                    word = m.read_code_word(addr)
-                    value = word if full else word & mask
-                else:
-                    if (addr & LINE_MASK) + size <= LINE_SIZE:
-                        if not caches[core].access(addr):
-                            core_cycles[core] += MISS
-                    else:
-                        touch(core, addr, size)
-                    offset = addr & PAGE_MASK
-                    page = pages.get(addr - offset)
-                    if page is not None and offset + size <= PAGE_SIZE:
-                        value = from_bytes(
-                            page[offset : offset + size], "little"
-                        )
-                    else:
-                        value = mem_read(addr, size)
-                t.regs[dst] = value
-                stats.loads += 1
-                t.pc = npc
-            return h
-
-        if kind is isa.Store:
-            size = insn.size
-            addr_of = self._compile_addr(insn.mem)
-            vmask = (1 << (8 * size)) - 1
-            is_imm = isinstance(insn.src, isa.Imm)
-            imm = insn.src.value & MASK64 if is_imm else None
-            src = None if is_imm else insn.src
-
-            def h(t):
-                stats.instructions += 1
-                core = t.core
-                core_cycles[core] += cost
-                addr = addr_of(t)
-                if addr >= CODE_BASE:
-                    raise MachineFault(
-                        FAULT_UNMAPPED, "write to code space", addr=addr
-                    )
-                if (addr & LINE_MASK) + size <= LINE_SIZE:
-                    if not caches[core].access(addr):
-                        core_cycles[core] += MISS
-                else:
-                    touch(core, addr, size)
-                value = imm if is_imm else t.regs[src]
-                offset = addr & PAGE_MASK
-                if offset + size <= PAGE_SIZE:
-                    base = addr - offset
-                    ranges = ro_pages.get(base)
-                    if ranges is not None:
-                        for lo, hi in ranges:
-                            if addr < hi and addr + size > lo:
-                                raise MachineFault(
-                                    FAULT_PERM,
-                                    "write to read-only memory",
-                                    addr=addr,
-                                )
-                    page = pages.get(base)
-                    if page is not None:
-                        page[offset : offset + size] = (
-                            value & vmask
-                        ).to_bytes(size, "little")
-                    else:
-                        mem_write(addr, size, value)
-                else:
-                    mem_write(addr, size, value)
-                stats.stores += 1
-                t.pc = npc
-            return h
-
-        if kind is isa.Lea:
-            dst = insn.dst
-            addr_of = self._compile_addr(insn.mem)
-
-            def h(t):
-                stats.instructions += 1
-                core_cycles[t.core] += cost
-                t.regs[dst] = addr_of(t)
-                t.pc = npc
-            return h
-
-        if kind is isa.Push:
-            get_src = self._operand_getter(insn.src)
-
-            def h(t):
-                stats.instructions += 1
-                core = t.core
-                core_cycles[core] += cost
-                rsp = (t.regs[RSP] - 8) & MASK64
-                t.regs[RSP] = rsp
-                value = get_src(t)
-                if rsp >= CODE_BASE:
-                    raise MachineFault(
-                        FAULT_UNMAPPED, "write to code space", addr=rsp
-                    )
-                if (rsp & LINE_MASK) + 8 <= LINE_SIZE:
-                    if not caches[core].access(rsp):
-                        core_cycles[core] += MISS
-                else:
-                    touch(core, rsp, 8)
-                offset = rsp & PAGE_MASK
-                page = None
-                if offset + 8 <= PAGE_SIZE and not ro_pages.get(rsp - offset):
-                    page = pages.get(rsp - offset)
-                if page is not None:
-                    page[offset : offset + 8] = value.to_bytes(8, "little")
-                else:
-                    mem_write(rsp, 8, value)
-                t.pc = npc
-            return h
-
-        if kind is isa.Pop:
-            dst = insn.dst
-
-            def h(t):
-                stats.instructions += 1
-                core = t.core
-                core_cycles[core] += cost
-                rsp = t.regs[RSP]
-                if rsp >= CODE_BASE:
-                    value = m.read_code_word(rsp)
-                else:
-                    if (rsp & LINE_MASK) + 8 <= LINE_SIZE:
-                        if not caches[core].access(rsp):
-                            core_cycles[core] += MISS
-                    else:
-                        touch(core, rsp, 8)
-                    offset = rsp & PAGE_MASK
-                    page = pages.get(rsp - offset)
-                    if page is not None and offset + 8 <= PAGE_SIZE:
-                        value = from_bytes(page[offset : offset + 8], "little")
-                    else:
-                        value = mem_read(rsp, 8)
-                t.regs[dst] = value
-                t.regs[RSP] = (rsp + 8) & MASK64
-                t.pc = npc
-            return h
-
-        if kind is isa.Jmp:
-            addr = insn.addr
-
-            def h(t):
-                stats.instructions += 1
-                core_cycles[t.core] += cost
-                t.pc = addr
-            return h
-
-        if kind is isa.JmpTable:
-            reg_i, base, addrs = insn.reg, insn.base, insn.addrs
-            extra = 1 + costs.INDIRECT_JUMP_EXTRA
-
-            def h(t):
-                stats.instructions += 1
-                core = t.core
-                core_cycles[core] += cost
-                index = signed(t.regs[reg_i]) - base
-                if not (0 <= index < len(addrs)):
-                    raise MachineFault(
-                        FAULT_EXEC, "jump-table index out of range"
-                    )
-                core_cycles[core] += extra
-                t.pc = addrs[index]
-            return h
-
-        if kind is isa.Br:
-            return self._compile_br(insn, cost, npc)
-
-        if kind is isa.CallD:
-            addr = insn.addr
-            retaddr = CODE_BASE + npc
-
-            def h(t):
-                stats.instructions += 1
-                core = t.core
-                core_cycles[core] += cost
-                stats.calls += 1
-                rsp = (t.regs[RSP] - 8) & MASK64
-                t.regs[RSP] = rsp
-                if rsp >= CODE_BASE:
-                    raise MachineFault(
-                        FAULT_UNMAPPED, "write to code space", addr=rsp
-                    )
-                touch(core, rsp, 8)
-                mem_write(rsp, 8, retaddr)
-                t.pc = addr
-            return h
-
-        if kind is isa.CallI:
-            reg_i = insn.reg
-            retaddr = CODE_BASE + npc
-
-            def h(t):
-                stats.instructions += 1
-                core = t.core
-                core_cycles[core] += cost
-                stats.calls += 1
-                target = t.regs[reg_i]
-                if not (CODE_BASE <= target < code_end):
-                    raise MachineFault(
-                        FAULT_EXEC, "indirect call outside code", addr=target
-                    )
-                rsp = (t.regs[RSP] - 8) & MASK64
-                t.regs[RSP] = rsp
-                if rsp >= CODE_BASE:
-                    raise MachineFault(
-                        FAULT_UNMAPPED, "write to code space", addr=rsp
-                    )
-                touch(core, rsp, 8)
-                mem_write(rsp, 8, retaddr)
-                t.pc = target - CODE_BASE
-            return h
-
-        if kind is isa.RetPlain:
-            def h(t):
-                stats.instructions += 1
-                core = t.core
-                core_cycles[core] += cost
-                rsp = t.regs[RSP]
-                if rsp >= CODE_BASE:
-                    target = m.read_code_word(rsp)
-                else:
-                    touch(core, rsp, 8)
-                    target = mem_read(rsp, 8)
-                t.regs[RSP] = (rsp + 8) & MASK64
-                if not (CODE_BASE <= target < code_end):
-                    raise MachineFault(
-                        FAULT_EXEC, "return outside code", addr=target
-                    )
-                t.pc = target - CODE_BASE
-            return h
-
-        if kind is isa.JmpInd:
-            addr_of = self._compile_addr(insn.mem)
-            extra = costs.INDIRECT_JUMP_EXTRA
-
-            def h(t):
-                stats.instructions += 1
-                core = t.core
-                core_cycles[core] += cost
-                addr = addr_of(t)
-                target = m.read_data(t, addr, 8)
-                core_cycles[core] += extra
-                if target >= NATIVE_BASE:
-                    m._native(t, target - NATIVE_BASE)
-                    return
-                if CODE_BASE <= target < code_end:
-                    t.pc = target - CODE_BASE
-                    return
-                raise MachineFault(
-                    FAULT_EXEC, "indirect jump target", addr=target
-                )
-            return h
-
-        if kind is isa.JmpReg:
-            reg_i, skip = insn.reg, insn.skip
-            extra = costs.INDIRECT_JUMP_EXTRA
-
-            def h(t):
-                stats.instructions += 1
-                core = t.core
-                core_cycles[core] += cost
-                target = t.regs[reg_i] + skip
-                core_cycles[core] += extra
-                if not (CODE_BASE <= target < code_end):
-                    raise MachineFault(
-                        FAULT_EXEC, "jump outside code", addr=target
-                    )
-                t.pc = target - CODE_BASE
-            return h
-
-        if kind is isa.CheckMagic:
-            reg_i = insn.reg
-            expected = ~insn.inv_value & MASK64
-            magic_kind = insn.kind
-
-            def h(t):
-                stats.instructions += 1
-                core_cycles[t.core] += cost
-                stats.cfi_checks += 1
-                target = t.regs[reg_i]
-                word = m.read_code_word(target)  # faults if not code
-                if word != expected:
-                    raise MachineFault(
-                        FAULT_CFI,
-                        f"magic mismatch at target (kind={magic_kind})",
-                        addr=target,
-                    )
-                t.pc = npc
-            return h
-
-        if kind is isa.BndChk:
-            bnd_i = insn.bnd
-            if insn.mem is not None:
-                addr_of = self._compile_addr(insn.mem)
-                extra = costs.BNDCHK_MEM_EXTRA
-
-                def h(t):
-                    stats.instructions += 1
-                    core = t.core
-                    core_cycles[core] += cost
-                    stats.bnd_checks += 1
-                    addr = addr_of(t)
-                    core_cycles[core] += extra
-                    lo, hi = bnd[bnd_i]
-                    if not (lo <= addr < hi):
-                        raise MachineFault(
-                            FAULT_BOUNDS,
-                            f"bnd{bnd_i} violation [{lo:#x},{hi:#x})",
-                            addr=addr,
-                        )
-                    t.pc = npc
-                return h
-            reg_i = insn.reg
-
-            def h(t):
-                stats.instructions += 1
-                core_cycles[t.core] += cost
-                stats.bnd_checks += 1
-                addr = t.regs[reg_i]
-                lo, hi = bnd[bnd_i]
-                if not (lo <= addr < hi):
-                    raise MachineFault(
-                        FAULT_BOUNDS,
-                        f"bnd{bnd_i} violation [{lo:#x},{hi:#x})",
-                        addr=addr,
-                    )
-                t.pc = npc
-            return h
-
-        if kind is isa.ChkStk:
-            def h(t):
-                stats.instructions += 1
-                core_cycles[t.core] += cost
-                rsp = t.regs[RSP]
-                lo, hi = t.pub_stack
-                if not (lo <= rsp <= hi):
-                    raise MachineFault(
-                        FAULT_CHKSTK, "rsp escaped its stack", addr=rsp
-                    )
-                t.pc = npc
-            return h
-
-        if kind is isa.TlsBase:
-            dst = insn.dst
-            tls_mask = ~(THREAD_STACK_SIZE - 1)
-
-            def h(t):
-                stats.instructions += 1
-                core_cycles[t.core] += cost
-                t.regs[dst] = t.regs[RSP] & tls_mask
-                t.pc = npc
-            return h
-
-        if kind is isa.ShadowPush:
-            def h(t):
-                stats.instructions += 1
-                core_cycles[t.core] += cost
-                t.shadow.append(m.read_data(t, t.regs[RSP], 8))
-                t.pc = npc
-            return h
-
-        if kind is isa.ShadowPop:
-            def h(t):
-                stats.instructions += 1
-                core_cycles[t.core] += cost
-                actual = m.read_data(t, t.regs[RSP], 8)
-                if not t.shadow or t.shadow.pop() != actual:
-                    raise MachineFault(FAULT_CFI, "shadow stack mismatch")
-                t.pc = npc
-            return h
-
-        # Dispatchable type without a specialized template: execute it
-        # through the reference semantics with the cost pre-resolved.
-        handler = self._dispatch[kind]
-
-        def h_generic(t, insn=insn):
-            stats.instructions += 1
-            core_cycles[t.core] += cost
-            handler(t, insn)
-
-        return h_generic
-
-    def _compile_alu(self, insn, cost: int, npc: int):
-        stats = self.stats
-        core_cycles = self.core_cycles
-        dst, op = insn.dst, insn.op
-
-        if op in ("neg", "not"):
-            if isinstance(insn.a, isa.Imm):
-                value = eval_un(op, insn.a.value & MASK64)
-
-                def h(t):
-                    stats.instructions += 1
-                    core_cycles[t.core] += cost
-                    t.regs[dst] = value
-                    t.pc = npc
-                return h
-            a = insn.a
-            if op == "neg":
-                def h(t):
-                    stats.instructions += 1
-                    core_cycles[t.core] += cost
-                    t.regs[dst] = -t.regs[a] & MASK64
-                    t.pc = npc
-                return h
-
-            def h(t):
-                stats.instructions += 1
-                core_cycles[t.core] += cost
-                t.regs[dst] = ~t.regs[a] & MASK64
-                t.pc = npc
-            return h
-
-        a_imm = isinstance(insn.a, isa.Imm)
-        b_imm = isinstance(insn.b, isa.Imm)
-        if a_imm and b_imm and op not in ("div", "mod"):
-            # Faultless constant operations fold at predecode time;
-            # div/mod must keep faulting at execute time.
-            value = eval_bin(op, insn.a.value & MASK64, insn.b.value & MASK64)
-
-            def h(t):
-                stats.instructions += 1
-                core_cycles[t.core] += cost
-                t.regs[dst] = value
-                t.pc = npc
-            return h
-
-        if op in ("add", "sub") and not a_imm:
-            a = insn.a
-            if b_imm:
-                bv = insn.b.value & MASK64
-                if op == "sub":
-                    bv = -bv
-
-                def h(t):
-                    stats.instructions += 1
-                    core_cycles[t.core] += cost
-                    t.regs[dst] = (t.regs[a] + bv) & MASK64
-                    t.pc = npc
-                return h
-            b = insn.b
-            if op == "add":
-                def h(t):
-                    stats.instructions += 1
-                    core_cycles[t.core] += cost
-                    t.regs[dst] = (t.regs[a] + t.regs[b]) & MASK64
-                    t.pc = npc
-                return h
-
-            def h(t):
-                stats.instructions += 1
-                core_cycles[t.core] += cost
-                t.regs[dst] = (t.regs[a] - t.regs[b]) & MASK64
-                t.pc = npc
-            return h
-
-        if op in ("and", "or", "xor") and not a_imm:
-            a = insn.a
-            bit_op = {"and": operator.and_, "or": operator.or_,
-                      "xor": operator.xor}[op]
-            if b_imm:
-                bv = insn.b.value & MASK64
-
-                def h(t):
-                    stats.instructions += 1
-                    core_cycles[t.core] += cost
-                    t.regs[dst] = bit_op(t.regs[a], bv)
-                    t.pc = npc
-                return h
-            b = insn.b
-
-            def h(t):
-                stats.instructions += 1
-                core_cycles[t.core] += cost
-                t.regs[dst] = bit_op(t.regs[a], t.regs[b])
-                t.pc = npc
-            return h
-
-        if op == "mul" and not a_imm:
-            a = insn.a
-            if b_imm:
-                sb = signed(insn.b.value)
-
-                def h(t):
-                    stats.instructions += 1
-                    core_cycles[t.core] += cost
-                    av = t.regs[a]
-                    if av & SIGN_BIT:
-                        av -= TWO64
-                    t.regs[dst] = (av * sb) & MASK64
-                    t.pc = npc
-                return h
-            b = insn.b
-
-            def h(t):
-                stats.instructions += 1
-                core_cycles[t.core] += cost
-                av = t.regs[a]
-                if av & SIGN_BIT:
-                    av -= TWO64
-                bv = t.regs[b]
-                if bv & SIGN_BIT:
-                    bv -= TWO64
-                t.regs[dst] = (av * bv) & MASK64
-                t.pc = npc
-            return h
-
-        if op in ("shl", "shr") and not a_imm and b_imm:
-            a = insn.a
-            sh = insn.b.value & 63
-            if op == "shl":
-                def h(t):
-                    stats.instructions += 1
-                    core_cycles[t.core] += cost
-                    t.regs[dst] = (t.regs[a] << sh) & MASK64
-                    t.pc = npc
-                return h
-
-            def h(t):
-                stats.instructions += 1
-                core_cycles[t.core] += cost
-                av = t.regs[a]
-                if av & SIGN_BIT:
-                    av -= TWO64
-                t.regs[dst] = (av >> sh) & MASK64
-                t.pc = npc
-            return h
-
-        ga = self._operand_getter(insn.a)
-        gb = self._operand_getter(insn.b)
-
-        def h(t):
-            stats.instructions += 1
-            core_cycles[t.core] += cost
-            t.regs[dst] = eval_bin(op, ga(t), gb(t))
-            t.pc = npc
-        return h
-
-    def _compile_setcc(self, insn, cost: int, npc: int):
-        stats = self.stats
-        core_cycles = self.core_cycles
-        dst, op = insn.dst, insn.op
-        a_imm = isinstance(insn.a, isa.Imm)
-        b_imm = isinstance(insn.b, isa.Imm)
-
-        if a_imm and b_imm:
-            value = eval_bin(op, insn.a.value & MASK64, insn.b.value & MASK64)
-
-            def h(t):
-                stats.instructions += 1
-                core_cycles[t.core] += cost
-                t.regs[dst] = value
-                t.pc = npc
-            return h
-
-        if not a_imm and op in ("eq", "ne"):
-            a = insn.a
-            want = op == "eq"
-            if b_imm:
-                bv = insn.b.value & MASK64
-
-                def h(t):
-                    stats.instructions += 1
-                    core_cycles[t.core] += cost
-                    t.regs[dst] = 1 if (t.regs[a] == bv) is want else 0
-                    t.pc = npc
-                return h
-            b = insn.b
-
-            def h(t):
-                stats.instructions += 1
-                core_cycles[t.core] += cost
-                t.regs[dst] = 1 if (t.regs[a] == t.regs[b]) is want else 0
-                t.pc = npc
-            return h
-
-        if not a_imm and op in _SIGNED_CMPS:
-            a = insn.a
-            cmp = _SIGNED_CMPS[op]
-            if b_imm:
-                sb = signed(insn.b.value)
-
-                def h(t):
-                    stats.instructions += 1
-                    core_cycles[t.core] += cost
-                    av = t.regs[a]
-                    if av & SIGN_BIT:
-                        av -= TWO64
-                    t.regs[dst] = 1 if cmp(av, sb) else 0
-                    t.pc = npc
-                return h
-            b = insn.b
-
-            def h(t):
-                stats.instructions += 1
-                core_cycles[t.core] += cost
-                av = t.regs[a]
-                if av & SIGN_BIT:
-                    av -= TWO64
-                bv = t.regs[b]
-                if bv & SIGN_BIT:
-                    bv -= TWO64
-                t.regs[dst] = 1 if cmp(av, bv) else 0
-                t.pc = npc
-            return h
-
-        ga = self._operand_getter(insn.a)
-        gb = self._operand_getter(insn.b)
-
-        def h(t):
-            stats.instructions += 1
-            core_cycles[t.core] += cost
-            t.regs[dst] = eval_bin(op, ga(t), gb(t))
-            t.pc = npc
-        return h
-
-    def _compile_br(self, insn, cost: int, npc: int):
-        stats = self.stats
-        core_cycles = self.core_cycles
-        op, addr = insn.op, insn.addr
-        a_imm = isinstance(insn.a, isa.Imm)
-        b_imm = isinstance(insn.b, isa.Imm)
-
-        if not a_imm and op in ("eq", "ne"):
-            a = insn.a
-            want = op == "eq"
-            if b_imm:
-                bv = insn.b.value & MASK64
-
-                def h(t):
-                    stats.instructions += 1
-                    core_cycles[t.core] += cost
-                    t.pc = addr if (t.regs[a] == bv) is want else npc
-                return h
-            b = insn.b
-
-            def h(t):
-                stats.instructions += 1
-                core_cycles[t.core] += cost
-                t.pc = addr if (t.regs[a] == t.regs[b]) is want else npc
-            return h
-
-        if not a_imm and op in _SIGNED_CMPS:
-            a = insn.a
-            cmp = _SIGNED_CMPS[op]
-            if b_imm:
-                sb = signed(insn.b.value)
-
-                def h(t):
-                    stats.instructions += 1
-                    core_cycles[t.core] += cost
-                    av = t.regs[a]
-                    if av & SIGN_BIT:
-                        av -= TWO64
-                    t.pc = addr if cmp(av, sb) else npc
-                return h
-            b = insn.b
-
-            def h(t):
-                stats.instructions += 1
-                core_cycles[t.core] += cost
-                av = t.regs[a]
-                if av & SIGN_BIT:
-                    av -= TWO64
-                bv = t.regs[b]
-                if bv & SIGN_BIT:
-                    bv -= TWO64
-                t.pc = addr if cmp(av, bv) else npc
-            return h
-
-        ga = self._operand_getter(insn.a)
-        gb = self._operand_getter(insn.b)
-
-        def h(t):
-            stats.instructions += 1
-            core_cycles[t.core] += cost
-            t.pc = addr if eval_bin(op, ga(t), gb(t)) else npc
-        return h
+    def _i_unknown(self, t, insn):
+        # An instruction type or cost class the machine does not know:
+        # loading never inspects either, so this surfaces at execution.
+        raise MachineFault(
+            FAULT_EXEC,
+            f"unknown instruction {type(insn).__name__} "
+            f"(cost class {insn.cost_class!r})",
+        )
 
     # ------------------------------------------------------------------
     # Trusted dispatch

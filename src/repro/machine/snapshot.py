@@ -7,11 +7,11 @@ memory contents (copy-on-write, via ``Memory.snapshot_state``),
 per-core cycle counters and L1 caches, every thread's architectural
 state, the ``Stats`` counters, and the loader-installed protection
 state (fs/gs bases, MPX bounds).  ``restore`` rewinds a machine to
-that point **in place**: the predecoded engine's handler closures
-capture the ``stats`` object, the ``core_cycles`` and ``caches``
-lists, the memory's page dicts, and the ``bnd`` list at predecode
-time, so restoration mutates those objects rather than rebinding
-them — no re-predecode, no re-link.
+that point **in place**: the fast engines' generated handlers capture
+the ``stats`` object, the ``core_cycles`` and ``caches`` lists, the
+memory's page dicts, and the ``bnd`` list when the machine is built,
+so restoration mutates those objects rather than rebinding them — no
+re-emission, no re-link.
 
 The same state can also be restored into a *different* machine built
 from the same binary (``MachineImage.fork``): the state never holds

@@ -1,47 +1,61 @@
-"""Basic-block superinstruction fusion for the superblock engine.
+"""Generated-code fast path of the predecoded and superblock engines.
 
-The predecoded engine already folds dispatch and operand decoding into
-per-instruction closures, but still pays one Python call, one
-``Stats.instructions`` increment, one cycle charge, and one ``t.pc``
-write per retired instruction.  This module removes that per-instruction
-tax: :class:`BlockFuser` walks ``machine.code`` from a block leader to
-the next control-flow terminator and generates **one Python function for
-the whole block**, with
+The reference engine interprets one instruction at a time through
+``Machine._dispatch``.  The fast engines instead run Python functions
+that :class:`BlockFuser` generates from ``machine.code``, and this
+module's :class:`_Emitter` is the one place their per-instruction
+semantics are written down.  It emits code in two shapes:
 
-* the common instruction shapes (moves, ALU ops, compares, loads,
-  stores, push/pop, bnd/CFI/stack checks, direct calls, branches)
-  inlined as straight-line statements specialized exactly like the
-  predecoded closures;
-* ``Stats``/cycle accounting *batched*: every per-instruction charge in
-  a block is statically known at fuse time, so the fault-free path pays
-  one flush at block exit.  Exactness at faults is preserved by a
-  deoptimization path — the block body runs under ``try/except
-  MachineFault``, each fallible statement records its pc first, and the
-  handler replays the cumulative pre-fault charges for that pc from a
-  precomputed table before re-raising.  Counters, cycles, and the
-  faulting ``t.pc`` are therefore bit-identical to per-instruction
-  execution at any fault, while costing the hot path nothing;
-* anything rare or complex (indirect control flow, shadow-stack ops,
-  div/mod, unusual operand shapes) delegated to the existing predecoded
-  handler closure, with accumulated accounting flushed and ``t.pc``
-  written first so the handler observes per-instruction-exact state.
+* a **handler** is a single-instruction function.  The predecoded
+  engine's table ``machine._handlers`` holds one per pc, emitted the
+  first time execution reaches that pc.  A handler charges
+  ``Stats.instructions`` and the base cycle cost before its first
+  fallible statement, exactly like the reference engine, so a fault
+  leaves the same counters behind.  Handler sources never mention their
+  own pc (fall-through is ``t.pc += 1``, a call's return address is
+  computed from ``t.pc``), so one compiled code object serves every pc
+  holding the same instruction;
+* a **fused block** is one function for a whole basic block (the
+  superblock engine), from a leader to the next control-flow terminator
+  or 64 instructions.  Per-instruction dispatch disappears and
+  ``Stats``/cycle accounting is batched: every per-instruction charge
+  is known at fuse time, so the fault-free path pays one flush at block
+  exit.  Exactness at faults comes from a reconcile table: each
+  fallible statement records its pc first, and the ``except`` handler
+  replays the cumulative pre-fault charges for that pc before
+  re-raising.  Single-instruction blocks are simply the handler.
 
-Fusion is lazy (the first time execution reaches a pc) and position
-independent at the source level: generated sources embed only literals
-and positional ``O{n}`` names for per-machine objects, so the compiled
-code object is cached process-wide by source text.  A forked serving
-instance therefore pays only a cheap ``exec`` of an already-compiled
-code object per block it actually executes — the fuse cost amortizes
-across forks exactly like predecode amortizes across requests.
+The common shapes (moves, ALU ops, compares, loads, stores, push/pop,
+bnd/CFI/stack checks, direct calls and branches) are inlined as
+straight-line statements (div/mod through ``arith.eval_bin``, which
+raises the division fault).  What is rare or complex -- jump tables,
+indirect calls, jumps and returns, shadow-stack ops, unknown
+instructions -- calls the reference ``_i_*`` handler after charging
+what ``Machine._step_reference`` charges, and unusual address shapes
+call ``Machine.effective_address``.
+
+Generated sources embed only literals and positional ``O{n}``
+parameters for the objects they need (instructions, operands,
+reconcile tables).  Compiled code objects are cached process-wide by
+source text and, per binary, by pc, so every machine built from the same
+binary -- a serving fork, a re-load -- only binds already-compiled code
+to its own globals (:meth:`BlockFuser._bind`; known handlers when the
+machine is built, blocks when first entered), with the objects passed
+as parameter defaults rather than through a namespace copy.
 
 Blocks are capped at the scheduler quantum (64 instructions); the
 driver in :meth:`Machine._run_hot_superblock` never lets a fused block
 cross a quantum boundary, which keeps budget faults and multi-thread
-interleavings bit-identical to the predecoded and reference engines
-(pinned by ``tests/machine/test_engine_equivalence.py``).
+interleavings bit-identical to the per-instruction engines (pinned by
+``tests/machine/test_engine_equivalence.py``).
 """
 
 from __future__ import annotations
+
+import builtins
+import operator
+import types
+import weakref
 
 from ..arith import MASK64, SIGN_BIT, eval_bin, eval_un, signed
 from ..backend import isa, regs
@@ -81,8 +95,12 @@ TERMINATORS = (
 
 _SIGNED_SYMS = {"lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 _BIT_SYMS = {"and": "&", "or": "|", "xor": "^"}
+#: Binary ALU ops emitted inline; only div/mod can fault.
+_INLINE_ALU = frozenset(
+    ("add", "sub", "mul", "div", "mod", "shl", "shr", *_BIT_SYMS)
+)
 
-#: Delegated-to-handler instruction kinds that are known to be
+#: Delegated-to-reference instruction kinds that are known to be
 #: schedule-neutral: they may fault (which propagates) but can never
 #: kill the thread, spawn/unblock another one, or attach a step hook.
 #: ``JmpInd`` is the one gateway to natives (spawn/join/recv) and is
@@ -106,31 +124,53 @@ def _schedule_neutral(insn) -> bool:
         return False
     return kind in _EMITTERS or kind in _NEUTRAL_DELEGATES
 
-#: Process-wide source -> compiled code object cache.  Sources embed no
-#: machine state (only literals and positional O{n} globals), so every
-#: fork of an image — and every machine running the same code shape —
-#: shares one compile.
-_CODE_CACHE: dict[str, object] = {}
+#: Process-wide source -> compiled function code cache.  Sources embed
+#: no machine state (only literals and positional parameters), so every
+#: machine running the same code shape shares one compile.
+_CODE_CACHE: dict[str, types.CodeType] = {}
+
+#: id(binary) -> (pc -> handler entry, pc -> block entry), dropped when
+#: the binary is collected.  Entries remember the instructions they
+#: were generated from and are regenerated if the code word changed.
+_IMAGES: dict[int, tuple[dict, dict]] = {}
 
 
-def code_cache_size() -> int:
-    """Number of distinct block sources compiled so far (test hook)."""
-    return len(_CODE_CACHE)
+def _compile(source: str) -> types.CodeType:
+    code = _CODE_CACHE.get(source)
+    if code is None:
+        module = compile(source, "<superblock>", "exec")
+        code = next(
+            const for const in module.co_consts
+            if isinstance(const, types.CodeType)
+        )
+        _CODE_CACHE[source] = code
+    return code
+
+
+def _image_entries(binary) -> tuple[dict, dict]:
+    key = id(binary)
+    entries = _IMAGES.get(key)
+    if entries is None:
+        entries = _IMAGES[key] = ({}, {})
+        weakref.finalize(binary, _IMAGES.pop, key, None)
+    return entries
 
 
 class BlockFuser:
-    """Per-machine block compiler: ``fuse(pc) -> (fn, count, pure)``.
+    """Per-machine code generator.
 
-    ``fn`` runs the whole block on a thread; ``count`` is how many
-    instructions it retires; ``pure`` is True when the block cannot
-    change the thread schedule (no ``Halt``, no native gateway), which
-    lets the driver skip its per-block schedule checks.
-    Single-instruction blocks are not worth a generated function and
-    return the predecoded handler directly.
+    ``handlers`` is the predecoded handler table; every slot starts as
+    a stub that emits the real handler on first execution.
+    ``fuse(pc) -> (fn, count, pure)`` builds the superblock engine's
+    block at ``pc``: ``fn`` runs the whole block on a thread; ``count``
+    is how many instructions it retires; ``pure`` is True when the block
+    cannot change the thread schedule (no ``Halt``, no native gateway),
+    which lets the driver skip its per-block schedule checks.
     """
 
     def __init__(self, machine):
         self.machine = machine
+        self.code = machine.code
         caches = machine.caches
         core_cycles = machine.core_cycles
         miss = costs.CACHE_MISS_PENALTY
@@ -142,9 +182,13 @@ class BlockFuser:
             getattr(cache, "_n_sets", 0) == DEFAULT_SETS
             for cache in caches
         )
+        # Sources depend on the geometry: share them only for the default.
+        self._handler_entries, self._block_entries = (
+            _image_entries(machine.binary) if self.inline_cache else ({}, {})
+        )
 
         def touch(core, addr, size):
-            # Same span-aware L1 charge as the predecoded closures.
+            # Same span-aware L1 charge as Machine._touch.
             if (addr & line_mask) + size <= LINE_SIZE:
                 if not caches[core].access(addr):
                     core_cycles[core] += miss
@@ -153,11 +197,12 @@ class BlockFuser:
                 if misses:
                     core_cycles[core] += misses * miss
 
-        # Shared globals for every generated block function.  All of
-        # these are captured by reference; the loader and
-        # MachineState.restore mutate them in place (never rebind), so
-        # fused blocks stay coherent exactly like predecoded closures.
-        self.base_ns = {
+        # Globals of every generated function.  All of these are
+        # captured by reference; the loader and MachineState.restore
+        # mutate them in place (never rebind), so generated code stays
+        # coherent with later loader and snapshot changes.
+        self.globals = {
+            "__builtins__": builtins,
             "S": machine.stats,
             "C": core_cycles,
             "CACHES": caches,
@@ -179,62 +224,87 @@ class BlockFuser:
             "M": MASK64,
             "SB": SIGN_BIT,
             "T64": TWO64,
+            "EB": eval_bin,
         }
+        handler = self.handler
+
+        def emit_on_first_use(t):
+            handler(t.pc)(t)
+
+        self._stub = emit_on_first_use
+        self.handlers = [emit_on_first_use] * len(self.code)
+        # Handlers this binary has already emitted (for an earlier
+        # machine, or the one a fork's image was taken from) are bound
+        # now, so a fork's first request pays nothing for them.
+        for pc, (insn, code, objs) in self._handler_entries.items():
+            if self.code[pc] is insn:
+                self.handlers[pc] = self._bind(code, objs)
+
+    def _bind(self, code: types.CodeType, objs: tuple):
+        return types.FunctionType(
+            code, self.globals, code.co_name, objs or None
+        )
+
+    def handler(self, pc: int):
+        """The handler for ``code[pc]``, emitting it on first use."""
+        handler = self.handlers[pc]
+        if handler is not self._stub:
+            return handler
+        insn = self.code[pc]
+        entry = self._handler_entries.get(pc)
+        if entry is None or entry[0] is not insn:
+            emitter = _Emitter(self, single=True)
+            emitter.emit(pc, insn)
+            entry = (insn, *emitter.build(pc, insn))
+            self._handler_entries[pc] = entry
+        handler = self.handlers[pc] = self._bind(entry[1], entry[2])
+        return handler
 
     def fuse(self, pc: int):
-        machine = self.machine
-        code = machine.code
-        handlers = machine._handlers
+        code = self.code
         n = len(code)
         insns = []
         i = pc
         while i < n and len(insns) < MAX_BLOCK:
             insn = code[i]
-            insns.append((i, insn))
+            insns.append(insn)
             if isinstance(insn, TERMINATORS):
                 break
             i += 1
         if len(insns) < 2:
-            return handlers[pc], 1, _schedule_neutral(insns[0][1])
-        emitter = _Emitter(self, handlers)
-        for p, insn in insns:
-            emitter.emit(p, insn)
-        emitter.flush()
-        last_p, last = insns[-1]
-        if not isinstance(last, TERMINATORS):
-            # Block split at MAX_BLOCK or at the end of the code space:
-            # fall through (an out-of-range pc faults in the driver,
-            # exactly like the per-instruction engines).
-            emitter.lines.append(f"t.pc = {last_p + 1}")
-        source = emitter.render()
-        code_obj = _CODE_CACHE.get(source)
-        if code_obj is None:
-            code_obj = compile(source, "<superblock>", "exec")
-            _CODE_CACHE[source] = code_obj
-        ns = dict(self.base_ns)
-        for index, obj in enumerate(emitter.objs):
-            ns[f"O{index}"] = obj
-        exec(code_obj, ns)
-        return ns["_superblock"], len(insns), not emitter.impure
+            return self.handler(pc), 1, _schedule_neutral(insns[0])
+        entry = self._block_entries.get(pc)
+        if (
+            entry is None
+            or len(entry[0]) != len(insns)
+            or not all(map(operator.is_, entry[0], insns))
+        ):
+            emitter = _Emitter(self, single=False)
+            for p, insn in enumerate(insns, pc):
+                emitter.emit(p, insn)
+            code_obj, objs = emitter.build(pc + len(insns) - 1, insns[-1])
+            entry = (tuple(insns), code_obj, objs, not emitter.impure)
+            self._block_entries[pc] = entry
+        return self._bind(entry[1], entry[2]), len(insns), entry[3]
 
 
 class _Emitter:
-    """Generates the body of one fused block.
+    """Generates the body of one handler (``single``) or fused block.
 
     Accounting discipline: per-instruction charges accumulate at *fuse
-    time* in ``cum`` and are emitted as one flush at block exit (or
-    before a delegated handler call, which does its own accounting).
-    Every fallible inlined instruction first writes ``t.pc`` and
-    registers the cumulative charges pending at that point — including
-    its own pre-charges, exactly like the predecoded handlers, which
-    charge before they check — in ``recon``; the generated ``except``
-    block replays those charges before re-raising, so machine state at
-    any fault is bit-identical to per-instruction execution.
-    Post-charges that the handlers apply after the fault point
-    (``loads``/``stores``) join ``cum`` only after the fallible
-    statement, so they are visible to later fault points but not to the
-    instruction's own.  Dynamic cache-miss charges are applied inline,
-    as the handlers do, so they need no reconciliation.
+    time* in ``cum``.  A handler flushes them before its fallible
+    statement and at exit.  A block emits one flush at exit (or before a
+    delegated reference call, which must observe exact state); every
+    fallible inlined instruction first writes ``t.pc`` and registers the
+    cumulative charges pending at that point — including its own
+    pre-charges, since the reference engine charges before it checks —
+    in ``recon``, and the generated ``except`` block replays those
+    charges before re-raising, so machine state at any fault is
+    bit-identical to per-instruction execution.  Post-charges applied
+    after the fault point (``loads``/``stores``) join ``cum`` only after
+    the fallible statement, so they are visible to later fault points
+    but not to the instruction's own.  Dynamic cache-miss charges are
+    applied inline, so they need no reconciliation.
     """
 
     #: cum/recon slots: instructions, cycles, loads, stores,
@@ -249,10 +319,10 @@ class _Emitter:
         "S.calls += {}",
     )
 
-    def __init__(self, fuser: BlockFuser, handlers):
+    def __init__(self, fuser: BlockFuser, single: bool):
         self.fuser = fuser
         self.machine = fuser.machine
-        self.handlers = handlers
+        self.single = single
         self.lines: list[str] = []
         self.objs: list = []
         self.cum = [0, 0, 0, 0, 0, 0, 0]
@@ -260,36 +330,50 @@ class _Emitter:
         self.needs_cache = False
         self.h_pending = False
         self.impure = False
+        self.delegated = False
 
     # -- infrastructure ------------------------------------------------
 
-    def render(self) -> str:
-        head = [
-            "def _superblock(t):",
-            "    r = t.regs",
-            "    c = t.core",
-        ]
+    def build(self, last_p: int, last) -> tuple[types.CodeType, tuple]:
+        """Finish after the last instruction ``last`` (at ``last_p``);
+        returns the compiled function and its parameter objects."""
+        self.flush()
+        if not isinstance(last, TERMINATORS) and not self.delegated:
+            # A block split at MAX_BLOCK or at the end of the code space
+            # falls through too (an out-of-range pc faults in the
+            # driver, exactly like the per-instruction engines).
+            self.lines.append(self._next_pc(last_p, assign=True))
+        if self.recon:
+            self._obj(self.recon)
+        return _compile(self._render()), tuple(self.objs)
+
+    def _render(self) -> str:
+        params = "".join(f", O{i}" for i in range(len(self.objs)))
+        head = [f"def _superblock(t{params}):"]
+        lines = list(self.lines)
+        if self.h_pending:
+            lines.append("cache_.hits += h_")
+        if any("r[" in line for line in lines):
+            head.append("    r = t.regs")
+        head.append("    c = t.core")
         if self.needs_cache:
             if self.fuser.inline_cache:
                 head.append("    cache_ = CACHES[c]")
                 head.append("    acc_ = cache_.access")
                 head.append("    sets_ = cache_._sets")
-                head.append("    h_ = 0")
+                if self.h_pending:
+                    head.append("    h_ = 0")
             else:
                 head.append("    acc_ = CACHES[c].access")
-        lines = list(self.lines)
-        if self.h_pending:
-            lines.append("cache_.hits += h_")
         if not self.recon:
             body = ["    " + line for line in lines]
             return "\n".join(head + body) + "\n"
-        rname = self._obj(self.recon)
         body = ["    try:"]
         body.extend("        " + line for line in lines)
         body.append("    except MF:")
         if self.h_pending:
             body.append("        cache_.hits += h_")
-        body.append(f"        d_ = {rname}.get(t.pc)")
+        body.append(f"        d_ = O{len(self.objs) - 1}.get(t.pc)")
         body.append("        if d_ is not None:")
         for index, stmt in enumerate(self._FLUSH_STMTS):
             body.append("            " + stmt.format(f"d_[{index}]"))
@@ -303,6 +387,11 @@ class _Emitter:
                 self.lines.append(self._FLUSH_STMTS[index].format(value))
                 cum[index] = 0
 
+    def _next_pc(self, p: int, assign: bool = False) -> str:
+        if self.single:
+            return "t.pc += 1" if assign else "t.pc + 1"
+        return f"t.pc = {p + 1}" if assign else str(p + 1)
+
     def _obj(self, obj) -> str:
         self.objs.append(obj)
         return f"O{len(self.objs) - 1}"
@@ -313,34 +402,48 @@ class _Emitter:
         self.lines.append(stmt)
 
     def _pre(self, p: int, cost: int, *, cfi=0, bnd=0, calls=0) -> None:
-        """Charge an inlined fallible instruction's pre-fault costs and
-        snapshot the pending state its fault point must observe."""
+        """Charge an inlined fallible instruction's pre-fault costs: a
+        handler pays them now, a block snapshots the pending state its
+        fault point must observe."""
         cum = self.cum
         cum[0] += 1
         cum[1] += cost
         cum[4] += cfi
         cum[5] += bnd
         cum[6] += calls
+        if self.single:
+            self.flush()
+            return
         self.recon[p] = tuple(cum)
         self.lines.append(f"t.pc = {p}")
 
-    def _call_handler(self, p: int) -> None:
-        # The handler (and anything it reaches — natives can observe
-        # counters, or raise right through us) must see exact state:
-        # flush static charges and any batched cache hits first.
+    def _delegate(self, p: int, insn, cost: int, name: str) -> None:
+        """Run the reference handler ``Machine.<name>``, charged as
+        ``_step_reference`` charges it.  The handler (and anything it
+        reaches — natives can observe counters, or raise right through
+        us) must see exact state: flush static charges and any batched
+        cache hits first."""
+        self.cum[0] += 1
+        self.cum[1] += cost
         self.flush()
         if self.h_pending:
             self.lines.append("cache_.hits += h_")
             self.lines.append("h_ = 0")
-        name = self._obj(self.handlers[p])
-        self.lines.append(f"t.pc = {p}")
-        self.lines.append(f"{name}(t)")
+        if not self.single:
+            self.lines.append(f"t.pc = {p}")
+        self.lines.append(f"MACH.{name}(t, {self._obj(insn)})")
+        self.delegated = True
 
-    def _signed_var(self, var: str, expr: str) -> None:
+    def _signed(self, var: str, operand) -> str:
+        """A signed view of ``operand``: a literal, or ``var`` after
+        emitting its conversion."""
+        if isinstance(operand, isa.Imm):
+            return str(signed(operand.value))
         lines = self.lines
-        lines.append(f"{var} = {expr}")
+        lines.append(f"{var} = r[{operand}]")
         lines.append(f"if {var} & SB:")
         lines.append(f"    {var} -= T64")
+        return var
 
     def _cache_lines(self, var: str, size: int) -> list[str]:
         self.needs_cache = True
@@ -353,15 +456,19 @@ class _Emitter:
                 f"    TOUCH(c, {var}, {size})",
             ]
         # Replicates L1Cache.access's most-recently-used branch inline
-        # (batching the hit count into h_); everything else — LRU
+        # (a block batches the hit count into h_); everything else — LRU
         # shuffles, misses — still goes through access().
-        self.h_pending = True
+        if self.single:
+            hit = "cache_.hits += 1"
+        else:
+            self.h_pending = True
+            hit = "h_ += 1"
         return [
             f"if ({var} & {LINE_SIZE - 1}) + {size} <= {LINE_SIZE}:",
             f"    ln_ = {var} >> {LINE_BITS}",
             f"    w_ = sets_[ln_ & {DEFAULT_SETS - 1}]",
             "    if w_ and w_[-1] == ln_:",
-            "        h_ += 1",
+            f"        {hit}",
             f"    elif not acc_({var}):",
             f"        C[c] += {costs.CACHE_MISS_PENALTY}",
             "else:",
@@ -369,9 +476,8 @@ class _Emitter:
         ]
 
     def _addr_expr(self, mem_op: isa.Mem) -> str:
-        """The effective-address expression, mirroring the shapes of
-        ``Machine._compile_addr``; unusual shapes fall back to that
-        method's closure (still inline-called, still infallible)."""
+        """The effective-address expression for the common shapes;
+        unusual ones call ``Machine.effective_address`` (infallible)."""
         disp, scale = mem_op.disp, mem_op.scale
         if mem_op.abs is not None:
             const = mem_op.abs + disp
@@ -392,7 +498,7 @@ class _Emitter:
                 f"((r[{base}] + {disp} + r[{mem_op.index}] * {scale}) & M)"
             )
         elif mem_op.use32:
-            # fs/gs bases are read at execute time, like the closures.
+            # fs/gs bases are read at execute time, like the reference.
             base = mem_op.base
             seg = ""
             if mem_op.seg == isa.SEG_FS:
@@ -406,8 +512,7 @@ class _Emitter:
                 f"(((r[{base}] & {MASK32}) + {disp}"
                 f" + (r[{idx}] & {MASK32}) * {scale}{seg}) & M)"
             )
-        closure = self.machine._compile_addr(mem_op)
-        return f"{self._obj(closure)}(t)"
+        return f"MACH.effective_address(t, {self._obj(mem_op)})"
 
     @staticmethod
     def _operand(value) -> str:
@@ -418,17 +523,18 @@ class _Emitter:
     # -- dispatch ------------------------------------------------------
 
     def emit(self, p: int, insn) -> None:
+        self.delegated = False
         kind = type(insn)
+        if not _schedule_neutral(insn):
+            self.impure = True
+        reference = self.machine._dispatch.get(kind)
+        cost = costs.BASE_COST.get(insn.cost_class)
+        if reference is None or cost is None:
+            self._delegate(p, insn, 0, "_i_unknown")
+            return
         method = _EMITTERS.get(kind)
-        try:
-            cost = costs.BASE_COST[insn.cost_class]
-        except KeyError:
-            method = None
-            cost = 0
         if method is None:
-            if not _schedule_neutral(insn):
-                self.impure = True
-            self._call_handler(p)
+            self._delegate(p, insn, cost, reference.__name__)
             return
         method(self, p, insn, cost)
 
@@ -455,100 +561,66 @@ class _Emitter:
         self._simple(cost, f"r[{insn.dst}] = {self._addr_expr(insn.mem)}")
 
     def _e_alu(self, p, insn, cost):
-        dst, op = insn.dst, insn.op
+        dst, op, a, b = insn.dst, insn.op, insn.a, insn.b
         if op in ("neg", "not"):
-            if isinstance(insn.a, isa.Imm):
-                value = eval_un(op, insn.a.value & MASK64)
+            if isinstance(a, isa.Imm):
+                value = eval_un(op, a.value & MASK64)
                 self._simple(cost, f"r[{dst}] = {value}")
             elif op == "neg":
-                self._simple(cost, f"r[{dst}] = -r[{insn.a}] & M")
+                self._simple(cost, f"r[{dst}] = -r[{a}] & M")
             else:
-                self._simple(cost, f"r[{dst}] = ~r[{insn.a}] & M")
+                self._simple(cost, f"r[{dst}] = ~r[{a}] & M")
             return
-        a_imm = isinstance(insn.a, isa.Imm)
-        b_imm = isinstance(insn.b, isa.Imm)
-        if a_imm and b_imm and op not in ("div", "mod"):
-            value = eval_bin(
-                op, insn.a.value & MASK64, insn.b.value & MASK64
-            )
+        if op not in _INLINE_ALU:
+            self._delegate(p, insn, cost, "_i_alu")
+            return
+        ea, eb = self._operand(a), self._operand(b)
+        if op in ("div", "mod"):
+            # Faults on a zero divisor at execute time, never at emit.
+            self._pre(p, cost)
+            self.lines.append(f"r[{dst}] = EB({op!r}, {ea}, {eb})")
+            return
+        if isinstance(a, isa.Imm) and isinstance(b, isa.Imm):
+            value = eval_bin(op, a.value & MASK64, b.value & MASK64)
             self._simple(cost, f"r[{dst}] = {value}")
             return
-        if op in ("add", "sub") and not a_imm:
-            if b_imm:
-                bv = insn.b.value & MASK64
-                if op == "sub":
-                    bv = -bv
-                self._simple(cost, f"r[{dst}] = (r[{insn.a}] + {bv}) & M")
-            else:
-                sym = "+" if op == "add" else "-"
-                self._simple(
-                    cost, f"r[{dst}] = (r[{insn.a}] {sym} r[{insn.b}]) & M"
-                )
-            return
-        if op in _BIT_SYMS and not a_imm:
-            sym = _BIT_SYMS[op]
-            self._simple(
-                cost,
-                f"r[{dst}] = r[{insn.a}] {sym} {self._operand(insn.b)}",
-            )
-            return
-        if op == "mul" and not a_imm:
-            self.cum[0] += 1
-            self.cum[1] += cost
-            self._signed_var("x_", f"r[{insn.a}]")
-            if b_imm:
-                self.lines.append(
-                    f"r[{dst}] = (x_ * {signed(insn.b.value)}) & M"
-                )
-            else:
-                self._signed_var("y_", f"r[{insn.b}]")
-                self.lines.append(f"r[{dst}] = (x_ * y_) & M")
-            return
-        if op in ("shl", "shr") and not a_imm and b_imm:
-            sh = insn.b.value & 63
+        if op == "add":
+            expr = f"({ea} + {eb}) & M"
+        elif op == "sub":
+            expr = f"({ea} - {eb}) & M"
+        elif op in _BIT_SYMS:
+            expr = f"{ea} {_BIT_SYMS[op]} {eb}"
+        elif op == "mul":
+            expr = f"({self._signed('x_', a)} * {self._signed('y_', b)}) & M"
+        else:
+            sh = str(b.value & 63) if isinstance(b, isa.Imm) else f"({eb} & 63)"
             if op == "shl":
-                self._simple(cost, f"r[{dst}] = (r[{insn.a}] << {sh}) & M")
+                expr = f"({ea} << {sh}) & M"
             else:
-                self.cum[0] += 1
-                self.cum[1] += cost
-                self._signed_var("x_", f"r[{insn.a}]")
-                self.lines.append(f"r[{dst}] = (x_ >> {sh}) & M")
-            return
-        # div/mod (can fault) and leftover shapes: predecoded handler.
-        self._call_handler(p)
+                expr = f"({self._signed('x_', a)} >> {sh}) & M"
+        self._simple(cost, f"r[{dst}] = {expr}")
+
+    def _condition(self, insn) -> str:
+        """``insn.op`` applied to ``insn.a``/``insn.b`` (a COND_OP)."""
+        a, b, op = insn.a, insn.b, insn.op
+        if op in ("eq", "ne"):
+            sym = "==" if op == "eq" else "!="
+            return f"{self._operand(a)} {sym} {self._operand(b)}"
+        sa = self._signed("x_", a)
+        return f"{sa} {_SIGNED_SYMS[op]} {self._signed('y_', b)}"
 
     def _e_setcc(self, p, insn, cost):
-        dst, op = insn.dst, insn.op
-        a_imm = isinstance(insn.a, isa.Imm)
-        b_imm = isinstance(insn.b, isa.Imm)
-        if a_imm and b_imm:
+        if insn.op not in isa.COND_OPS:
+            self._delegate(p, insn, cost, "_i_setcc")
+            return
+        dst = insn.dst
+        if isinstance(insn.a, isa.Imm) and isinstance(insn.b, isa.Imm):
             value = eval_bin(
-                op, insn.a.value & MASK64, insn.b.value & MASK64
+                insn.op, insn.a.value & MASK64, insn.b.value & MASK64
             )
             self._simple(cost, f"r[{dst}] = {value}")
             return
-        if not a_imm and op in ("eq", "ne"):
-            sym = "==" if op == "eq" else "!="
-            self._simple(
-                cost,
-                f"r[{dst}] = 1 if r[{insn.a}] {sym} "
-                f"{self._operand(insn.b)} else 0",
-            )
-            return
-        if not a_imm and op in _SIGNED_SYMS:
-            sym = _SIGNED_SYMS[op]
-            self.cum[0] += 1
-            self.cum[1] += cost
-            self._signed_var("x_", f"r[{insn.a}]")
-            if b_imm:
-                self.lines.append(
-                    f"r[{dst}] = 1 if x_ {sym} {signed(insn.b.value)} else 0"
-                )
-            else:
-                self._signed_var("y_", f"r[{insn.b}]")
-                self.lines.append(f"r[{dst}] = 1 if x_ {sym} y_ else 0")
-            return
-        self._call_handler(p)
+        self._simple(cost, f"r[{dst}] = 1 if {self._condition(insn)} else 0")
 
     # -- fallible inlined instructions ---------------------------------
 
@@ -658,7 +730,7 @@ class _Emitter:
     def _e_bndchk(self, p, insn, cost):
         if insn.mem is not None:
             # The fixed post-address surcharge is pre-fault in the
-            # handlers, so it batches with the base cost.
+            # reference, so it batches with the base cost.
             cost += costs.BNDCHK_MEM_EXTRA
         self._pre(p, cost, bnd=1)
         lines = self.lines
@@ -684,40 +756,17 @@ class _Emitter:
     # -- terminators ---------------------------------------------------
 
     def _e_jmp(self, p, insn, cost):
-        self.cum[0] += 1
-        self.cum[1] += cost
-        self.lines.append(f"t.pc = {insn.addr}")
+        self._simple(cost, f"t.pc = {insn.addr}")
 
     def _e_br(self, p, insn, cost):
-        op, addr, npc = insn.op, insn.addr, p + 1
-        a_imm = isinstance(insn.a, isa.Imm)
-        b_imm = isinstance(insn.b, isa.Imm)
-        if not a_imm and op in ("eq", "ne"):
-            sym = "==" if op == "eq" else "!="
-            self.cum[0] += 1
-            self.cum[1] += cost
-            self.lines.append(
-                f"t.pc = {addr} if r[{insn.a}] {sym} "
-                f"{self._operand(insn.b)} else {npc}"
-            )
+        if insn.op not in isa.COND_OPS:
+            self._delegate(p, insn, cost, "_i_br")
             return
-        if not a_imm and op in _SIGNED_SYMS:
-            sym = _SIGNED_SYMS[op]
-            self.cum[0] += 1
-            self.cum[1] += cost
-            self._signed_var("x_", f"r[{insn.a}]")
-            if b_imm:
-                self.lines.append(
-                    f"t.pc = {addr} if x_ {sym} "
-                    f"{signed(insn.b.value)} else {npc}"
-                )
-            else:
-                self._signed_var("y_", f"r[{insn.b}]")
-                self.lines.append(
-                    f"t.pc = {addr} if x_ {sym} y_ else {npc}"
-                )
-            return
-        self._call_handler(p)
+        self._simple(
+            cost,
+            f"t.pc = {insn.addr} if {self._condition(insn)} "
+            f"else {self._next_pc(p)}",
+        )
 
     def _e_call_d(self, p, insn, cost):
         self._pre(p, cost, calls=1)
@@ -727,18 +776,21 @@ class _Emitter:
         lines.append(f"if rsp_ >= {CODE_BASE}:")
         lines.append('    raise MF(FU, "write to code space", addr=rsp_)')
         lines.append("TOUCH(c, rsp_, 8)")
-        lines.append(f"MWRITE(rsp_, 8, {CODE_BASE + p + 1})")
+        if self.single:
+            lines.append(f"MWRITE(rsp_, 8, t.pc + {CODE_BASE + 1})")
+        else:
+            lines.append(f"MWRITE(rsp_, 8, {CODE_BASE + p + 1})")
         lines.append(f"t.pc = {insn.addr}")
 
     def _e_halt(self, p, insn, cost):
-        self.impure = True
         self.cum[0] += 1
         self.cum[1] += cost
-        # finish_time reads the cycle counter, so the block's batched
-        # charges must land first.
+        # finish_time reads the cycle counter, so the batched charges
+        # must land first.
         self.flush()
         lines = self.lines
-        lines.append(f"t.pc = {p}")
+        if not self.single:
+            lines.append(f"t.pc = {p}")
         lines.append("t.alive = False")
         lines.append("t.finish_time = C[c]")
         lines.append("if t.tid == 0:")
@@ -750,8 +802,8 @@ class _Emitter:
 
 
 #: Instruction type -> emitter.  Types absent here (indirect control
-#: flow, shadow-stack ops, unknown instructions) run through their
-#: predecoded handler closure inside the block.
+#: flow, shadow-stack ops, unknown instructions) call their reference
+#: handler.
 _EMITTERS = {
     isa.MagicWord: _Emitter._e_magic,
     isa.MovRI: _Emitter._e_mov_ri,

@@ -1,8 +1,8 @@
 """Basic-block profiling and per-site check-overhead attribution.
 
-Where :mod:`repro.machine.profile` answers "which *function* are the
-cycles in?", this module answers the two questions the paper's
-evaluation actually turns on:
+This module answers "which *function* are the cycles in?" (a roll-up of
+the block totals, :meth:`BlockProfiler.function_report`) and the two
+questions the paper's evaluation actually turns on:
 
 * **which basic block** do cycles, instructions, and L1 cache misses
   land on, and along which control-flow edges does execution travel
@@ -31,6 +31,8 @@ Usage::
     process.run()
     for row in prof.report(top=5):
         print(row.name, row.cycles, row.cache_misses)
+    for row in prof.function_report(top=5):
+        print(row.name, row.cycles, row.bnd_checks, row.cfi_checks)
     print(prof.check_summary())
     write_flamegraph(prof, "out.folded")
 """
@@ -62,6 +64,18 @@ class BlockRow:
 
 
 @dataclass
+class FunctionRow:
+    """One function's totals, rolled up from its blocks and sites."""
+
+    name: str
+    cycles: int = 0
+    instructions: int = 0
+    cycle_share: float = 0.0
+    bnd_checks: int = 0
+    cfi_checks: int = 0
+
+
+@dataclass
 class CheckSiteRow:
     """One executed check site's exact cost."""
 
@@ -88,7 +102,10 @@ class BlockProfiler:
         starts = sorted(anchors)
         self._starts = starts
         self._names = [anchors[a] for a in starts]
-        # Function anchors: labels without a dot, plus T-import stubs.
+        # Function anchors: labels without a dot, plus T-import stubs
+        # (lexicographically-first name again when two share an
+        # address).  Every function anchor is also a block anchor, so
+        # each block lies inside exactly one function.
         fn_anchors: dict[int, str] = {}
         for name, addr in sorted(binary.label_addrs.items()):
             if "." not in name or name.startswith("stub."):
@@ -184,6 +201,27 @@ class BlockProfiler:
         ]
         rows.sort(key=lambda r: (-r.cycles, r.name))
         return rows[:top] if top else rows
+
+    def function_report(self, top: int | None = None) -> list[FunctionRow]:
+        """Per-function rows — code before the first function label
+        lands in ``<prelude>``, T-import stubs in their ``stub.*``
+        bucket — cycles-descending with name tie-break."""
+        rows: dict[str, FunctionRow] = {}
+        for block in self.report():
+            row = rows.setdefault(block.func, FunctionRow(block.func))
+            row.cycles += block.cycles
+            row.instructions += block.instructions
+        for site in self.check_sites():
+            row = rows[site.func]
+            if site.category == "bnd":
+                row.bnd_checks += site.count
+            elif site.category == "cfi":
+                row.cfi_checks += site.count
+        total = sum(self.cycles.values()) or 1
+        for row in rows.values():
+            row.cycle_share = row.cycles / total
+        ordered = sorted(rows.values(), key=lambda r: (-r.cycles, r.name))
+        return ordered[:top] if top else ordered
 
     def edge_report(
         self, top: int | None = None

@@ -18,8 +18,8 @@ the image — bit-identical to a cold ``load()`` of the same binary (the
 differential test in ``tests/serve/test_image.py`` pins this across
 configs and engines).  The even cheaper per-request path is
 ``Process.reset()`` on an existing fork: every mutable structure is
-rewound in place, so the predecoded engine's handler closures stay
-valid and nothing is re-predecoded.
+rewound in place, so the fast engines' generated handlers stay valid
+and nothing is re-emitted.
 
 Warm images park the program at its request loop: with a ``recv_gate``
 armed, the first ``recv`` that finds fewer bytes than it wants raises
@@ -84,8 +84,9 @@ class MachineImage:
     def fork(self, engine: str | None = None) -> Process:
         """A fresh, independent Process restored to the image point.
 
-        Builds a new Machine (predecode runs once per fork — pool
-        slots amortize it over thousands of requests) and a new
+        Builds a new Machine (its handlers bind code the image's
+        binary has already generated, as execution reaches each pc —
+        pool slots amortize that over thousands of requests) and a new
         TrustedRuntime, then restores both from the image.  The
         fork's sealed image is this image, so ``Process.reset()``
         rewinds to it, not to the original post-load state.

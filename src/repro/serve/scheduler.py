@@ -135,8 +135,15 @@ class TenantPool:
             )
             for _ in range(pool_size)
         ]
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=queue_depth)
+        self.queue_depth = queue_depth
         self.counters = TenantCounters()
+        self.open_queue()
+
+    def open_queue(self) -> None:
+        """Start a fresh admission queue.  An asyncio queue binds to the
+        event loop that first waits on it, so each event loop that
+        drives this pool needs its own."""
+        self.queue: asyncio.Queue = asyncio.Queue(maxsize=self.queue_depth)
 
     async def submit(self, pending: _Pending,
                      failure: asyncio.Future | None = None) -> None:
@@ -272,6 +279,7 @@ class Fleet:
 
         workers = []
         for pool in self.pools.values():
+            pool.open_queue()
             for instance in pool.instances:
                 worker = asyncio.ensure_future(pool.worker(instance))
                 worker.add_done_callback(_surface)

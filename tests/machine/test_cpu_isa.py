@@ -2,18 +2,24 @@
 
 These build tiny hand-assembled binaries (bypassing the compiler) and
 check each instruction's semantics, the CFI machinery, and the fault
-paths at machine level.
+paths at machine level, under every execution engine: the classes run
+under the default engine, and their ``*OtherEngines`` subclasses at the
+end of the module rerun them under the rest.
 """
 
 import pytest
 
 from repro import OUR_MPX, BASE
+from repro.arith import MASK64, eval_bin
 from repro.backend import isa, regs
 from repro.config import BuildConfig
 from repro.errors import MachineFault
 from repro.link.layout import CODE_BASE, make_layout
 from repro.link.objfile import Binary
-from repro.machine.cpu import Machine
+from repro.machine.cpu import ENGINES, Machine
+
+#: The engine make_machine builds (switched by ``_OtherEngines``).
+ENGINE = ENGINES[0]
 
 
 def make_machine(code, config=BASE, bnd_private=None):
@@ -30,7 +36,7 @@ def make_machine(code, config=BASE, bnd_private=None):
         config=config,
     )
     binary.layout = layout
-    machine = Machine(binary, natives=[])
+    machine = Machine(binary, natives=[], engine=ENGINE)
     machine.mem.map_range(layout.public.base, layout.public.end)
     if layout.private is not None:
         machine.mem.map_range(layout.private.base, layout.private.end)
@@ -67,6 +73,36 @@ class TestDataMovement:
             isa.Halt(),
         ])
         assert machine.exit_code == 1
+
+    def test_operand_shapes_match_arith(self):
+        """Every register/immediate shape of every ALU and compare op
+        computes what repro.arith says, signs and wraparound included."""
+        x, y = MASK64 - 4, 3  # -5 and 3
+        ops = ["add", "sub", "mul", "and", "or", "xor", "shl", "shr",
+               "div", "mod", "eq", "ne", "lt", "le", "gt", "ge"]
+        shapes = [(regs.RBX, regs.RCX), (isa.Imm(x), regs.RCX),
+                  (regs.RBX, isa.Imm(y)), (isa.Imm(x), isa.Imm(y))]
+        for op in ops:
+            kind = isa.SetCC if op in isa.COND_OPS else isa.Alu
+            for a, b in shapes:
+                machine = run([
+                    isa.MovRI(regs.RBX, x),
+                    isa.MovRI(regs.RCX, y),
+                    kind(op, regs.RAX, a, b),
+                    isa.Halt(),
+                ])
+                assert machine.exit_code == eval_bin(op, x, y), (op, a, b)
+        for op in ("eq", "ne", "lt", "le", "gt", "ge"):
+            for a, b in shapes:
+                machine = run([
+                    isa.MovRI(regs.RBX, x),
+                    isa.MovRI(regs.RCX, y),
+                    isa.MovRI(regs.RAX, 1),
+                    isa.Br(op, a, b, "t", addr=5),
+                    isa.MovRI(regs.RAX, 0),
+                    isa.Halt(),
+                ])
+                assert machine.exit_code == eval_bin(op, x, y), (op, a, b)
 
     def test_load_store_roundtrip(self):
         base = 0x10000100
@@ -295,3 +331,31 @@ class TestControlFlow:
                 isa.Halt(),
             ])
         assert e.value.kind == "divide-error"
+
+
+class _OtherEngines:
+    """Mixin: rerun the inherited tests under each non-default engine."""
+
+    @pytest.fixture(autouse=True, params=ENGINES[1:])
+    def _engine(self, request, monkeypatch):
+        monkeypatch.setitem(globals(), "ENGINE", request.param)
+
+
+class TestDataMovementOtherEngines(_OtherEngines, TestDataMovement):
+    pass
+
+
+class TestSegmentationOtherEngines(_OtherEngines, TestSegmentation):
+    pass
+
+
+class TestMpxChecksOtherEngines(_OtherEngines, TestMpxChecks):
+    pass
+
+
+class TestCfiMachineryOtherEngines(_OtherEngines, TestCfiMachinery):
+    pass
+
+
+class TestControlFlowOtherEngines(_OtherEngines, TestControlFlow):
+    pass

@@ -22,8 +22,8 @@ from repro.compiler import compile_source
 from repro.errors import MachineFault
 from repro.link.layout import CODE_BASE
 from repro.link.loader import load
-from repro.machine.profile import attach_profiler
 from repro.obs import events, export
+from repro.obs.blockprof import attach_block_profiler
 from repro.runtime.trusted import TrustedRuntime
 
 from tests.integration.test_differential import ProgramGen
@@ -191,11 +191,11 @@ int main() {
         for engine in ALL_ENGINES:
             binary = compile_source(self.SOURCE, OUR_MPX, seed=3)
             process = load(binary, runtime=TrustedRuntime(), engine=engine)
-            profiler = attach_profiler(process.machine)
+            profiler = attach_block_profiler(process.machine)
             process.run()
             reports[engine] = [
                 (r.name, r.cycles, r.bnd_checks, r.cfi_checks)
-                for r in profiler.report()
+                for r in profiler.function_report()
             ]
         for engine in FAST_ENGINES:
             assert reports[engine] == reports["reference"], engine
@@ -234,8 +234,6 @@ class TestBlockProfilerEquivalence:
     tier."""
 
     def blockprof_signature(self, binary, engine):
-        from repro.obs.blockprof import attach_block_profiler
-
         process = load(binary, runtime=TrustedRuntime(), engine=engine)
         profiler = attach_block_profiler(process.machine)
         try:

@@ -1,6 +1,6 @@
 """Regression tests for machine execution-semantics edge cases.
 
-Three historical bugs, each exercised under BOTH execution engines:
+Historical bugs, each exercised under every execution engine:
 
 * a negative PC used to wrap via Python negative indexing and silently
   execute the wrong instruction instead of raising FAULT_EXEC;
@@ -9,7 +9,9 @@ Three historical bugs, each exercised under BOTH execution engines:
 * code-space reads ignored the requested size, returning the full
   64-bit encoding for 1/4-byte loads;
 * ``_touch`` charged only the first L1 line of an access, understating
-  the cache pressure line-crossing accesses cause.
+  the cache pressure line-crossing accesses cause;
+* an instruction of unknown type or cost class raised a bare
+  ``KeyError`` at execute time instead of a machine fault.
 """
 
 import pytest
@@ -52,6 +54,43 @@ def make_machine(code, config=BASE, engine="predecoded"):
     )
     machine.spawn(0)
     return machine
+
+
+class _Bogus(isa.Insn):
+    """An instruction type no engine knows."""
+
+    def __repr__(self):
+        return "bogus"
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+class TestUnknownInstruction:
+    def unknown_cost_class(self):
+        insn = isa.MovRI(regs.RAX, 7)
+        insn.cost_class = "warp"
+        return insn
+
+    @pytest.mark.parametrize("kind", ("type", "cost-class"))
+    def test_faults_at_execute_time(self, engine, kind):
+        unknown = _Bogus() if kind == "type" else self.unknown_cost_class()
+        code = [isa.MovRI(regs.RBX, 1), unknown, isa.Halt()]
+        # Loading never looks at the instruction; only executing it
+        # faults, with the same machine state under every engine.
+        machine = make_machine(code, engine=engine)
+        with pytest.raises(MachineFault) as e:
+            machine.run()
+        assert e.value.kind == FAULT_EXEC
+        assert "unknown instruction" in e.value.detail
+        assert machine.stats.instructions == 2
+        assert machine.core_cycles[0] == 1
+        assert machine.threads[0].pc == 1
+        assert machine.stats.faults == {FAULT_EXEC: 1}
+
+    def test_unreached_unknown_instruction_is_harmless(self, engine):
+        code = [isa.MovRI(regs.RAX, 5), isa.Halt(), _Bogus()]
+        machine = make_machine(code, engine=engine)
+        machine.run()
+        assert machine.exit_code == 5
 
 
 @pytest.mark.parametrize("engine", ENGINES)

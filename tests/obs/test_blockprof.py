@@ -70,17 +70,23 @@ class TestBlockAttribution:
         assert rows[0].cycle_share > 0.5
 
     def test_blocks_roll_up_to_function_profile(self):
-        from repro.machine.profile import attach_profiler
-
+        """The function roll-up equals per-instruction attribution of
+        every retired pc to its function."""
         binary = compile_source(SOURCE, OUR_MPX, seed=7)
         process = load(binary, runtime=TrustedRuntime())
-        func_prof = attach_profiler(process.machine)
         block_prof = attach_block_profiler(process.machine)
+        per_pc: dict[str, list] = {}
+
+        def on_step(thread, pc, insn, cycles):
+            totals = per_pc.setdefault(block_prof.func_of(pc), [0, 0])
+            totals[0] += cycles
+            totals[1] += 1
+
+        process.machine.add_step_hook(on_step)
         process.run()
-        by_func: dict[str, int] = {}
-        for row in block_prof.report():
-            by_func[row.func] = by_func.get(row.func, 0) + row.cycles
-        assert by_func == func_prof.cycles
+        rows = block_prof.function_report()
+        assert {r.name: [r.cycles, r.instructions] for r in rows} == per_pc
+        assert sum(r.cycles for r in rows) == process.wall_cycles
 
     def test_report_sorted_cycles_desc_then_name(self):
         _, prof = run_profiled(BASE)

@@ -9,7 +9,7 @@ import pytest
 from repro import OUR_MPX, OUR_SEG, compile_and_load
 from repro.compiler import compile_source
 from repro.link.loader import load
-from repro.machine.profile import attach_profiler, detach_profiler
+from repro.obs.blockprof import attach_block_profiler, detach_block_profiler
 from repro.obs import events, export
 from repro.obs.metrics import flat_key, label_items
 from repro.runtime.trusted import T_PROTOTYPES
@@ -202,27 +202,27 @@ class TestDeterminism:
 class TestProfilerHooks:
     def test_double_attach_same_hook_raises(self):
         process = compile_and_load(PROGRAM, OUR_MPX)
-        profiler = attach_profiler(process.machine)
+        profiler = attach_block_profiler(process.machine)
         with pytest.raises(ValueError):
             process.machine.add_step_hook(profiler.on_step)
-        detach_profiler(process.machine, profiler)
+        detach_block_profiler(process.machine, profiler)
         # After detach, re-attaching the same hook is fine again.
         process.machine.add_step_hook(profiler.on_step)
 
     def test_two_profilers_do_not_double_count(self):
         process = compile_and_load(PROGRAM, OUR_MPX)
-        first = attach_profiler(process.machine)
-        second = attach_profiler(process.machine)
+        first = attach_block_profiler(process.machine)
+        second = attach_block_profiler(process.machine)
         process.run()
         assert sum(first.cycles.values()) == sum(second.cycles.values())
         assert sum(first.cycles.values()) == process.wall_cycles
 
     def test_per_function_check_counts_match_stats(self):
         process = compile_and_load(PROGRAM, OUR_MPX)
-        profiler = attach_profiler(process.machine)
+        profiler = attach_block_profiler(process.machine)
         process.run()
         stats = process.stats
-        rows = profiler.report()
+        rows = profiler.function_report()
         assert sum(r.bnd_checks for r in rows) == stats.bnd_checks
         assert sum(r.cfi_checks for r in rows) == stats.cfi_checks
         assert sum(r.instructions for r in rows) == stats.instructions

@@ -121,6 +121,26 @@ def test_fork_after_request_resets_to_fork_before():
     assert used.last_cycles == fresh.last_cycles
 
 
+@pytest.mark.parametrize("engine", ("predecoded", "superblock"))
+def test_fork_reuses_generated_code(engine, monkeypatch):
+    """Once one fork has served a request, a new fork of the same image
+    serves it by binding already-generated code: no source is emitted
+    again."""
+    from repro.machine import superblock
+
+    image, _ = build_app_image(ECHO, OUR_MPX, seed=3)
+    first = ServeInstance(image.fork(engine=engine))
+    expected = first.handle_request(echo_request(2))
+    second = ServeInstance(image.fork(engine=engine))
+
+    def no_emission(*args, **kwargs):
+        raise AssertionError("a fork regenerated a handler or block")
+
+    monkeypatch.setattr(superblock._Emitter, "__init__", no_emission)
+    assert second.handle_request(echo_request(2)) == expected
+    assert second.last_cycles == first.last_cycles
+
+
 def test_warm_image_skips_initialization_per_request():
     """The resume replay is tiny compared to app initialization — the
     whole point of warm images (dirserver repopulates 20k entries on a

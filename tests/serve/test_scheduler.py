@@ -52,6 +52,28 @@ def test_fleet_serves_correct_responses(image):
     assert all(c["faults"] == 0 for c in counters.values())
 
 
+def test_fleet_serves_twice(image):
+    """Each serve runs its own event loop; the second must not trip
+    over queues bound to the first, and counters keep accumulating."""
+    fleet = Fleet(image, 2, pool_size=2)
+    for round_ in range(2):
+        stream = [
+            (f"tenant{i % 2}", echo_request(100 * round_ + i))
+            for i in range(40)
+        ]
+        results = fleet.serve(stream)
+        assert [r.index for r in results] == list(range(40))
+        for (tenant, payload), result in zip(stream, results):
+            assert result.tenant == tenant
+            assert result.ok
+            assert check(payload, result.response)
+        counters = fleet.counters()
+        assert [c["requests"] for c in counters.values()] == [
+            20 * (round_ + 1)
+        ] * 2
+        assert all(c["faults"] == 0 for c in counters.values())
+
+
 def test_fault_kills_only_its_fork(image):
     """A faulting request is reported, its fork is reset, and every
     other request — same tenant and others — still completes."""

@@ -2,19 +2,20 @@
 
 Three claims are pinned here:
 
-* the predecoded and superblock engines and the reference engine report
-  **identical** simulated cycles/instructions/checks on the mcf kernel
-  under every configuration (the optimizations are observably
-  invisible);
+* the predecoded engine and the reference engine report **identical**
+  simulated cycles/instructions/checks on the mcf kernel under every
+  configuration (the optimizations are observably invisible);
 * the per-config cycle records stay in the neighborhood of the stored
   `data/bench_baseline.json` snapshot, so a future change that silently
   shifts the Figure 5 cost model shows up as a benchmark failure rather
   than as quietly different paper numbers.  Simulated cycles are
   deterministic, so the tolerance (±25%) exists only to admit *intended*
   codegen/cost-model changes — refresh the snapshot when you make one;
-* the superblock engine actually earns its keep: ≥1.5× cycles per
-  wall-second over predecoded on the mcf kernel (ROADMAP item 2's
-  target), measured interleaved so host noise hits both engines alike.
+* the predecoded engine's fused-block hot loop actually earns its keep:
+  ≥3× cycles per wall-second over the reference engine on the mcf
+  kernel, measured interleaved so host noise hits both engines alike.
+  Stepping the single-instruction handlers instead of fused blocks
+  reaches only ~2.3×, so a silent fall back to it fails the gate.
 """
 
 from __future__ import annotations
@@ -65,15 +66,11 @@ def test_engines_report_identical_cycles(benchmark):
     assert fast == reference
 
 
-def test_superblock_reports_identical_cycles():
-    assert bench_records("superblock") == bench_records("reference")
-
-
-def test_superblock_speedup_over_predecoded():
-    """The superblock engine must deliver ≥1.5× cycles-per-wall-second
-    over predecoded on a fig5 app.  Measured on OurMPX (check-heavy,
-    the config the paper's overhead story is about), interleaved
-    best-of-N so scheduler noise cannot bias one engine."""
+def test_predecoded_speedup_over_reference():
+    """The predecoded engine must deliver ≥3× cycles-per-wall-second
+    over the reference engine on a fig5 app.  Measured on OurMPX
+    (check-heavy, the config the paper's overhead story is about),
+    interleaved best-of-N so scheduler noise cannot bias one engine."""
     source = kernel_source("mcf", scale=1)
     config = ALL_CONFIGS["OurMPX"]
     binary = compile_source(source, config, seed=SEED)
@@ -85,17 +82,17 @@ def test_superblock_speedup_over_predecoded():
         elapsed = time.perf_counter() - start
         return process.wall_cycles / elapsed
 
-    # Warm both paths (superblock pays block fusion on first touch).
+    # Warm both paths (predecoded pays block fusion on first touch).
     run("predecoded")
-    run("superblock")
-    best = {"predecoded": 0.0, "superblock": 0.0}
+    run("reference")
+    best = {"predecoded": 0.0, "reference": 0.0}
     for _ in range(4):
         for engine in best:
             best[engine] = max(best[engine], run(engine))
-    speedup = best["superblock"] / best["predecoded"]
-    assert speedup >= 1.5, (
-        f"superblock {best['superblock']:.3e} vs predecoded "
-        f"{best['predecoded']:.3e} cycles/s — only {speedup:.2f}x"
+    speedup = best["predecoded"] / best["reference"]
+    assert speedup >= 3.0, (
+        f"predecoded {best['predecoded']:.3e} vs reference "
+        f"{best['reference']:.3e} cycles/s — only {speedup:.2f}x"
     )
 
 

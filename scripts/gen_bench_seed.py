@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Regenerate the committed BENCH_seed.json benchmark trajectory.
 
-Runs the quickstart example and the Fig. 5 kernel suite under every
+Runs the quickstart example, libquantum under the aggressive check
+optimizer, the Fig. 5 kernel suite and the serving tier under every
 relevant configuration via the same ``run_bench_suite`` helper the
 ``bench --store`` CLI path uses, so CI records produced by
 ``repro bench --store`` are directly diffable against the seed with
@@ -57,37 +58,19 @@ def build_records() -> list[dict]:
         )
     )
 
-    # Suite 2: the quickstart again under the superblock engine.  The
-    # cycle numbers must be bit-identical to suite 1 (engines are
-    # equivalence-gated); the separate record gives `bench diff
-    # --suite quickstart-superblock` a seed to gate the fused engine's
-    # accounting against, and its wall_s column tracks the speedup.
-    _, sb_benchmarks = run_bench_suite(
-        FIXED, suite="quickstart-superblock", seed=SEED,
-        engine="superblock",
-    )
-    records.append(
-        bench_store.make_record(
-            name="quickstart-superblock",
-            seed=SEED,
-            engine="superblock",
-            cache="off",
-            benchmarks=sb_benchmarks,
-        )
-    )
-
-    # Suite 3: the quickstart under the aggressive post-codegen check
-    # optimizer.  A separate suite so `bench diff --suite
-    # quickstart-checkopt` gates the optimizer's cycle/check deltas
+    # Suite 2: libquantum under the aggressive post-codegen check
+    # optimizer, where elision actually fires (on the quickstart it
+    # changes no cycles).  A separate suite so `bench diff --suite
+    # libquantum-checkopt` gates the optimizer's cycle/check deltas
     # independently of the safe baseline (safe stays bit-identical to
-    # the historical output, so suite 1 doubles as its gate).
+    # the historical output, so the other suites double as its gate).
     _, ck_benchmarks = run_bench_suite(
-        FIXED, suite="quickstart-checkopt", seed=SEED,
-        checkopt="aggressive",
+        kernel_source("libquantum"), suite="libquantum-checkopt",
+        seed=SEED, checkopt="aggressive",
     )
     records.append(
         bench_store.make_record(
-            name="quickstart-checkopt",
+            name="libquantum-checkopt",
             seed=SEED,
             engine="predecoded",
             cache="off",
@@ -95,7 +78,7 @@ def build_records() -> list[dict]:
         )
     )
 
-    # Suite 4: the Fig. 5 SPEC kernels under the paper's config set.
+    # Suite 3: the Fig. 5 SPEC kernels under the paper's config set.
     fig5_benchmarks = []
     for kernel in SPEC_NAMES:
         source = kernel_source(kernel, scale=1)
@@ -116,7 +99,7 @@ def build_records() -> list[dict]:
         )
     )
 
-    # Suites 5-7: the serving tier, one record per app, matching what
+    # Suites 4-6: the serving tier, one record per app, matching what
     # smoke.sh stores from `repro serve --store`.  batch=1 makes the
     # cycle/instruction totals exactly reproducible.
     for app in SERVE_APPS:

@@ -46,26 +46,21 @@ assert "machine.run" in names, names
 print(f"smoke OK: {len(complete)} spans, {len(names)} distinct")
 PY
 
-# bench --json sanity: valid JSON, one record per config, and both
-# fast engines (predecoded, superblock) produce cycle counts
-# bit-identical to the reference interpreter.
+# bench --json sanity: valid JSON, one record per config, and the
+# fast engine produces cycle counts bit-identical to the reference
+# interpreter.
 BENCH_FAST="$WORK/bench_fast.json"
-BENCH_SUPER="$WORK/bench_super.json"
 BENCH_REF="$WORK/bench_ref.json"
 python -m repro bench --seed 1 --json "$SRC" > "$BENCH_FAST"
-python -m repro bench --seed 1 --json --engine superblock "$SRC" \
-    > "$BENCH_SUPER"
 python -m repro bench --seed 1 --json --engine reference "$SRC" > "$BENCH_REF"
 
-python - "$BENCH_FAST" "$BENCH_SUPER" "$BENCH_REF" <<'PY'
+python - "$BENCH_FAST" "$BENCH_REF" <<'PY'
 import json
 import sys
 
 with open(sys.argv[1]) as handle:
     fast = json.load(handle)
 with open(sys.argv[2]) as handle:
-    superblock = json.load(handle)
-with open(sys.argv[3]) as handle:
     ref = json.load(handle)
 assert fast, "bench --json produced no records"
 for record in fast:
@@ -73,10 +68,9 @@ for record in fast:
         assert key in record, f"bench record missing {key}: {record}"
     assert record["cycles"] > 0, record
 assert fast == ref, "engines disagree:\n%s\n%s" % (fast, ref)
-assert superblock == ref, "engines disagree:\n%s\n%s" % (superblock, ref)
 configs = [r["config"] for r in fast]
 print(f"bench OK: {len(fast)} configs ({', '.join(configs)}), "
-      "predecoded == superblock == reference")
+      "predecoded == reference")
 PY
 
 # Build-cache smoke: a cold build populates the object cache; the warm
@@ -160,27 +154,24 @@ if python -m repro bench diff BENCH_seed.json "$BENCH_BAD" \
     echo "bench diff FAILED to flag an injected regression" >&2
     exit 1
 fi
-# Same gate for the superblock engine's own trajectory record.
-python -m repro bench --seed 1 --json --engine superblock --store "$BENCH_CI" \
-    --bench-name quickstart-superblock "$SRC" > /dev/null
-python -m repro bench diff BENCH_seed.json "$BENCH_CI" \
-    --suite quickstart-superblock
-echo "bench gate OK: seed diff clean (both engines), injected regression flagged"
+echo "bench gate OK: seed diff clean, injected regression flagged"
 
 # Check-optimizer smoke (--checkopt aggressive): fig5 kernels still
-# pass ConfVerify with checks elided, all engines stay bit-identical,
+# pass ConfVerify with checks elided, both engines stay bit-identical,
 # `repro report` attributes a real bnd-cycle saving on mcf/OurMPX, the
-# quickstart-checkopt trajectory record diffs clean against the seed,
-# and the witness-corruption fuzz oracle kills 100% of seeded
-# witness corruptions.
+# libquantum-checkopt trajectory record (where elision fires) diffs
+# clean against the seed, and the witness-corruption fuzz oracle kills
+# 100% of seeded witness corruptions.
 MCF="$WORK/mcf.mc"
-python - "$MCF" <<'PY'
+LIBQUANTUM="$WORK/libquantum.mc"
+python - "$MCF" "$LIBQUANTUM" <<'PY'
 import sys
 
 from repro.apps.spec import kernel_source
 
-with open(sys.argv[1], "w") as handle:
-    handle.write(kernel_source("mcf"))
+for path, kernel in zip(sys.argv[1:], ("mcf", "libquantum")):
+    with open(path, "w") as handle:
+        handle.write(kernel_source(kernel))
 PY
 python -m repro verify --config OurMPX --checkopt aggressive --seed 1 \
     --no-prototypes "$MCF" > /dev/null
@@ -188,15 +179,11 @@ python -m repro verify --config OurSeg --checkopt aggressive --seed 1 \
     --no-prototypes "$MCF" > /dev/null
 
 CK_FAST="$WORK/bench_ck_fast.json"
-CK_SUPER="$WORK/bench_ck_super.json"
 CK_REF="$WORK/bench_ck_ref.json"
 python -m repro bench --seed 1 --json --checkopt aggressive "$SRC" > "$CK_FAST"
 python -m repro bench --seed 1 --json --checkopt aggressive \
-    --engine superblock "$SRC" > "$CK_SUPER"
-python -m repro bench --seed 1 --json --checkopt aggressive \
     --engine reference "$SRC" > "$CK_REF"
 cmp "$CK_FAST" "$CK_REF"
-cmp "$CK_SUPER" "$CK_REF"
 
 CK_REPORT="$WORK/report_ck.json"
 python -m repro report --seed 1 --json --checkopt aggressive "$MCF" \
@@ -218,10 +205,11 @@ print(
 )
 PY
 
-python -m repro bench --seed 1 --json --checkopt aggressive --store "$BENCH_CI" \
-    --bench-name quickstart-checkopt "$SRC" > /dev/null
+python -m repro bench --seed 1 --json --checkopt aggressive --no-prototypes \
+    --store "$BENCH_CI" --bench-name libquantum-checkopt "$LIBQUANTUM" \
+    > /dev/null
 python -m repro bench diff BENCH_seed.json "$BENCH_CI" \
-    --suite quickstart-checkopt
+    --suite libquantum-checkopt
 
 python -m repro fuzz --engine witness --seed 0 --n 2 --stride 4 > "$FUZZ_OUT"
 grep "(100.0%)" "$FUZZ_OUT" > /dev/null

@@ -25,7 +25,7 @@ serve    multi-tenant enclave-fleet serving: freeze one verified image,
 Common options: ``--config <name>`` (default OurMPX; see ``repro.config``),
 ``--file name=path`` to add RAM-disk files, ``--stdin-hex BYTES`` to feed
 channel 0, ``--seed N`` for deterministic magic selection.  ``run``,
-``bench``, and ``stats`` also take ``--engine {predecoded,superblock,reference}``:
+``bench``, and ``stats`` also take ``--engine {predecoded,reference}``:
 the reference engine is the slow one-step-at-a-time interpreter kept as
 an executable specification — results are identical, only wall-clock
 differs.
@@ -75,6 +75,7 @@ from .compiler import compile_source
 from .config import ALL_CONFIGS, CHECKOPT_LEVELS, OUR_MPX
 from .errors import MachineFault, ReproError
 from .link.loader import load
+from .machine.cpu import ENGINES
 from .obs import events, export
 from .runtime.trusted import T_PROTOTYPES, TrustedRuntime
 
@@ -996,7 +997,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="hex bytes fed to channel 0")
         if name in ("run", "bench", "stats"):
             p.add_argument("--engine", default="predecoded",
-                           choices=("predecoded", "superblock", "reference"),
+                           choices=ENGINES,
                            help="execution engine (reference = slow "
                                 "debug interpreter; identical results)")
         p.set_defaults(handler=handler)
@@ -1060,7 +1061,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stdin-hex", default=None,
                    help="hex bytes fed to channel 0")
     p.add_argument("--engine", default="predecoded",
-                   choices=("predecoded", "superblock", "reference"),
+                   choices=ENGINES,
                    help="execution engine (identical attribution)")
     p.add_argument("--json", action="store_true",
                    help="emit the decomposition as JSON")
@@ -1163,7 +1164,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="post-codegen check-optimization level (off/safe/aggressive; default from config)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--engine", default="predecoded",
-                   choices=("predecoded", "superblock", "reference"),
+                   choices=ENGINES,
                    help="execution engine for every fork")
     p.add_argument("--tenants", type=int, default=2, metavar="N",
                    help="number of tenants (default 2)")

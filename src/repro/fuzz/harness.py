@@ -45,6 +45,7 @@ from ..compiler import compile_source
 from ..config import BASE, OUR_MPX, OUR_SEG
 from ..errors import MachineFault, ReproError, VerifyError
 from ..link.loader import load as load_binary
+from ..machine.cpu import ENGINES
 from ..obs import events
 from ..runtime.trusted import T_PROTOTYPES, TrustedRuntime
 from ..verifier.verify import verify_binary
@@ -54,7 +55,6 @@ from .mutate import apply_site, enumerate_sites
 
 DIFF_CONFIGS = (BASE, OUR_MPX, OUR_SEG)
 VERIFIED_CONFIGS = (OUR_MPX, OUR_SEG)
-ENGINES = ("predecoded", "superblock", "reference")
 
 # The keys of an execution observation that must agree across *build
 # configurations* (instrumentation may change cycle counts, never

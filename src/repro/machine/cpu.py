@@ -12,24 +12,22 @@ The machine implements ConfISA exactly as the instrumentation expects:
   (re-negated) expected magic value (Section 4);
 * unmapped accesses fault — guard areas are simply unmapped.
 
-Three execution engines share these semantics:
+Two execution engines share these semantics:
 
 * the **reference** engine is the one-``_step``-at-a-time dict-dispatch
   interpreter over the ``_i_*`` handlers below: the executable
   specification;
-* the **predecoded** engine (default) runs a per-pc table of handlers,
-  each a single-instruction function generated by
-  :mod:`repro.machine.superblock` the first time execution reaches its
-  pc, with the dispatch decision, base cycle cost, and operand shape
-  resolved once.  Rare instructions (jump tables, indirect control
-  flow, shadow-stack ops) call the reference ``_i_*`` handler.  A
-  single-live-thread hot loop charges the instruction budget per
-  quantum instead of per step;
-* the **superblock** engine additionally fuses each basic block into
-  one generated function, paying dispatch once per block with
-  Stats/cycle accounting batched between fault points; it
-  deoptimizes to the handler table at quantum tails, step hooks, and
-  multi-thread schedules.
+* the **predecoded** engine (default) runs code generated by
+  :mod:`repro.machine.superblock` the first time execution reaches it.
+  While one thread is live and no step hook is attached, its hot loop
+  runs whole basic blocks fused into one function each, paying
+  dispatch once per block with Stats/cycle accounting batched between
+  fault points.  Everywhere the schedule is observable -- near the
+  instruction budget, around thread spawns and joins, under step hooks
+  and for multi-thread schedules -- it steps a per-pc table of
+  single-instruction handlers instead.  Rare instructions (jump
+  tables, indirect control flow, shadow-stack ops) call the reference
+  ``_i_*`` handler.
 
 The engines are observably identical — simulated cycles, ``Stats``
 counters, fault kinds/addresses, and the ``add_step_hook`` API agree
@@ -63,9 +61,8 @@ from .superblock import BlockFuser
 MASK32 = 0xFFFFFFFF
 
 ENGINE_PREDECODED = "predecoded"
-ENGINE_SUPERBLOCK = "superblock"
 ENGINE_REFERENCE = "reference"
-ENGINES = (ENGINE_PREDECODED, ENGINE_SUPERBLOCK, ENGINE_REFERENCE)
+ENGINES = (ENGINE_PREDECODED, ENGINE_REFERENCE)
 
 
 class Thread:
@@ -191,25 +188,19 @@ class Machine:
             isa.Fail: self._i_fail,
         }
         self.engine = engine
-        # Fast-engine state: code[pc] -> handler, emitted lazily by the
-        # fuser.  The superblock engine also uses the handler table for
-        # its deoptimization path (quantum tails, generic scheduling)
-        # and lazily fuses blocks on top of it.
+        # Fast-engine state, emitted lazily by the fuser: code[pc] ->
+        # fused block entry for the hot loop, and code[pc] -> handler
+        # for precise stepping (budget horizons, generic scheduling).
         self._handlers: list | None = None
         self._blocks: list | None = None
         self._fuser = None
-        self._hot = None
         if engine == ENGINE_REFERENCE:
             self._step = self._step_reference
         else:
             self._fuser = BlockFuser(self)
             self._handlers = self._fuser.handlers
+            self._blocks = [None] * len(self.code)
             self._step = self._step_predecoded
-            if engine == ENGINE_SUPERBLOCK:
-                self._blocks = [None] * len(self.code)
-                self._hot = self._run_hot_superblock
-            else:
-                self._hot = self._run_hot
 
     # ------------------------------------------------------------------
     # Step hooks (the supported way to observe execution; replaces the
@@ -325,9 +316,9 @@ class Machine:
                 and len(alive) == 1
                 and len(runnable) == 1
             ):
-                # Single live thread on a handler-table engine: stay in
-                # the hot loop until the schedule could change.
-                budget = self._hot(runnable[0], budget, max_instructions)
+                # Single live thread on the fast engine: stay in the
+                # hot loop until the schedule could change.
+                budget = self._run_hot(runnable[0], budget, max_instructions)
                 continue
             for thread in runnable:
                 if not thread.alive:
@@ -350,53 +341,10 @@ class Machine:
 
     def _run_hot(self, thread: Thread, budget: int,
                  max_instructions: int) -> int:
-        """Run the only live thread through the predecoded handler
-        table, charging the instruction budget once per quantum.
-
-        The quantum is clipped to the remaining budget, so the budget
-        fault fires at exactly the same retired instruction as the
-        per-step accounting of the generic loop: the fault gates
-        *starting* instruction ``budget + 1``, never a program that
-        halts on its final budgeted instruction.  Returns the remaining
-        budget when the schedule may have changed (thread died, blocked
-        on a join, spawned another thread, or a step hook appeared).
-        """
-        handlers = self._handlers
-        n = len(handlers)
-        threads = self.threads
-        n_threads = len(threads)
-        while True:
-            chunk = 64 if budget >= 64 else budget
-            executed = 0
-            for _ in range(chunk):
-                if not thread.alive:
-                    break
-                pc = thread.pc
-                if 0 <= pc < n:
-                    handlers[pc](thread)
-                else:
-                    raise MachineFault(FAULT_EXEC, f"pc out of code: {pc}")
-                executed += 1
-            budget -= executed
-            if (
-                not thread.alive
-                or thread.waiting_on is not None
-                or len(threads) != n_threads
-                or self._step_hooks
-            ):
-                return budget
-            if budget <= 0:
-                raise MachineFault(
-                    "instruction-budget-exhausted",
-                    f"exceeded {max_instructions} instructions",
-                )
-
-    def _run_hot_superblock(self, thread: Thread, budget: int,
-                            max_instructions: int) -> int:
-        """The superblock hot loop: run the only live thread through
+        """The fast engine's hot loop: run the only live thread through
         lazily fused basic-block functions.
 
-        The 64-instruction quantum grid of ``_run_hot`` is observable
+        The generic loop's 64-instruction quantum grid is observable
         only at budget faults and schedule changes; for a single
         thread, everything in between is a pure performance detail.  So
         the relaxed phase runs whole blocks back to back with no
@@ -405,9 +353,14 @@ class Machine:
         change it (fuse marks blocks containing ``Halt`` or a native
         gateway as impure).  Once the budget gets close, or a schedule
         event fires mid-grid, the precise phase single-steps the
-        predecoded handlers along the exact virtual quantum boundaries
-        ``_run_hot`` would have used, so budget faults and
-        schedule-change returns land on bit-identical machine states.
+        predecoded handlers along the exact quantum boundaries the
+        generic loop would have used, so budget faults and
+        schedule-change returns land on bit-identical machine states:
+        the budget fault gates *starting* instruction ``budget + 1``,
+        never a program that halts on its final budgeted instruction.
+        Returns the remaining budget when the schedule may have changed
+        (thread died, blocked on a join, spawned another thread, or a
+        step hook appeared).
         """
         handlers = self._handlers
         blocks = self._blocks
@@ -443,8 +396,9 @@ class Machine:
                 or len(threads) != n_threads
                 or hooks
             ):
-                # Finish the quantum the event fell inside: _run_hot
-                # only returns on a 64-grid (or budget) boundary.
+                # Finish the quantum the event fell inside: the generic
+                # loop only rechecks the schedule on a 64-grid (or
+                # budget) boundary.
                 target = min(-(-executed // 64) * 64, budget0)
                 while executed < target and thread.alive:
                     pc = thread.pc

@@ -7,7 +7,7 @@ memory contents (copy-on-write, via ``Memory.snapshot_state``),
 per-core cycle counters and L1 caches, every thread's architectural
 state, the ``Stats`` counters, and the loader-installed protection
 state (fs/gs bases, MPX bounds).  ``restore`` rewinds a machine to
-that point **in place**: the fast engines' generated handlers capture
+that point **in place**: the fast engine's generated code captures
 the ``stats`` object, the ``core_cycles`` and ``caches`` lists, the
 memory's page dicts, and the ``bnd`` list when the machine is built,
 so restoration mutates those objects rather than rebinding them — no

@@ -1,29 +1,31 @@
-"""Generated-code fast path of the predecoded and superblock engines.
+"""Generated-code fast path of the predecoded engine.
 
 The reference engine interprets one instruction at a time through
-``Machine._dispatch``.  The fast engines instead run Python functions
-that :class:`BlockFuser` generates from ``machine.code``, and this
-module's :class:`_Emitter` is the one place their per-instruction
+``Machine._dispatch``.  The predecoded engine instead runs Python
+functions that :class:`BlockFuser` generates from ``machine.code``, and
+this module's :class:`_Emitter` is the one place their per-instruction
 semantics are written down.  It emits code in two shapes:
 
-* a **handler** is a single-instruction function.  The predecoded
-  engine's table ``machine._handlers`` holds one per pc, emitted the
-  first time execution reaches that pc.  A handler charges
-  ``Stats.instructions`` and the base cycle cost before its first
-  fallible statement, exactly like the reference engine, so a fault
-  leaves the same counters behind.  Handler sources never mention their
-  own pc (fall-through is ``t.pc += 1``, a call's return address is
-  computed from ``t.pc``), so one compiled code object serves every pc
-  holding the same instruction;
-* a **fused block** is one function for a whole basic block (the
-  superblock engine), from a leader to the next control-flow terminator
-  or 64 instructions.  Per-instruction dispatch disappears and
-  ``Stats``/cycle accounting is batched: every per-instruction charge
-  is known at fuse time, so the fault-free path pays one flush at block
-  exit.  Exactness at faults comes from a reconcile table: each
-  fallible statement records its pc first, and the ``except`` handler
-  replays the cumulative pre-fault charges for that pc before
-  re-raising.  Single-instruction blocks are simply the handler.
+* a **fused block** is one function for a whole basic block, from a
+  leader to the next control-flow terminator or 64 instructions; the
+  hot loop (:meth:`Machine._run_hot`) runs these.  Per-instruction
+  dispatch disappears and ``Stats``/cycle accounting is batched: every
+  per-instruction charge is known at fuse time, so the fault-free path
+  pays one flush at block exit.  Exactness at faults comes from a
+  reconcile table: each fallible statement records its pc first, and
+  the ``except`` handler replays the cumulative pre-fault charges for
+  that pc before re-raising.  Single-instruction blocks are simply the
+  handler;
+* a **handler** is a single-instruction function.  The table
+  ``machine._handlers`` holds one per pc, emitted the first time
+  execution steps that pc; it is the precise path at budget horizons,
+  at schedule events, under step hooks and for multi-thread schedules.
+  A handler charges ``Stats.instructions`` and the base cycle cost
+  before its first fallible statement, exactly like the reference
+  engine, so a fault leaves the same counters behind.  Handler sources
+  never mention their own pc (fall-through is ``t.pc += 1``, a call's
+  return address is computed from ``t.pc``), so one compiled code
+  object serves every pc holding the same instruction.
 
 The common shapes (moves, ALU ops, compares, loads, stores, push/pop,
 bnd/CFI/stack checks, direct calls and branches) are inlined as
@@ -36,17 +38,19 @@ call ``Machine.effective_address``.
 
 Generated sources embed only literals and positional ``O{n}``
 parameters for the objects they need (instructions, operands,
-reconcile tables).  Compiled code objects are cached process-wide by
-source text and, per binary, by pc, so every machine built from the same
-binary -- a serving fork, a re-load -- only binds already-compiled code
-to its own globals (:meth:`BlockFuser._bind`; known handlers when the
-machine is built, blocks when first entered), with the objects passed
-as parameter defaults rather than through a namespace copy.
+reconcile tables).  Compiled code objects are cached per binary, by pc,
+so every machine built from the same binary -- a serving fork, a
+re-load -- only binds already-compiled code to its own globals
+(:meth:`BlockFuser._bind`; known handlers when the machine is built,
+blocks when first entered), with the objects passed as parameter
+defaults rather than through a namespace copy.  Handler code is also
+shared across binaries by source text, but only while some binary
+still uses it; fused blocks embed their pcs, so they are not shared.
 
-Blocks are capped at the scheduler quantum (64 instructions); the
-driver in :meth:`Machine._run_hot_superblock` never lets a fused block
-cross a quantum boundary, which keeps budget faults and multi-thread
-interleavings bit-identical to the per-instruction engines (pinned by
+Blocks are capped at the scheduler quantum (64 instructions); the hot
+loop never lets a fused block cross a quantum boundary, which keeps
+budget faults and multi-thread interleavings bit-identical to the
+reference engine (pinned by
 ``tests/machine/test_engine_equivalence.py``).
 """
 
@@ -124,10 +128,13 @@ def _schedule_neutral(insn) -> bool:
         return False
     return kind in _EMITTERS or kind in _NEUTRAL_DELEGATES
 
-#: Process-wide source -> compiled function code cache.  Sources embed
-#: no machine state (only literals and positional parameters), so every
-#: machine running the same code shape shares one compile.
-_CODE_CACHE: dict[str, types.CodeType] = {}
+#: Handler source -> compiled function code, shared across binaries.
+#: Handler sources embed no machine state and no pc, so every machine
+#: running the same instruction shares one compile.  Weak values: an
+#: entry lives only while some binary's handler entry holds its code.
+_CODE_CACHE: weakref.WeakValueDictionary[str, types.CodeType] = (
+    weakref.WeakValueDictionary()
+)
 
 #: id(binary) -> (pc -> handler entry, pc -> block entry), dropped when
 #: the binary is collected.  Entries remember the instructions they
@@ -136,14 +143,17 @@ _IMAGES: dict[int, tuple[dict, dict]] = {}
 
 
 def _compile(source: str) -> types.CodeType:
+    module = compile(source, "<superblock>", "exec")
+    return next(
+        const for const in module.co_consts
+        if isinstance(const, types.CodeType)
+    )
+
+
+def _compile_shared(source: str) -> types.CodeType:
     code = _CODE_CACHE.get(source)
     if code is None:
-        module = compile(source, "<superblock>", "exec")
-        code = next(
-            const for const in module.co_consts
-            if isinstance(const, types.CodeType)
-        )
-        _CODE_CACHE[source] = code
+        code = _CODE_CACHE[source] = _compile(source)
     return code
 
 
@@ -161,8 +171,8 @@ class BlockFuser:
 
     ``handlers`` is the predecoded handler table; every slot starts as
     a stub that emits the real handler on first execution.
-    ``fuse(pc) -> (fn, count, pure)`` builds the superblock engine's
-    block at ``pc``: ``fn`` runs the whole block on a thread; ``count``
+    ``fuse(pc) -> (fn, count, pure)`` builds the hot loop's block at
+    ``pc``: ``fn`` runs the whole block on a thread; ``count``
     is how many instructions it retires; ``pure`` is True when the block
     cannot change the thread schedule (no ``Halt``, no native gateway),
     which lets the driver skip its per-block schedule checks.
@@ -345,7 +355,8 @@ class _Emitter:
             self.lines.append(self._next_pc(last_p, assign=True))
         if self.recon:
             self._obj(self.recon)
-        return _compile(self._render()), tuple(self.objs)
+        compile_ = _compile_shared if self.single else _compile
+        return compile_(self._render()), tuple(self.objs)
 
     def _render(self) -> str:
         params = "".join(f", O{i}" for i in range(len(self.objs)))

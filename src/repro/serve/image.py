@@ -18,7 +18,7 @@ the image — bit-identical to a cold ``load()`` of the same binary (the
 differential test in ``tests/serve/test_image.py`` pins this across
 configs and engines).  The even cheaper per-request path is
 ``Process.reset()`` on an existing fork: every mutable structure is
-rewound in place, so the fast engines' generated handlers stay valid
+rewound in place, so the fast engine's generated code stays valid
 and nothing is re-emitted.
 
 Warm images park the program at its request loop: with a ``recv_gate``

@@ -209,6 +209,14 @@ class TestCliSpecValidation:
         assert main(["run", hello_file, "--file", "in=/no/such/file"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_engine_is_a_usage_error(self, hello_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", hello_file, "--engine", "superblock"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'superblock'" in err
+        assert "Traceback" not in err
+
     def test_malformed_password_spec_fails_fast(self, hello_file, capsys):
         assert main(["run", hello_file, "--password", "justauser"]) == 1
         err = capsys.readouterr().err

@@ -1,15 +1,16 @@
-"""Differential suite: the fast engines must be observably identical
+"""Differential suite: the fast engine must be observably identical
 to the reference engine.
 
-The predecoded and superblock engines are pure performance
-transformations — simulated cycle counts, Stats counters, fault
-kinds/details/addresses, cache hits/misses, final register state, obs
-spans/metrics, and step-hook callbacks must all agree bit-for-bit with
-the one-step-at-a-time reference interpreter.  This suite pins that
-contract with the random ``ProgramGen`` corpus across
-BASE/OUR_MPX/OUR_SEG plus hand-built fault programs, and adds
-budget-boundary cases where the superblock engine's relaxed quantum
-grid has to realign with the per-instruction engines.
+The predecoded engine is a pure performance transformation — simulated
+cycle counts, Stats counters, fault kinds/details/addresses, cache
+hits/misses, final register state, obs spans/metrics, and step-hook
+callbacks must all agree bit-for-bit with the one-step-at-a-time
+reference interpreter.  This suite pins that contract with the random
+``ProgramGen`` corpus across BASE/OUR_MPX/OUR_SEG plus hand-built fault
+programs (run both through fused blocks and, under a no-op step hook,
+through the single-instruction handlers), and adds budget-boundary
+cases where the fused hot loop's relaxed quantum grid has to realign
+with per-instruction stepping.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.compiler import compile_source
 from repro.errors import MachineFault
 from repro.link.layout import CODE_BASE
 from repro.link.loader import load
+from repro.machine.cpu import ENGINES
 from repro.obs import events, export
 from repro.obs.blockprof import attach_block_profiler
 from repro.runtime.trusted import TrustedRuntime
@@ -31,8 +33,6 @@ from tests.machine.test_semantics_fixes import make_machine
 
 CORPUS_SEEDS = (0, 7, 23, 481, 9001, 31337)
 CONFIGS = (BASE, OUR_MPX, OUR_SEG)
-FAST_ENGINES = ("predecoded", "superblock")
-ALL_ENGINES = ("reference",) + FAST_ENGINES
 
 
 def machine_signature(machine):
@@ -76,12 +76,10 @@ def run_engine(binary, engine):
 def test_corpus_program_identical_across_engines(seed, config):
     source = ProgramGen(seed).gen()
     binary = compile_source(source, config, seed=seed)
-    reference = run_engine(binary, "reference")
-    for engine in FAST_ENGINES:
-        assert run_engine(binary, engine) == reference, engine
+    assert run_engine(binary, "predecoded") == run_engine(binary, "reference")
 
 
-@pytest.mark.parametrize("engine", ALL_ENGINES)
+@pytest.mark.parametrize("engine", ENGINES)
 def test_engine_selection_is_exposed(engine):
     machine = make_machine([isa.Halt()], engine=engine)
     assert machine.engine == engine
@@ -90,72 +88,63 @@ def test_engine_selection_is_exposed(engine):
 
 
 def test_unknown_engine_rejected():
-    with pytest.raises(ValueError):
-        make_machine([isa.Halt()], engine="jit")
+    # A retired engine name is rejected like any other unknown one.
+    for engine in ("jit", "superblock"):
+        with pytest.raises(ValueError):
+            make_machine([isa.Halt()], engine=engine)
+
+
+FAULT_PROGRAMS = {
+    "negative-pc": [isa.Jmp("x", addr=-5)],
+    "pc-past-end": [isa.MovRI(regs.RAX, 1)],  # falls off the end
+    "jmp-reg-past-end": [
+        isa.MovRI(regs.RAX, CODE_BASE + 2),
+        isa.JmpReg(regs.RAX, skip=0),
+    ],
+    "div-zero": [
+        isa.MovRI(regs.RAX, 3),
+        isa.MovRI(regs.RBX, 0),
+        isa.Alu("div", regs.RAX, regs.RAX, regs.RBX),
+        isa.Halt(),
+    ],
+    "unmapped": [
+        isa.MovRI(regs.RBX, 0x500),
+        isa.Load(regs.RAX, isa.Mem(base=regs.RBX), 8),
+        isa.Halt(),
+    ],
+    "write-code-space": [
+        isa.MovRI(regs.RBX, CODE_BASE),
+        isa.Store(isa.Mem(base=regs.RBX), isa.Imm(1), 8),
+        isa.Halt(),
+    ],
+    "debugbreak": [isa.Fail()],
+    "budget": [isa.MovRI(regs.RAX, 0x10000100), isa.Jmp("loop", addr=0)],
+}
 
 
 class TestFaultEquivalence:
-    """Fault kind, detail, address, and pre-fault accounting agree."""
+    """Fault kind, detail, address, and pre-fault accounting agree.
+    Each program also runs on the fast engine under a no-op step hook,
+    which forces the single-instruction handlers instead of fused
+    blocks, so both fast paths' pre-fault charges stay pinned."""
 
-    def fault_programs(self):
-        data = 0x10000100
-        return {
-            "negative-pc": [isa.Jmp("x", addr=-5)],
-            "pc-past-end": [isa.MovRI(regs.RAX, 1)],  # falls off the end
-            "jmp-reg-past-end": [
-                isa.MovRI(regs.RAX, CODE_BASE + 2),
-                isa.JmpReg(regs.RAX, skip=0),
-            ],
-            "div-zero": [
-                isa.MovRI(regs.RAX, 3),
-                isa.MovRI(regs.RBX, 0),
-                isa.Alu("div", regs.RAX, regs.RAX, regs.RBX),
-                isa.Halt(),
-            ],
-            "unmapped": [
-                isa.MovRI(regs.RBX, 0x500),
-                isa.Load(regs.RAX, isa.Mem(base=regs.RBX), 8),
-                isa.Halt(),
-            ],
-            "write-code-space": [
-                isa.MovRI(regs.RBX, CODE_BASE),
-                isa.Store(isa.Mem(base=regs.RBX), isa.Imm(1), 8),
-                isa.Halt(),
-            ],
-            "debugbreak": [isa.Fail()],
-            "budget": [
-                isa.MovRI(regs.RAX, data),
-                isa.Jmp("loop", addr=0),
-            ],
-        }
+    def run_fault(self, name, engine, hooked=False):
+        machine = make_machine(FAULT_PROGRAMS[name], engine=engine)
+        if hooked:
+            machine.add_step_hook(lambda thread, pc, insn, cycles: None)
+        try:
+            machine.run(max_instructions=10_000)
+            outcome = ("exit", machine.exit_code)
+        except MachineFault as fault:
+            outcome = ("fault", fault.kind, fault.detail, fault.addr)
+        return outcome, machine_signature(machine)
 
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "negative-pc",
-            "pc-past-end",
-            "jmp-reg-past-end",
-            "div-zero",
-            "unmapped",
-            "write-code-space",
-            "debugbreak",
-            "budget",
-        ],
-    )
+    @pytest.mark.parametrize("name", FAULT_PROGRAMS)
     def test_fault_identical(self, name):
-        code = self.fault_programs()[name]
-        results = {}
-        for engine in ALL_ENGINES:
-            machine = make_machine(code, engine=engine)
-            try:
-                machine.run(max_instructions=10_000)
-                outcome = ("exit", machine.exit_code)
-            except MachineFault as fault:
-                outcome = ("fault", fault.kind, fault.detail, fault.addr)
-            results[engine] = (outcome, machine_signature(machine))
-        for engine in FAST_ENGINES:
-            assert results[engine] == results["reference"], engine
-        assert results["reference"][0][0] == "fault"
+        reference = self.run_fault(name, "reference")
+        assert reference[0][0] == "fault"
+        assert self.run_fault(name, "predecoded") == reference
+        assert self.run_fault(name, "predecoded", hooked=True) == reference
 
 
 class TestStepHookEquivalence:
@@ -182,13 +171,13 @@ int main() {
 
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
     def test_hook_callbacks_identical(self, config):
-        reference = self.hook_stream("reference", config)
-        for engine in FAST_ENGINES:
-            assert self.hook_stream(engine, config) == reference, engine
+        assert self.hook_stream("predecoded", config) == self.hook_stream(
+            "reference", config
+        )
 
     def test_profiler_identical(self):
         reports = {}
-        for engine in ALL_ENGINES:
+        for engine in ENGINES:
             binary = compile_source(self.SOURCE, OUR_MPX, seed=3)
             process = load(binary, runtime=TrustedRuntime(), engine=engine)
             profiler = attach_block_profiler(process.machine)
@@ -197,15 +186,14 @@ int main() {
                 (r.name, r.cycles, r.bnd_checks, r.cfi_checks)
                 for r in profiler.function_report()
             ]
-        for engine in FAST_ENGINES:
-            assert reports[engine] == reports["reference"], engine
+        assert reports["predecoded"] == reports["reference"]
 
     def test_hook_attached_mid_run_sees_identical_tail(self):
         # Attaching a hook mid-run kicks the predecoded engine off its
         # single-thread hot loop at the next quantum boundary — the
         # remaining callbacks must still match the reference engine.
         streams = {}
-        for engine in ALL_ENGINES:
+        for engine in ENGINES:
             binary = compile_source(self.SOURCE, BASE, seed=3)
             process = load(binary, runtime=TrustedRuntime(), engine=engine)
             machine = process.machine
@@ -224,8 +212,7 @@ int main() {
             machine.add_step_hook(tail_hook)
             process.run()
             streams[engine] = (machine.stats.instructions, stream)
-        for engine in FAST_ENGINES:
-            assert streams[engine] == streams["reference"], engine
+        assert streams["predecoded"] == streams["reference"]
 
 
 class TestBlockProfilerEquivalence:
@@ -260,21 +247,16 @@ class TestBlockProfilerEquivalence:
     def test_corpus_attribution_identical(self, seed, config):
         source = ProgramGen(seed).gen()
         binary = compile_source(source, config, seed=seed)
-        reference = self.blockprof_signature(binary, "reference")
-        for engine in FAST_ENGINES:
-            assert self.blockprof_signature(binary, engine) == reference, (
-                engine
-            )
+        assert self.blockprof_signature(
+            binary, "predecoded"
+        ) == self.blockprof_signature(binary, "reference")
 
     def test_structured_program_attribution_identical(self):
         binary = compile_source(
             TestStepHookEquivalence.SOURCE, OUR_MPX, seed=3
         )
         reference = self.blockprof_signature(binary, "reference")
-        for engine in FAST_ENGINES:
-            assert self.blockprof_signature(binary, engine) == reference, (
-                engine
-            )
+        assert self.blockprof_signature(binary, "predecoded") == reference
         assert reference["sites"]  # checks actually executed
 
 
@@ -283,8 +265,8 @@ class TestBudgetBoundary:
     program whose final budgeted instruction halts it must return its
     exit code, not be misreported as evicted.  Regression tests for the
     off-by-one where ``budget <= 0`` was checked before
-    ``thread.alive``, run across all three engines (the superblock
-    engine additionally realigns its relaxed quantum grid here)."""
+    ``thread.alive``, run across both engines (the fast engine's hot
+    loop additionally realigns its relaxed quantum grid here)."""
 
     def straight_line(self, n_movs):
         code = [isa.MovRI(regs.RAX, 41) for _ in range(n_movs)]
@@ -292,7 +274,7 @@ class TestBudgetBoundary:
         code.append(isa.Halt())
         return code
 
-    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("n_movs", (4, 100))  # within / past a quantum
     def test_exact_budget_halt_returns_exit_code(self, engine, n_movs):
         code = self.straight_line(n_movs)
@@ -302,7 +284,7 @@ class TestBudgetBoundary:
         assert machine.stats.instructions == len(code)
         assert "instruction-budget-exhausted" not in machine.stats.faults
 
-    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("n_movs", (4, 100))
     def test_one_instruction_short_still_evicts(self, engine, n_movs):
         code = self.straight_line(n_movs)
@@ -325,11 +307,10 @@ class TestBudgetBoundary:
             isa.Halt(),
         ]
         signatures = {}
-        for engine in ALL_ENGINES:
+        for engine in ENGINES:
             machine = make_machine(code, engine=engine)
             with pytest.raises(MachineFault) as excinfo:
                 machine.run(max_instructions=1001)
             assert excinfo.value.kind == "instruction-budget-exhausted"
             signatures[engine] = machine_signature(machine)
-        for engine in FAST_ENGINES:
-            assert signatures[engine] == signatures["reference"], engine
+        assert signatures["predecoded"] == signatures["reference"]

@@ -23,9 +23,7 @@ from repro.link.layout import CODE_BASE, make_layout
 from repro.link.objfile import Binary
 from repro.machine.cache import L1Cache
 from repro.machine.costs import CACHE_MISS_PENALTY
-from repro.machine.cpu import Machine
-
-ENGINES = ("predecoded", "superblock", "reference")
+from repro.machine.cpu import ENGINES, Machine
 
 
 def make_machine(code, config=BASE, engine="predecoded"):

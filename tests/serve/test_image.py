@@ -18,6 +18,7 @@ from repro import BASE, OUR_MPX, OUR_SEG, TrustedRuntime
 from repro.compiler import compile_source
 from repro.errors import ServeError
 from repro.link.loader import load
+from repro.machine.cpu import ENGINES
 from repro.serve import (
     SERVE_APPS,
     MachineImage,
@@ -31,7 +32,6 @@ from repro.serve.apps import echo_request
 from tests.machine.test_engine_equivalence import machine_signature
 
 CONFIGS = (BASE, OUR_MPX, OUR_SEG)
-ENGINES = ("predecoded", "superblock", "reference")
 
 ECHO = SERVE_APPS["echo"]
 
@@ -121,17 +121,16 @@ def test_fork_after_request_resets_to_fork_before():
     assert used.last_cycles == fresh.last_cycles
 
 
-@pytest.mark.parametrize("engine", ("predecoded", "superblock"))
-def test_fork_reuses_generated_code(engine, monkeypatch):
+def test_fork_reuses_generated_code(monkeypatch):
     """Once one fork has served a request, a new fork of the same image
     serves it by binding already-generated code: no source is emitted
     again."""
     from repro.machine import superblock
 
     image, _ = build_app_image(ECHO, OUR_MPX, seed=3)
-    first = ServeInstance(image.fork(engine=engine))
+    first = ServeInstance(image.fork())
     expected = first.handle_request(echo_request(2))
-    second = ServeInstance(image.fork(engine=engine))
+    second = ServeInstance(image.fork())
 
     def no_emission(*args, **kwargs):
         raise AssertionError("a fork regenerated a handler or block")
@@ -161,3 +160,24 @@ def test_run_to_request_rejects_exiting_program():
     process = load(binary, runtime=TrustedRuntime())
     with pytest.raises(ServeError):
         run_to_request(process)
+
+
+def test_shared_code_cache_drops_code_of_dead_binaries():
+    """Handler code shared across binaries lives only as long as some
+    binary uses it: N distinct binaries (each seed picks new CFI magic
+    values, so new handler sources) leave nothing behind once dropped."""
+    import gc
+
+    from repro.machine import superblock
+
+    gc.collect()
+    before = set(superblock._CODE_CACHE.keys())
+    grown = 0
+    for seed in range(4):
+        binary = compile_source(ECHO.source, OUR_MPX, seed=seed)
+        run_to_request(load(binary, runtime=TrustedRuntime()))
+        grown = max(grown, len(set(superblock._CODE_CACHE.keys()) - before))
+        del binary
+    gc.collect()
+    assert grown > 0
+    assert set(superblock._CODE_CACHE.keys()) <= before

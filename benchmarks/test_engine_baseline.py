@@ -1,6 +1,6 @@
 """Execution-engine perf baseline: the `bench --json` anchor.
 
-Three claims are pinned here:
+Four claims are pinned here:
 
 * the predecoded engine and the reference engine report **identical**
   simulated cycles/instructions/checks on the mcf kernel under every
@@ -15,7 +15,10 @@ Three claims are pinned here:
   ≥3× cycles per wall-second over the reference engine on the mcf
   kernel, measured interleaved so host noise hits both engines alike.
   Stepping the single-instruction handlers instead of fused blocks
-  reaches only ~2.3×, so a silent fall back to it fails the gate.
+  reaches only ~2.3×, so a silent fall back to it fails the gate;
+* the block profiler rides that hot loop: a profiled mcf run costs at
+  most 2× an unprofiled one.  Per-instruction ``on_step`` accounting
+  costs ~5×, so a silent fall back to it fails the gate.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from repro.apps.spec import kernel_source
 from repro.compiler import compile_source
 from repro.config import ALL_CONFIGS
 from repro.link.loader import load
+from repro.obs.blockprof import attach_block_profiler
 from repro.runtime.trusted import TrustedRuntime
 
 BASELINE_PATH = Path(__file__).parent / "data" / "bench_baseline.json"
@@ -93,6 +97,35 @@ def test_predecoded_speedup_over_reference():
     assert speedup >= 3.0, (
         f"predecoded {best['predecoded']:.3e} vs reference "
         f"{best['reference']:.3e} cycles/s — only {speedup:.2f}x"
+    )
+
+
+def test_profiled_run_stays_on_fused_path():
+    """A block-profiled run must take ≤2× the wall time of an
+    unprofiled one on mcf/OurMPX, measured interleaved best-of-N like
+    the speedup gate above."""
+    source = kernel_source("mcf", scale=1)
+    binary = compile_source(source, ALL_CONFIGS["OurMPX"], seed=SEED)
+
+    def run(profiled):
+        process = load(binary, runtime=TrustedRuntime())
+        if profiled:
+            attach_block_profiler(process.machine)
+        start = time.perf_counter()
+        process.run()
+        return time.perf_counter() - start
+
+    # Warm both paths (the first run of a binary pays block fusion).
+    run(False)
+    run(True)
+    best = {False: float("inf"), True: float("inf")}
+    for _ in range(4):
+        for profiled in best:
+            best[profiled] = min(best[profiled], run(profiled))
+    ratio = best[True] / best[False]
+    assert ratio <= 2.0, (
+        f"profiled {best[True] * 1e3:.0f} ms vs unprofiled "
+        f"{best[False] * 1e3:.0f} ms — {ratio:.2f}x"
     )
 
 

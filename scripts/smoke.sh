@@ -104,10 +104,19 @@ echo "fuzz OK: corpus replay + strided mutation pass at 100% kill"
 
 # Profiling-tier smoke: the check-overhead report must decompose
 # exactly (per-category check cycles + "other" residual == cycle delta
-# over Base, per config), and the flamegraph export must be non-empty.
+# over Base, per config), must not depend on the engine (the fast
+# engine charges the profiler per fused block, the reference engine per
+# instruction; only the "engine" field may differ), and the flamegraph
+# export must be non-empty.
 REPORT="$WORK/report.json"
+REPORT_REF="$WORK/report_ref.json"
 FOLDED="$WORK/quickstart.folded"
 python -m repro report --seed 1 --json "$SRC" > "$REPORT"
+python -m repro report --seed 1 --json --engine reference "$SRC" \
+    > "$REPORT_REF"
+sed '/"engine":/d' "$REPORT" > "$WORK/report_cmp.json"
+sed '/"engine":/d' "$REPORT_REF" > "$WORK/report_ref_cmp.json"
+cmp "$WORK/report_cmp.json" "$WORK/report_ref_cmp.json"
 python - "$REPORT" <<'PY'
 import json
 import sys

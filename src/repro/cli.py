@@ -92,6 +92,19 @@ _SOURCE_NOISE = re.compile(
 )
 
 
+class ConfigFault(Exception):
+    """A ``MachineFault`` (the ``__cause__``) in one configuration of a
+    multi-config run, reading ``<config>: <fault>``; ``bench`` and
+    ``report`` print it after ``FAULT:`` and exit 2, like ``run``."""
+
+
+def _run_config(name: str, process) -> int:
+    try:
+        return process.run()
+    except MachineFault as fault:
+        raise ConfigFault(f"{name}: {fault}") from fault
+
+
 def _has_trusted_declarations(source: str) -> bool:
     return _EXTERN_TRUSTED.search(_SOURCE_NOISE.sub(" ", source)) is not None
 
@@ -332,7 +345,7 @@ def run_bench_suite(
         runtime = runtime_factory() if runtime_factory else TrustedRuntime()
         process = load(binary, runtime=runtime, engine=engine)
         start = time.perf_counter()
-        process.run()
+        _run_config(name, process)
         wall_s = time.perf_counter() - start
         cycles = process.wall_cycles
         if base_cycles is None:
@@ -389,6 +402,9 @@ def cmd_bench(args) -> int:
             jobs=getattr(args, "jobs", None),
             checkopt=getattr(args, "checkopt", None),
         )
+    except ConfigFault as fault:
+        print(f"FAULT: {fault}", file=sys.stderr)
+        return 2
     finally:
         _finish_obs(args, registry)
     if args.store:
@@ -527,7 +543,7 @@ def cmd_report(args) -> int:
             process = load(binary, runtime=_make_runtime(args),
                            engine=args.engine)
             blockprof = attach_block_profiler(process.machine)
-            process.run()
+            _run_config(name, process)
             results[name] = {
                 "cycles": process.wall_cycles,
                 "summary": blockprof.check_summary(),
@@ -555,7 +571,7 @@ def cmd_report(args) -> int:
                 process = load(binary, runtime=_make_runtime(args),
                                engine=args.engine)
                 blockprof = attach_block_profiler(process.machine)
-                process.run()
+                _run_config(name, process)
                 off_summary = blockprof.check_summary()
                 entry = results[name]
                 sites_off = sum(
@@ -574,6 +590,9 @@ def cmd_report(args) -> int:
                         - entry["summary"]["bnd"]["cycles"]
                     ),
                 }
+    except ConfigFault as fault:
+        print(f"FAULT: {fault}", file=sys.stderr)
+        return 2
     finally:
         _finish_obs(args, registry)
 

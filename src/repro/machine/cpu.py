@@ -19,15 +19,16 @@ Two execution engines share these semantics:
   specification;
 * the **predecoded** engine (default) runs code generated by
   :mod:`repro.machine.superblock` the first time execution reaches it.
-  While one thread is live and no step hook is attached, its hot loop
-  runs whole basic blocks fused into one function each, paying
-  dispatch once per block with Stats/cycle accounting batched between
-  fault points.  Everywhere the schedule is observable -- near the
-  instruction budget, around thread spawns and joins, under step hooks
-  and for multi-thread schedules -- it steps a per-pc table of
-  single-instruction handlers instead.  Rare instructions (jump
-  tables, indirect control flow, shadow-stack ops) call the reference
-  ``_i_*`` handler.
+  While one thread is live and no step hook other than a block
+  profiler is attached, its hot loop runs whole basic blocks fused
+  into one function each, paying dispatch once per block with
+  Stats/cycle accounting batched between fault points; attached block
+  profilers are charged once per fused block.  Everywhere the schedule
+  is observable -- near the instruction budget, around thread spawns
+  and joins, under other step hooks and for multi-thread schedules --
+  it steps a per-pc table of single-instruction handlers instead.
+  Rare instructions (jump tables, indirect control flow, shadow-stack
+  ops) call the reference ``_i_*`` handler.
 
 The engines are observably identical — simulated cycles, ``Stats``
 counters, fault kinds/addresses, and the ``add_step_hook`` API agree
@@ -152,6 +153,9 @@ class Machine:
         # every retired instruction.  Empty by default; the fast path
         # pays one truthiness test per instruction and nothing else.
         self._step_hooks: list = []
+        # The owners of the attached hooks when every hook is a block
+        # observer (see add_step_hook), else None.  ``()`` with no hooks.
+        self._block_observers: tuple | None = ()
         # While hooks are attached, the cache-miss delta of the retiring
         # instruction (on the executing thread's core) is published here
         # before the hooks run, so profilers can attribute L1 events
@@ -212,13 +216,43 @@ class Machine:
         retired instruction.  ``cycles`` is the simulated cost the
         instruction added to its core, cache penalties included; the
         instruction's cache-miss count is readable from
-        ``machine.hook_cache_misses`` during the callback."""
+        ``machine.hook_cache_misses`` during the callback.
+
+        A hook that is the ``on_step`` method of an object that also has
+        ``on_blocks`` is a *block observer* (the block profiler).  While
+        only block observers are attached, the fast engine's hot loop
+        keeps running fused blocks -- which never straddle a label --
+        and tallies them instead, handing each observer batches as
+        ``on_blocks(thread, tallies, moves, last)``: ``tallies`` maps a
+        fused block's pc to ``[charges, runs, cycles, misses, ...]``
+        (``charges`` as ``BlockFuser.fuse`` reports them, or their
+        prefix for a block that faulted; the cycles and L1 misses its
+        runs added up to); ``moves`` lists ``(pred, pc, runs)``
+        transitions into each block, ``pred`` -1 for the block before
+        the batch; ``last`` is the pc of the batch's final block.  A
+        batch never retires past the instruction after which
+        ``observer.until_sample()`` reaches zero."""
         if hook in self._step_hooks:
             raise ValueError("step hook already attached")
         self._step_hooks.append(hook)
+        self._refresh_observers()
 
     def remove_step_hook(self, hook) -> None:
         self._step_hooks.remove(hook)
+        self._refresh_observers()
+
+    def _refresh_observers(self) -> None:
+        owners = []
+        for hook in self._step_hooks:
+            owner = getattr(hook, "__self__", None)
+            if (
+                not hasattr(owner, "on_blocks")
+                or hook != getattr(owner, "on_step", None)
+            ):
+                self._block_observers = None
+                return
+            owners.append(owner)
+        self._block_observers = tuple(owners)
 
     # ------------------------------------------------------------------
     # Thread management
@@ -312,12 +346,13 @@ class Machine:
                 raise MachineFault("deadlock", "all live threads blocked")
             if (
                 self._handlers is not None
-                and not self._step_hooks
+                and self._block_observers is not None
                 and len(alive) == 1
                 and len(runnable) == 1
             ):
-                # Single live thread on the fast engine: stay in the
-                # hot loop until the schedule could change.
+                # Single live thread on the fast engine, observed by
+                # block profilers at most: stay in the hot loop until
+                # the schedule could change.
                 budget = self._run_hot(runnable[0], budget, max_instructions)
                 continue
             for thread in runnable:
@@ -351,62 +386,62 @@ class Machine:
         quantum bookkeeping while more than one block's worth of budget
         remains, checking the schedule only after blocks that can
         change it (fuse marks blocks containing ``Halt`` or a native
-        gateway as impure).  Once the budget gets close, or a schedule
-        event fires mid-grid, the precise phase single-steps the
-        predecoded handlers along the exact quantum boundaries the
-        generic loop would have used, so budget faults and
-        schedule-change returns land on bit-identical machine states:
-        the budget fault gates *starting* instruction ``budget + 1``,
-        never a program that halts on its final budgeted instruction.
-        Returns the remaining budget when the schedule may have changed
-        (thread died, blocked on a join, spawned another thread, or a
-        step hook appeared).
+        gateway as impure); with block profilers attached it is
+        :meth:`_run_observed`.  Once the budget gets close, or a
+        schedule event fires mid-grid, the precise phase single-steps
+        the predecoded handlers (and any step hooks) along the exact
+        quantum boundaries the generic loop would have used, so budget
+        faults and schedule-change returns land on bit-identical
+        machine states: the budget fault gates *starting* instruction
+        ``budget + 1``, never a program that halts on its final
+        budgeted instruction.  Returns the remaining budget when the
+        schedule may have changed (thread died, blocked on a join,
+        spawned another thread, or the attached step hooks changed).
         """
-        handlers = self._handlers
         blocks = self._blocks
         fuse = self._fuser.fuse
-        n = len(handlers)
+        n = len(blocks)
         threads = self.threads
         n_threads = len(threads)
         hooks = self._step_hooks
+        observers = self._block_observers
+        step = self._step_predecoded
         budget0 = budget
-        executed = 0
-        while budget0 - executed > 64:
-            pc = thread.pc
-            if not 0 <= pc < n:
-                raise MachineFault(FAULT_EXEC, f"pc out of code: {pc}")
-            entry = blocks[pc]
-            if entry is None:
-                entry = blocks[pc] = fuse(pc)
-            entry[0](thread)
-            executed += entry[1]
-            if entry[2]:
-                continue
-            if (
-                not thread.alive
-                or thread.waiting_on is not None
-                or len(threads) != n_threads
-                or hooks
-            ):
-                break
+        if observers:
+            executed = self._run_observed(thread, budget0, observers)
+        else:
+            executed = 0
+            while budget0 - executed > 64:
+                pc = thread.pc
+                if not 0 <= pc < n:
+                    raise MachineFault(FAULT_EXEC, f"pc out of code: {pc}")
+                entry = blocks[pc]
+                if entry is None:
+                    entry = blocks[pc] = fuse(pc)
+                entry[0](thread)
+                executed += entry[1]
+                if entry[2]:
+                    continue
+                if (
+                    not thread.alive
+                    or thread.waiting_on is not None
+                    or len(threads) != n_threads
+                    or hooks
+                ):
+                    break
         while True:
             if (
                 not thread.alive
                 or thread.waiting_on is not None
                 or len(threads) != n_threads
-                or hooks
+                or self._block_observers is not observers
             ):
                 # Finish the quantum the event fell inside: the generic
                 # loop only rechecks the schedule on a 64-grid (or
                 # budget) boundary.
                 target = min(-(-executed // 64) * 64, budget0)
                 while executed < target and thread.alive:
-                    pc = thread.pc
-                    if not 0 <= pc < n:
-                        raise MachineFault(
-                            FAULT_EXEC, f"pc out of code: {pc}"
-                        )
-                    handlers[pc](thread)
+                    step(thread)
                     executed += 1
                 return budget0 - executed
             if executed >= budget0:
@@ -418,11 +453,134 @@ class Machine:
             while executed < target:
                 if not thread.alive:
                     break
+                step(thread)
+                executed += 1
+
+    def _run_observed(self, thread: Thread, budget: int,
+                      observers: tuple) -> int:
+        """The relaxed phase of :meth:`_run_hot` with block profilers
+        attached; returns how many instructions it retired.
+
+        Each fused block runs as in the unobserved loop and is tallied
+        with its core-cycle and L1-miss deltas; the tallies go to the
+        observers at each sample point and whenever the loop stops.  A
+        block is stepped one instruction at a time through ``on_step``
+        instead when it would cross a sample point or its charges are
+        None (see ``BlockFuser.fuse``).  A fault inside a fused
+        block tallies the retired prefix: static costs from its
+        charges, plus the block's misses less the faulting
+        instruction's own (an L1 ``on_miss`` callback tags each miss
+        with the pc that took it).
+        """
+        blocks = self._blocks
+        fuse = self._fuser.fuse
+        n = len(blocks)
+        threads = self.threads
+        n_threads = len(threads)
+        step = self._step_predecoded
+        report = self._report_blocks
+        stats = self.stats
+        core_cycles = self.core_cycles
+        core = thread.core
+        cache = self.caches[core]
+        tallies: dict[int, list] = {}
+        moves: list[tuple[int, int, int]] = []
+        prev = -1
+        room = min(o.until_sample() for o in observers)
+        # (pc, run length) of the latest L1 misses.
+        last_miss = [-1, 0]
+
+        def on_miss():
+            if thread.pc == last_miss[0]:
+                last_miss[1] += 1
+            else:
+                last_miss[0] = thread.pc
+                last_miss[1] = 1
+
+        cache.on_miss = on_miss
+        executed = 0
+        try:
+            while budget - executed > 64:
                 pc = thread.pc
                 if not 0 <= pc < n:
                     raise MachineFault(FAULT_EXEC, f"pc out of code: {pc}")
-                handlers[pc](thread)
-                executed += 1
+                entry = blocks[pc]
+                if entry is None:
+                    entry = blocks[pc] = fuse(pc)
+                count = entry[1]
+                charges = entry[3]
+                if charges is None or count > room:
+                    prev = report(observers, thread, tallies, moves, prev)
+                    for _ in range(count):
+                        step(thread)
+                    room = min(o.until_sample() for o in observers)
+                else:
+                    cycles0 = core_cycles[core]
+                    misses0 = cache.misses
+                    insns0 = stats.instructions
+                    try:
+                        entry[0](thread)
+                    except MachineFault:
+                        prev = report(observers, thread, tallies, moves, prev)
+                        # The faulting instruction counted itself but
+                        # did not retire.
+                        retired = stats.instructions - insns0 - 1
+                        if retired > 0:
+                            misses = cache.misses - misses0
+                            if last_miss[0] == pc + retired:
+                                misses -= min(last_miss[1], misses)
+                            cycles = (
+                                sum(charges[:retired])
+                                + misses * costs.CACHE_MISS_PENALTY
+                            )
+                            tally = [charges[:retired], 1, cycles, misses,
+                                     -1, 1]
+                            report(observers, thread, {pc: tally}, [], pc)
+                        raise
+                    tally = tallies.get(pc)
+                    if tally is None:
+                        tally = tallies[pc] = [charges, 0, 0, 0, prev, 0]
+                    tally[1] += 1
+                    tally[2] += core_cycles[core] - cycles0
+                    tally[3] += cache.misses - misses0
+                    if tally[4] == prev:
+                        tally[5] += 1
+                    else:
+                        moves.append((tally[4], pc, tally[5]))
+                        tally[4] = prev
+                        tally[5] = 1
+                    prev = pc
+                    room -= count
+                    if not room:
+                        prev = report(observers, thread, tallies, moves, prev)
+                        room = min(o.until_sample() for o in observers)
+                executed += count
+                if entry[2]:
+                    continue
+                if (
+                    not thread.alive
+                    or thread.waiting_on is not None
+                    or len(threads) != n_threads
+                    or self._block_observers is not observers
+                ):
+                    break
+        finally:
+            cache.on_miss = None
+            report(observers, thread, tallies, moves, prev)
+        return executed
+
+    @staticmethod
+    def _report_blocks(observers, thread, tallies, moves, last) -> int:
+        """Hand a batch of tallies to every observer and start a new
+        one; returns the new batch's ``prev`` (-1)."""
+        if tallies:
+            for pc, tally in tallies.items():
+                moves.append((tally[4], pc, tally[5]))
+            for observer in observers:
+                observer.on_blocks(thread, tallies, moves, last)
+            tallies.clear()
+            moves.clear()
+        return -1
 
     def _step_reference(self, thread: Thread) -> None:
         """One instruction via dict dispatch (the reference engine)."""

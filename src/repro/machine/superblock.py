@@ -7,8 +7,10 @@ this module's :class:`_Emitter` is the one place their per-instruction
 semantics are written down.  It emits code in two shapes:
 
 * a **fused block** is one function for a whole basic block, from a
-  leader to the next control-flow terminator or 64 instructions; the
-  hot loop (:meth:`Machine._run_hot`) runs these.  Per-instruction
+  leader to the next control-flow terminator, the next label (every
+  label is a leader, so a fused block never straddles two blocks of
+  the block profiler) or 64 instructions; the hot loop
+  (:meth:`Machine._run_hot`) runs these.  Per-instruction
   dispatch disappears and ``Stats``/cycle accounting is batched: every
   per-instruction charge is known at fuse time, so the fault-free path
   pays one flush at block exit.  Exactness at faults comes from a
@@ -63,6 +65,7 @@ import weakref
 
 from ..arith import MASK64, SIGN_BIT, eval_bin, eval_un, signed
 from ..backend import isa, regs
+from ..backend.isa import check_kind
 from ..errors import (
     FAULT_BOUNDS,
     FAULT_CFI,
@@ -171,16 +174,24 @@ class BlockFuser:
 
     ``handlers`` is the predecoded handler table; every slot starts as
     a stub that emits the real handler on first execution.
-    ``fuse(pc) -> (fn, count, pure)`` builds the hot loop's block at
-    ``pc``: ``fn`` runs the whole block on a thread; ``count``
+    ``fuse(pc) -> (fn, count, pure, charges)`` builds the hot loop's
+    block at ``pc``: ``fn`` runs the whole block on a thread; ``count``
     is how many instructions it retires; ``pure`` is True when the block
     cannot change the thread schedule (no ``Halt``, no native gateway),
-    which lets the driver skip its per-block schedule checks.
+    which lets the hot loop skip its per-block schedule checks;
+    ``charges`` holds, per instruction, the cycles the generated code
+    charges for it besides cache-miss penalties (a delegated
+    terminator's reference handler may add more), or is None when a
+    block profiler must step the block one instruction at a time: a
+    check site in it has a run-time cost, or it ends in the native
+    gateway, whose trusted callbacks run U instructions that the
+    profiler sees retire before the gateway does.
     """
 
     def __init__(self, machine):
         self.machine = machine
         self.code = machine.code
+        self.leaders = frozenset(machine.binary.label_addrs.values())
         caches = machine.caches
         core_cycles = machine.core_cycles
         miss = costs.CACHE_MISS_PENALTY
@@ -246,7 +257,7 @@ class BlockFuser:
         # Handlers this binary has already emitted (for an earlier
         # machine, or the one a fork's image was taken from) are bound
         # now, so a fork's first request pays nothing for them.
-        for pc, (insn, code, objs) in self._handler_entries.items():
+        for pc, (insn, code, objs, _charges) in self._handler_entries.items():
             if self.code[pc] is insn:
                 self.handlers[pc] = self._bind(code, objs)
 
@@ -265,7 +276,7 @@ class BlockFuser:
         if entry is None or entry[0] is not insn:
             emitter = _Emitter(self, single=True)
             emitter.emit(pc, insn)
-            entry = (insn, *emitter.build(pc, insn))
+            entry = (insn, *emitter.build(pc, insn), emitter.block_charges())
             self._handler_entries[pc] = entry
         handler = self.handlers[pc] = self._bind(entry[1], entry[2])
         return handler
@@ -273,16 +284,21 @@ class BlockFuser:
     def fuse(self, pc: int):
         code = self.code
         n = len(code)
+        leaders = self.leaders
         insns = []
         i = pc
         while i < n and len(insns) < MAX_BLOCK:
+            if i in leaders and i != pc:
+                break
             insn = code[i]
             insns.append(insn)
             if isinstance(insn, TERMINATORS):
                 break
             i += 1
         if len(insns) < 2:
-            return self.handler(pc), 1, _schedule_neutral(insns[0])
+            handler = self.handler(pc)
+            return (handler, 1, _schedule_neutral(insns[0]),
+                    self._handler_entries[pc][3])
         entry = self._block_entries.get(pc)
         if (
             entry is None
@@ -293,9 +309,10 @@ class BlockFuser:
             for p, insn in enumerate(insns, pc):
                 emitter.emit(p, insn)
             code_obj, objs = emitter.build(pc + len(insns) - 1, insns[-1])
-            entry = (tuple(insns), code_obj, objs, not emitter.impure)
+            entry = (tuple(insns), code_obj, objs, not emitter.impure,
+                     emitter.block_charges())
             self._block_entries[pc] = entry
-        return self._bind(entry[1], entry[2]), len(insns), entry[3]
+        return self._bind(entry[1], entry[2]), len(insns), entry[3], entry[4]
 
 
 class _Emitter:
@@ -341,6 +358,12 @@ class _Emitter:
         self.h_pending = False
         self.impure = False
         self.delegated = False
+        # Static cycles per emitted instruction (see block_charges), the
+        # running total already flushed, and whether a block profiler
+        # must step the block.
+        self.charges: list[int] = []
+        self.flushed_cycles = 0
+        self.unbatched = False
 
     # -- infrastructure ------------------------------------------------
 
@@ -391,8 +414,15 @@ class _Emitter:
         body.append("        raise")
         return "\n".join(head + body) + "\n"
 
+    def block_charges(self) -> tuple[int, ...] | None:
+        """Per-instruction cycles charged besides cache-miss penalties,
+        or None when a block profiler must step the block (see
+        ``BlockFuser``)."""
+        return None if self.unbatched else tuple(self.charges)
+
     def flush(self) -> None:
         cum = self.cum
+        self.flushed_cycles += cum[1]
         for index, value in enumerate(cum):
             if value:
                 self.lines.append(self._FLUSH_STMTS[index].format(value))
@@ -535,6 +565,17 @@ class _Emitter:
 
     def emit(self, p: int, insn) -> None:
         self.delegated = False
+        charged = self.flushed_cycles + self.cum[1]
+        self._emit(p, insn)
+        self.charges.append(self.flushed_cycles + self.cum[1] - charged)
+        # Delegated checks (the shadow-stack ops) read memory through
+        # the cache, so their cost is only known at run time.
+        if type(insn) is isa.JmpInd or (
+            self.delegated and check_kind(insn) is not None
+        ):
+            self.unbatched = True
+
+    def _emit(self, p: int, insn) -> None:
         kind = type(insn)
         if not _schedule_neutral(insn):
             self.impure = True

@@ -17,9 +17,17 @@ Blocks are the intervals between consecutive labels in the linked
 binary's ``label_addrs`` — every branch target carries a label, so
 label-delimited intervals are exactly the leader-delimited basic
 blocks of the final code.  The profiler attaches through
-``Machine.add_step_hook`` (the supported observation API), which makes
-attribution engine-independent: the predecoded and reference engines
-report identical streams, pinned by a differential test.
+``Machine.add_step_hook`` as a *block observer*.  Wherever a machine
+steps instructions one at a time (the reference engine, budget
+horizons, multi-thread schedules, runs with other step hooks, and the
+few instructions up to each sample point) it is charged per
+instruction by :meth:`BlockProfiler.on_step`.  On the fast engine's
+single-thread hot loop, whose fused blocks never straddle a label, it
+is charged per fused block by :meth:`BlockProfiler.on_blocks`, in
+batches the machine tallies between sample points.  The per-instruction
+path is the oracle: both paths, and both engines, report identical
+totals, edges, sites, samples and flamegraphs, faulting runs included
+— pinned by a differential test.
 
 Zero-cost when off: nothing here runs unless a profiler is attached,
 and attaching one never changes emitted code or simulated cycles.
@@ -87,6 +95,19 @@ class CheckSiteRow:
     cycles: int
 
 
+class _BlockPlan:
+    """A fused block as :meth:`BlockProfiler.on_blocks` charges it: its
+    profiler block and its check sites as ``(addr, kind, cycles)``."""
+
+    __slots__ = ("name", "start", "count", "sites")
+
+    def __init__(self, name: str, start: int, count: int, sites: tuple):
+        self.name = name
+        self.start = start
+        self.count = count
+        self.sites = sites
+
+
 class BlockProfiler:
     """Attributes execution to basic blocks, edges, and check sites."""
 
@@ -122,6 +143,8 @@ class BlockProfiler:
         self.sites: dict[int, list] = {}
         self._last_block: dict[int, str] = {}
         self._steps = 0
+        # Fused-block pc -> _BlockPlan.
+        self._plans: dict[int, _BlockPlan] = {}
         # Deterministic counter-track samples: (instruction index,
         # core-cycle timestamp, {track: cumulative value}).
         self.samples: list[tuple[int, int, dict]] = []
@@ -155,20 +178,85 @@ class BlockProfiler:
             self.block_start[name] = self._starts[index] if index >= 0 else 0
         last = self._last_block.get(thread.tid)
         if last != name:
-            if last is not None:
-                edge = (last, name)
-                self.edges[edge] = self.edges.get(edge, 0) + 1
+            self._edge(last, name, 1)
             self._last_block[thread.tid] = name
         kind = check_kind(insn)
         if kind is not None:
-            site = self.sites.get(pc)
-            if site is None:
-                site = self.sites[pc] = [kind, 0, 0]
+            site = self._site(pc, kind)
             site[1] += 1
             site[2] += cycles
         self._steps += 1
         if self._steps % SAMPLE_STRIDE == 0:
             self._sample(thread)
+
+    # -- the batched path ----------------------------------------------
+
+    def until_sample(self) -> int:
+        """Instructions left up to and including the next sample point."""
+        return SAMPLE_STRIDE - self._steps % SAMPLE_STRIDE
+
+    def on_blocks(self, thread, tallies: dict, moves: list,
+                  last: int) -> None:
+        """Charge a batch of fused-block runs by ``thread`` (see
+        ``Machine.add_step_hook`` for the layout).  Each run is charged
+        what ``on_step`` would have summed over its instructions; the
+        batch ends exactly at a sample point or short of one."""
+        for pc, (charges, runs, cycles, misses, _, _) in tallies.items():
+            plan = self._plan(pc, charges)
+            name = plan.name
+            if name in self.cycles:
+                self.cycles[name] += cycles
+                self.instructions[name] += runs * plan.count
+            else:
+                self.cycles[name] = cycles
+                self.instructions[name] = runs * plan.count
+                self.block_start[name] = plan.start
+            if misses:
+                self.cache_misses[name] = (
+                    self.cache_misses.get(name, 0) + misses
+                )
+            for addr, kind, cost in plan.sites:
+                site = self._site(addr, kind)
+                site[1] += runs
+                site[2] += runs * cost
+            self._steps += runs * plan.count
+        plans = self._plans
+        before = self._last_block.get(thread.tid)
+        for pred, pc, runs in moves:
+            self._edge(
+                before if pred < 0 else plans[pred].name, plans[pc].name, runs
+            )
+        self._last_block[thread.tid] = plans[last].name
+        if self._steps % SAMPLE_STRIDE == 0:
+            self._sample(thread)
+
+    def _plan(self, pc: int, charges: tuple) -> _BlockPlan:
+        plan = self._plans.get(pc)
+        if plan is None or plan.count != len(charges):
+            code = self._machine.code
+            index = bisect.bisect_right(self._starts, pc) - 1
+            plan = self._plans[pc] = _BlockPlan(
+                self.symbolize(pc),
+                self._starts[index] if index >= 0 else 0,
+                len(charges),
+                tuple(
+                    (addr, kind, cost)
+                    for addr, cost in enumerate(charges, pc)
+                    if (kind := check_kind(code[addr])) is not None
+                ),
+            )
+        return plan
+
+    def _edge(self, src: str | None, dst: str, runs: int) -> None:
+        if src is not None and src != dst:
+            edge = (src, dst)
+            self.edges[edge] = self.edges.get(edge, 0) + runs
+
+    def _site(self, addr: int, kind: str) -> list:
+        site = self.sites.get(addr)
+        if site is None:
+            site = self.sites[addr] = [kind, 0, 0]
+        return site
 
     def _sample(self, thread) -> None:
         summary = self.check_summary()
@@ -303,7 +391,8 @@ class BlockProfiler:
 
 
 def attach_block_profiler(machine) -> BlockProfiler:
-    """Attach a fresh block profiler via the machine's step-hook API."""
+    """Attach a fresh block profiler via the machine's step-hook API
+    (as a block observer, so the fast engine stays on fused blocks)."""
     profiler = BlockProfiler(machine)
     machine.add_step_hook(profiler.on_step)
     return profiler

@@ -23,10 +23,21 @@ int main() {
 """
 
 
+# A null dereference: an unmapped read under Base.
+NULL_DEREF = "int main() { int *p = (int*)0; return *p; }"
+
+
 @pytest.fixture
 def hello_file(tmp_path):
     path = tmp_path / "hello.mc"
     path.write_text(HELLO)
+    return str(path)
+
+
+@pytest.fixture
+def faulting_file(tmp_path):
+    path = tmp_path / "null.mc"
+    path.write_text(NULL_DEREF)
     return str(path)
 
 
@@ -153,6 +164,26 @@ class TestCliVerifyAndDisasm:
             assert set(record["checks"]) == {"bnd", "cfi", "t_calls"}
         mpx = next(r for r in records if r["config"] == "OurMPX")
         assert mpx["checks"]["cfi"] > 0
+
+
+class TestCliFaults:
+    """Multi-config commands report a faulting configuration like
+    ``run`` does: a FAULT line on stderr and exit 2."""
+
+    def test_report_prints_fault_and_exits_2(self, faulting_file, capsys):
+        assert main(["report", faulting_file, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("FAULT: Base: ")
+        assert "unmapped" in captured.err
+
+    def test_bench_prints_fault_and_stores_nothing(self, faulting_file,
+                                                   tmp_path, capsys):
+        store = tmp_path / "BENCH.json"
+        assert main(["bench", faulting_file, "--store", str(store)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("FAULT: Base: ")
+        assert not store.exists()
 
 
 class TestCliStats:

@@ -23,10 +23,11 @@ from repro.compiler import compile_source
 from repro.errors import MachineFault
 from repro.link.layout import CODE_BASE
 from repro.link.loader import load
+from repro.machine import costs
 from repro.machine.cpu import ENGINES
 from repro.obs import events, export
 from repro.obs.blockprof import attach_block_profiler
-from repro.runtime.trusted import TrustedRuntime
+from repro.runtime.trusted import T_PROTOTYPES, TrustedRuntime
 
 from tests.integration.test_differential import ProgramGen
 from tests.machine.test_semantics_fixes import make_machine
@@ -215,19 +216,98 @@ int main() {
         assert streams["predecoded"] == streams["reference"]
 
 
-class TestBlockProfilerEquivalence:
-    """Block/edge/check-site attribution and counter samples are
-    engine-independent — the acceptance contract for the profiling
-    tier."""
+#: The three ways a block profiler is charged: per fused block on the
+#: predecoded hot loop; per instruction by the predecoded handlers (a
+#: no-op step hook forces them -- the ``on_step`` oracle); and per
+#: instruction by the reference engine.
+PROFILER_COLUMNS = ("fused", "handlers", "reference")
 
-    def blockprof_signature(self, binary, engine):
-        process = load(binary, runtime=TrustedRuntime(), engine=engine)
-        profiler = attach_block_profiler(process.machine)
+#: A heap loop long enough that fused blocks straddle several sample
+#: points, with bnd sites, cache misses and a call per iteration.
+STRADDLING_LOOP = T_PROTOTYPES + """
+int scale(int x) { return x * 3 + 1; }
+int main() {
+    int *buf = (int*)malloc_pub(600 * sizeof(int));
+    int acc = 0;
+    for (int i = 0; i < 600; i++) {
+        buf[i] = scale(i);
+        acc = (acc + buf[i]) & 0xffff;
+    }
+    return acc & 255;
+}
+"""
+
+#: Two workers run concurrently, so the profiler is charged per
+#: instruction in between main's single-thread stretches.
+SPAWN_JOIN = T_PROTOTYPES + """
+int done[2];
+int worker(int slot) {
+    int s = 0;
+    for (int i = 0; i < 300; i++) { s += i; }
+    done[slot] = s & 1023;
+    return 0;
+}
+int main() {
+    int a = thread_create((int)&worker, 0);
+    int b = thread_create((int)&worker, 1);
+    thread_join(a);
+    thread_join(b);
+    int acc = 0;
+    for (int i = 0; i < 200; i++) { acc = (acc + done[i & 1]) & 0xffff; }
+    return acc & 255;
+}
+"""
+
+#: A trusted function calling back into U: the comparator's
+#: instructions retire inside the native call, between two
+#: instructions of the calling block.
+CALLBACK = T_PROTOTYPES + """
+int ascending(int a, int b) { return a - b; }
+int main() {
+    int *arr = (int*)malloc_pub(120 * sizeof(int));
+    for (int i = 0; i < 120; i++) { arr[i] = (i * 7919) % 1000; }
+    u_qsort(arr, 120, ascending);
+    int acc = 0;
+    for (int i = 0; i < 120; i++) { acc = (acc * 3 + arr[i]) & 0xffff; }
+    return acc & 255;
+}
+"""
+
+
+def loaded(binary):
+    """A machine factory: ``binary`` loaded on the given engine."""
+    return lambda engine: load(
+        binary, runtime=TrustedRuntime(), engine=engine
+    ).machine
+
+
+class TestBlockProfilerEquivalence:
+    """Block/edge/check-site attribution, counter samples and run
+    outcomes are identical whichever way the profiler is charged --
+    the acceptance contract for the profiling tier, faulting runs and
+    multi-thread schedules included."""
+
+    def blockprof_signature(self, make, column, batches=None):
+        engine = "reference" if column == "reference" else "predecoded"
+        machine = make(engine)
+        profiler = attach_block_profiler(machine)
+        if column == "handlers":
+            machine.add_step_hook(lambda thread, pc, insn, cycles: None)
+        if batches is not None:
+            on_blocks = profiler.on_blocks
+
+            def counting_on_blocks(*args):
+                batches.append(len(args[1]))
+                on_blocks(*args)
+
+            profiler.on_blocks = counting_on_blocks
         try:
-            process.run()
+            outcome = ("exit", machine.run(max_instructions=200_000))
         except MachineFault as fault:
-            pass
+            outcome = ("fault", fault.kind, fault.detail, fault.addr)
         return {
+            "outcome": outcome,
+            "machine": machine_signature(machine),
             "cycles": sorted(profiler.cycles.items()),
             "instructions": sorted(profiler.instructions.items()),
             "cache_misses": sorted(profiler.cache_misses.items()),
@@ -240,6 +320,19 @@ class TestBlockProfilerEquivalence:
             "flamegraph": profiler.flamegraph_lines(),
         }
 
+    def assert_columns_agree(self, make, batched=True):
+        """The three columns agree; with ``batched``, the fused column
+        really was charged per fused block."""
+        batches = []
+        fused = self.blockprof_signature(make, "fused", batches)
+        handlers = self.blockprof_signature(make, "handlers")
+        reference = self.blockprof_signature(make, "reference")
+        assert handlers == reference
+        assert fused == reference
+        if batched:
+            assert batches
+        return reference
+
     @pytest.mark.parametrize("seed", (7, 481))
     @pytest.mark.parametrize(
         "config", (OUR_MPX, OUR_SEG), ids=lambda c: c.name
@@ -247,17 +340,84 @@ class TestBlockProfilerEquivalence:
     def test_corpus_attribution_identical(self, seed, config):
         source = ProgramGen(seed).gen()
         binary = compile_source(source, config, seed=seed)
-        assert self.blockprof_signature(
-            binary, "predecoded"
-        ) == self.blockprof_signature(binary, "reference")
+        self.assert_columns_agree(loaded(binary))
 
     def test_structured_program_attribution_identical(self):
         binary = compile_source(
             TestStepHookEquivalence.SOURCE, OUR_MPX, seed=3
         )
-        reference = self.blockprof_signature(binary, "reference")
-        assert self.blockprof_signature(binary, "predecoded") == reference
+        reference = self.assert_columns_agree(loaded(binary))
         assert reference["sites"]  # checks actually executed
+
+    def test_shadow_stack_sites_identical(self):
+        # Shadow-stack checks read the stack through the cache, so their
+        # cost is known only at run time -- here eight same-set loads
+        # evict the line the pop reads -- and the fused path must step
+        # blocks that hold one.
+        code = [
+            isa.MovRI(regs.RAX, 5),
+            isa.Push(regs.RAX),
+            isa.ShadowPush(),
+            *(
+                isa.Load(regs.RBX, isa.Mem(base=regs.RSP, disp=-4096 * k), 8)
+                for k in range(1, 9)
+            ),
+            isa.ShadowPop(),
+            isa.Halt(),
+        ]
+        reference = self.assert_columns_agree(
+            lambda engine: make_machine(code, engine=engine), batched=False
+        )
+        pop = dict(reference["sites"])[len(code) - 2]
+        assert pop[0] == "shadow" and pop[2] > costs.BASE_COST[
+            isa.ShadowPop().cost_class
+        ]
+
+    @pytest.mark.parametrize("name", FAULT_PROGRAMS)
+    def test_fault_attribution_identical(self, name):
+        # Everything but a fault on the very first instruction retires
+        # something on the fused path first.
+        reference = self.assert_columns_agree(
+            lambda engine: make_machine(FAULT_PROGRAMS[name], engine=engine),
+            batched=name != "debugbreak",
+        )
+        assert reference["outcome"][0] == "fault"
+
+    def test_fallthrough_into_label_identical(self):
+        # Straight-line code running into a label: the fused block must
+        # end before it, or the batched path would charge "mid"'s
+        # instructions to "__start".
+        code = [
+            isa.MovRI(regs.RAX, 1),
+            isa.MovRI(regs.RBX, 2),
+            isa.MovRI(regs.RCX, 3),
+            isa.Alu("add", regs.RAX, regs.RAX, regs.RBX),
+            isa.Halt(),
+        ]
+
+        def make(engine):
+            return make_machine(code, engine=engine, labels={"mid": 2})
+
+        reference = self.assert_columns_agree(make)
+        assert reference["instructions"] == [("__start", 2), ("mid", 3)]
+        assert make("predecoded")._fuser.fuse(0)[1] == 2
+
+    def test_sample_straddling_loop_identical(self):
+        binary = compile_source(STRADDLING_LOOP, OUR_MPX, seed=5)
+        reference = self.assert_columns_agree(loaded(binary))
+        assert len(reference["samples"]) >= 8
+        assert reference["cache_misses"]
+
+    def test_callback_identical(self):
+        binary = compile_source(CALLBACK, OUR_MPX, seed=5)
+        reference = self.assert_columns_agree(loaded(binary))
+        assert len(reference["samples"]) >= 4
+
+    def test_spawn_join_identical(self):
+        binary = compile_source(SPAWN_JOIN, OUR_MPX, seed=5)
+        reference = self.assert_columns_agree(loaded(binary))
+        assert reference["outcome"][0] == "exit"
+        assert len(reference["machine"]["regs"]) == 3
 
 
 class TestBudgetBoundary:

@@ -26,11 +26,11 @@ from repro.machine.costs import CACHE_MISS_PENALTY
 from repro.machine.cpu import ENGINES, Machine
 
 
-def make_machine(code, config=BASE, engine="predecoded"):
+def make_machine(code, config=BASE, engine="predecoded", labels=None):
     layout = make_layout(config.scheme, config.scheme is not None, 4096, 4096)
     binary = Binary(
         code=code,
-        label_addrs={"__start": 0},
+        label_addrs={"__start": 0, **(labels or {})},
         func_magic_addrs={},
         global_addrs={},
         global_inits=[],

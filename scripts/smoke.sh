@@ -170,7 +170,9 @@ echo "bench gate OK: seed diff clean, injected regression flagged"
 # `repro report` attributes a real bnd-cycle saving on mcf/OurMPX, the
 # libquantum-checkopt trajectory record (where elision fires) diffs
 # clean against the seed, and the witness-corruption fuzz oracle kills
-# 100% of seeded witness corruptions.
+# 100% of seeded witness corruptions, with every corruption operator of
+# both checkers (IR passes, check optimizer) fired and no checker crash
+# or surviving corruption.
 MCF="$WORK/mcf.mc"
 LIBQUANTUM="$WORK/libquantum.mc"
 python - "$MCF" "$LIBQUANTUM" <<'PY'
@@ -220,8 +222,37 @@ python -m repro bench --seed 1 --json --checkopt aggressive --no-prototypes \
 python -m repro bench diff BENCH_seed.json "$BENCH_CI" \
     --suite libquantum-checkopt
 
-python -m repro fuzz --engine witness --seed 0 --n 2 --stride 4 > "$FUZZ_OUT"
+WITNESS_METRICS="$WORK/witness_metrics.txt"
+python -m repro fuzz --engine witness --seed 0 --n 2 --stride 4 --metrics \
+    > "$FUZZ_OUT" 2> "$WITNESS_METRICS"
 grep "(100.0%)" "$FUZZ_OUT" > /dev/null
+python - "$WITNESS_METRICS" <<'PY'
+import re
+import sys
+
+with open(sys.argv[1]) as handle:
+    text = handle.read()
+fired = {
+    op: int(count.replace(",", ""))
+    for op, count in re.findall(
+        r"fuzz\.witness_mutants\{operator=([\w-]+)\}\s+([\d,]+)", text
+    )
+}
+operators = (
+    # IR pass witnesses (check_witness)
+    "drop-obligations", "phantom-obligation", "taint-flip",
+    "garble-claim", "truncate-claim",
+    # check-optimizer edit scripts (check_checkopt_witness)
+    "drop-edit", "shift-edit", "truncate-edit", "self-provider",
+    "double-delete",
+)
+missing = [op for op in operators if not fired.get(op)]
+assert not missing, f"witness operators never fired: {missing}"
+bad = re.findall(r"fuzz\.witness_kills\{outcome=(crash|survived)\}", text)
+assert not bad, f"witness oracle outcomes: {bad}"
+print(f"witness oracle OK: {len(operators)} operators fired, "
+      f"{sum(fired.values())} corruptions")
+PY
 echo "checkopt gate OK: fig5 verifies, engines agree, seed diff clean," \
     "witness oracle at 100% kill"
 

@@ -7,7 +7,7 @@ separate-compilation toolchain, mirroring the paper's per-unit compile
 
 * :class:`~repro.build.session.BuildSession` — the staged driver.  Each
   stage (parse -> sema/taint -> lower -> opt -> codegen) produces a
-  named, fingerprinted :class:`~repro.build.session.StageResult`;
+  named :class:`~repro.build.session.StageResult`;
   ``compile_unit`` yields a pre-link :class:`~repro.link.objfile.UObject`
   and ``build`` links (+optionally verifies) it into a ``Binary``.
 * :mod:`~repro.build.serialize` — a stable, versioned on-disk format

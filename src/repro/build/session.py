@@ -1,20 +1,15 @@
 """The staged build driver.
 
 A :class:`BuildSession` decomposes the old monolithic ``compile_source``
-into explicit stages, each yielding a named, fingerprinted
-:class:`StageResult`::
+into explicit stages, each yielding a named :class:`StageResult`::
 
     parse -> sema (taint inference) -> lower -> opt -> codegen -> checkopt
 
-Fingerprints chain: every stage's fingerprint hashes its own inputs
-together with its predecessor's fingerprint, so two pipelines agree on
-a stage fingerprint iff they agree on everything that could influence
-that stage's output.  The certified stages additionally fold their
-accepted witness digests into the chain (the ``opt`` stage hashes
-``module.opt_witness_digest``; the ``checkopt`` stage hashes the check
-optimizer's witness digest), so a change in certification behaviour —
-a rejected witness, a different edit script — invalidates downstream
-fingerprints.  The checkopt stage's product is a pre-link
+Each ``stage_*`` call takes its predecessor's result and is public, so
+callers can time or inspect the stages one by one.  A build's only
+identity is the object-cache key (``object_cache_key``: format version,
+source hash, config fingerprint, seed, separate-compilation flag).
+The checkopt stage's product is a pre-link
 :class:`~repro.link.objfile.UObject` — the separate-compilation unit
 the linker consumes (one per source file, like the paper's U dll
 objects); the stage itself is a no-op unless ``config.checkopt`` is
@@ -39,7 +34,6 @@ session (with a cache, or a jobs width) via :class:`use_session`.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import threading
 from dataclasses import dataclass
@@ -56,13 +50,10 @@ from ..opt.checkopt import run_checkopt
 from ..opt.pipeline import optimize_module
 from .cache import ObjectCache
 from .serialize import (
-    FORMAT_VERSION,
     SerializeError,
-    config_fingerprint,
     dump_uobject,
     load_uobject,
     object_cache_key,
-    source_hash,
 )
 
 #: Pipeline stage names, in order.
@@ -71,16 +62,10 @@ STAGES = ("parse", "sema", "lower", "opt", "codegen", "checkopt")
 
 @dataclass(frozen=True)
 class StageResult:
-    """One stage's named, hashable product.
-
-    ``fingerprint`` identifies the stage *output* by construction (it
-    chains the predecessor's fingerprint with this stage's inputs);
-    ``value`` is the in-memory artifact (AST, checked program, IR
-    module, or UObject).
-    """
+    """One stage's named product: ``value`` is the in-memory artifact
+    (AST, checked program, IR module, or UObject)."""
 
     stage: str
-    fingerprint: str
     value: object
 
 
@@ -96,11 +81,6 @@ class BuildRequest:
     verify: bool = False
 
 
-def _chain(stage: str, parent: str, *parts) -> str:
-    payload = "\0".join((stage, parent, *(repr(p) for p in parts)))
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
 class BuildSession:
     """Staged compile/link driver with optional caching and parallelism."""
 
@@ -113,9 +93,7 @@ class BuildSession:
     # monolithic driver, so observability output is unchanged.
 
     def stage_parse(self, source: str, filename: str = "<input>") -> StageResult:
-        program = parse(source, filename)
-        fp = _chain("parse", f"v{FORMAT_VERSION}", source_hash(source))
-        return StageResult("parse", fp, program)
+        return StageResult("parse", parse(source, filename))
 
     def stage_sema(self, parsed: StageResult, config: BuildConfig) -> StageResult:
         with events.span("compile.sema"):
@@ -124,10 +102,7 @@ class BuildSession:
                 strict=config.strict,
                 all_private=config.all_private,
             )
-        fp = _chain(
-            "sema", parsed.fingerprint, config.strict, config.all_private
-        )
-        return StageResult("sema", fp, checked)
+        return StageResult("sema", checked)
 
     def stage_lower(
         self,
@@ -137,37 +112,24 @@ class BuildSession:
     ) -> StageResult:
         with events.span("compile.lower"):
             module = lower_program(semad.value, allow_undefined=allow_undefined)
-        fp = _chain("lower", semad.fingerprint, allow_undefined)
-        return StageResult("lower", fp, module)
+        return StageResult("lower", module)
 
     def stage_opt(self, lowered: StageResult, config: BuildConfig) -> StageResult:
         module = optimize_module(lowered.value, pipeline=config.pipeline)
-        fp = _chain(
-            "opt",
-            lowered.fingerprint,
-            config.pipeline,
-            module.opt_witness_digest,
-        )
-        return StageResult("opt", fp, module)
+        return StageResult("opt", module)
 
     def stage_codegen(
         self, opted: StageResult, config: BuildConfig
     ) -> StageResult:
-        obj: UObject = compile_module(opted.value, config)
-        fp = _chain("codegen", opted.fingerprint, config_fingerprint(config))
-        return StageResult("codegen", fp, obj)
+        return StageResult("codegen", compile_module(opted.value, config))
 
     def stage_checkopt(
         self, codegenned: StageResult, config: BuildConfig
     ) -> StageResult:
         obj: UObject = codegenned.value
-        wdigest = ""
         if config.checkopt == "aggressive":
-            wdigest = run_checkopt(obj, config)
-        fp = _chain(
-            "checkopt", codegenned.fingerprint, config.checkopt, wdigest
-        )
-        return StageResult("checkopt", fp, obj)
+            run_checkopt(obj, config)
+        return StageResult("checkopt", obj)
 
     # ------------------------------------------------------------------
     # Unit compilation (cache-aware).

@@ -1,6 +1,6 @@
 """The seeded fuzzing harness: program differentials and mutation kills.
 
-Two engines share this module:
+Three engines share this module:
 
 * :func:`fuzz_programs` generates well-typed MiniC programs and checks
   every cross-cutting equivalence the toolchain promises — Base, OurMPX
@@ -16,10 +16,11 @@ Two engines share this module:
   reports the minimized repro.
 * :func:`fuzz_witnesses` runs the certified optimization passes (IR
   passes and the post-codegen check optimizer) over each generated
-  program, then corrupts every emitted witness — stale digests, dropped
-  or phantom obligations, flipped taints, garbled claims, shifted or
-  self-referential edit scripts — and asserts the translation checkers
-  (:func:`repro.opt.witness.check_witness`,
+  program (and the check optimizer over one SPEC kernel where it
+  elides), then corrupts every emitted witness — dropped or phantom
+  obligations, flipped taints, garbled or truncated claims, shifted,
+  truncated or self-referential edit scripts — and asserts the
+  translation checkers (:func:`repro.opt.witness.check_witness`,
   :func:`repro.opt.checkopt.check_checkopt_witness`) reject 100% of the
   corruptions.  An accepted corruption is a checker soundness bug.
 
@@ -55,6 +56,9 @@ from .mutate import apply_site, enumerate_sites
 
 DIFF_CONFIGS = (BASE, OUR_MPX, OUR_SEG)
 VERIFIED_CONFIGS = (OUR_MPX, OUR_SEG)
+#: The SPEC kernel whose OurMPX build gives the witness engine's check
+#: optimizer elisions and lea dedups to corrupt.
+CHECKOPT_KERNEL = "libquantum"
 
 # The keys of an execution observation that must agree across *build
 # configurations* (instrumentation may change cycle counts, never
@@ -394,23 +398,21 @@ def _corrupt_ir_witnesses(witness):
     """
     from ..opt.witness import Obligation, Witness
 
-    def clone(**overrides):
-        w = Witness(
-            witness.pass_name,
-            witness.function,
-            witness.origin,
-            witness.pre_digest,
+    def clone(obligations=None):
+        if obligations is None:
+            obligations = list(witness.obligations)
+        return Witness(
+            witness.pass_name, witness.function, witness.origin, obligations
         )
-        w.post_digest = witness.post_digest
-        w.obligations = list(witness.obligations)
-        for key, value in overrides.items():
-            setattr(w, key, value)
-        return w
 
-    yield "stale-pre-digest", clone(pre_digest="0" * 64)
-    yield "stale-post-digest", clone(post_digest="0" * 64)
     if witness.obligations:
         yield "drop-obligations", clone(obligations=[])
+        first = witness.obligations[0]
+        truncated = clone()
+        truncated.obligations[0] = Obligation(
+            first.kind, first.site, first.claim[:-1]
+        )
+        yield "truncate-claim", truncated
     phantom = clone()
     phantom.obligations.append(
         Obligation("taint", "__phantom__@0", ("rewrite", (), ()))
@@ -448,22 +450,19 @@ def _corrupt_checkopt_witnesses(witness):
     """Yield ``(operator, corrupted)`` variants of a checkopt witness."""
     from ..opt.checkopt import CheckOptWitness
 
-    def clone(**overrides):
-        w = CheckOptWitness(
-            witness.function, witness.pre_digest, witness.post_digest
-        )
-        w.edits = list(witness.edits)
-        for key, value in overrides.items():
-            setattr(w, key, value)
-        return w
+    def clone(edits=None):
+        if edits is None:
+            edits = list(witness.edits)
+        return CheckOptWitness(witness.function, edits)
 
-    yield "stale-pre-digest", clone(pre_digest="0" * 64)
-    yield "stale-post-digest", clone(post_digest="0" * 64)
     yield "drop-edit", clone(edits=witness.edits[1:])
     first = witness.edits[0]
     shifted = clone()
     shifted.edits[0] = (first[0], first[1] + 1, *first[2:])
     yield "shift-edit", shifted
+    truncated = clone()
+    truncated.edits[0] = first[:-1]
+    yield "truncate-edit", truncated
     for i, edit in enumerate(witness.edits):
         if edit[0] in ("elide", "dedup-lea"):
             selfref = clone()
@@ -489,20 +488,28 @@ def fuzz_witnesses(
     honest witness is accepted, then asserting every corruption of it
     is rejected with :class:`~repro.opt.witness.WitnessError`.  A
     corruption the checker accepts — or crashes on — is a finding.
-    ``stride`` > 1 corrupts every stride-th emitted witness (honest
-    validation still covers all of them).
+    Generated programs rarely give the check optimizer anything to
+    elide, so the run first certifies it on the OurMPX build of
+    :data:`CHECKOPT_KERNEL`, where it does.  ``stride`` > 1 corrupts
+    every stride-th emitted witness (honest validation still covers all
+    of them).
     """
+    from ..apps.spec import kernel_source
     from ..backend.codegen import compile_module
     from ..frontend.lower import lower_program
     from ..minic.parser import parse as parse_minic
     from ..minic.sema import analyze
     from ..opt.checkopt import check_checkopt_witness, optimize_checks
-    from ..opt.pipeline import CSE_LOCAL, ITER_PASSES, PROMOTE_SLOTS
+    from ..opt.pipeline import (
+        CSE_LOCAL,
+        ITER_PASSES,
+        MAX_ITERATIONS,
+        PROMOTE_SLOTS,
+    )
     from ..opt.witness import (
         Witness,
         WitnessError,
         check_witness,
-        function_digest,
         snapshot_function,
     )
 
@@ -549,57 +556,7 @@ def fuzz_witnesses(
                 )
             )
 
-    for i in range(n):
-        if deadline is not None and time.monotonic() > deadline:
-            break
-        case_seed = seed + i
-        source = T_PROTOTYPES + _strip_prototypes(
-            generate_source(case_seed, size)
-        )
-        checked = analyze(
-            parse_minic(source, "<fuzz>"),
-            strict=config.strict,
-            all_private=config.all_private,
-        )
-        module = lower_program(checked)
-        report.iterations += 1
-        passes = (PROMOTE_SLOTS,) + ITER_PASSES + (CSE_LOCAL,)
-        for func in module.functions.values():
-            for _round in range(8):
-                changed_any = False
-                for pass_obj in passes:
-                    snapshot = snapshot_function(func)
-                    witness = Witness(
-                        pass_obj.name,
-                        func.name,
-                        func.origin,
-                        function_digest(func),
-                    )
-                    if not pass_obj.fn(func, witness=witness):
-                        continue
-                    changed_any = True
-                    witness.post_digest = function_digest(func)
-                    try:
-                        check_witness(witness, snapshot, func)
-                    except WitnessError as err:
-                        report.findings.append(
-                            Finding(
-                                engine="witness",
-                                kind="honest-witness-rejected",
-                                detail=f"{func.name}/{pass_obj.name}: "
-                                f"{err}",
-                                seed=case_seed,
-                            )
-                        )
-                        continue
-                    corrupt(
-                        _corrupt_ir_witnesses(witness),
-                        lambda bad: check_witness(bad, snapshot, func),
-                        f"{func.name}/{pass_obj.name}",
-                    )
-                if not changed_any:
-                    break
-        obj = compile_module(module, config)
+    def certify_checkopt(obj, case_seed):
         for func in obj.functions:
             optimized, witness = optimize_checks(func.insns, func.name)
             if not witness.edits:
@@ -623,6 +580,59 @@ def fuzz_witnesses(
                 ),
                 f"{func.name}/checkopt",
             )
+
+    if n > 0:
+        certify_checkopt(
+            BuildSession().compile_unit(
+                kernel_source(CHECKOPT_KERNEL), config
+            ),
+            None,
+        )
+    for i in range(n):
+        if deadline is not None and time.monotonic() > deadline:
+            break
+        case_seed = seed + i
+        source = T_PROTOTYPES + _strip_prototypes(
+            generate_source(case_seed, size)
+        )
+        checked = analyze(
+            parse_minic(source, "<fuzz>"),
+            strict=config.strict,
+            all_private=config.all_private,
+        )
+        module = lower_program(checked)
+        report.iterations += 1
+        passes = (PROMOTE_SLOTS,) + ITER_PASSES + (CSE_LOCAL,)
+        for func in module.functions.values():
+            for _round in range(MAX_ITERATIONS):
+                changed_any = False
+                for pass_obj in passes:
+                    snapshot = snapshot_function(func)
+                    witness = Witness(pass_obj.name, func.name, func.origin)
+                    if not pass_obj.fn(func, witness=witness):
+                        continue
+                    changed_any = True
+                    try:
+                        check_witness(witness, snapshot, func)
+                    except WitnessError as err:
+                        report.findings.append(
+                            Finding(
+                                engine="witness",
+                                kind="honest-witness-rejected",
+                                detail=f"{func.name}/{pass_obj.name}: "
+                                f"{err}",
+                                seed=case_seed,
+                            )
+                        )
+                        continue
+                    corrupt(
+                        _corrupt_ir_witnesses(witness),
+                        lambda bad: check_witness(bad, snapshot, func),
+                        f"{func.name}/{pass_obj.name}",
+                    )
+                if not changed_any:
+                    break
+        certify_checkopt(compile_module(module, config), case_seed)
     return report
 
 

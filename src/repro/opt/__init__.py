@@ -20,7 +20,6 @@ from .witness import (
     Witness,
     WitnessError,
     check_witness,
-    function_digest,
     restore_function,
     snapshot_function,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "WitnessError",
     "Obligation",
     "check_witness",
-    "function_digest",
     "snapshot_function",
     "restore_function",
     "CheckOptWitness",

@@ -28,14 +28,15 @@ in between), mirroring exactly the evidence rules ConfVerify's
 Like the IR passes, every rewrite is certified: the optimizer emits a
 :class:`CheckOptWitness` whose edits :func:`check_checkopt_witness`
 replays against the pre/post streams — re-deriving provider coverage,
-register liveness, and block boundaries from the pre-stream itself.  A
-failed witness keeps the function's original (unoptimized, still
-verified) stream and bumps ``opt.witness_rejected``.
+register liveness, and block boundaries from the pre-stream itself, and
+rebuilding the post-stream from the edit script.  A malformed edit
+(unknown tag, wrong arity, a non-integer index) is rejected before the
+replay reads it.  A failed witness keeps the function's original
+(unoptimized, still verified) stream and bumps ``opt.witness_rejected``.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 from ..backend import isa
@@ -149,12 +150,6 @@ def _dedupable_lea(insn) -> bool:
     )
 
 
-def insns_digest(insns: list) -> str:
-    return hashlib.sha256(
-        "\n".join(repr(i) for i in insns).encode()
-    ).hexdigest()
-
-
 @dataclass
 class CheckOptWitness:
     """One function's check-optimization edit script.
@@ -167,14 +162,21 @@ class CheckOptWitness:
     """
 
     function: str
-    pre_digest: str
-    post_digest: str = ""
     edits: list[tuple] = field(default_factory=list)
 
-    def digest(self) -> str:
-        parts = [self.function, self.pre_digest, self.post_digest]
-        parts.extend(repr(e) for e in self.edits)
-        return hashlib.sha256("\0".join(parts).encode()).hexdigest()
+
+#: Edit tag -> number of pre-stream indices it carries.
+_EDIT_ARITY = {"elide": 2, "dedup-lea": 2, "widen": 1}
+
+
+def _well_formed(edit) -> bool:
+    return (
+        type(edit) is tuple
+        and len(edit) > 0
+        and type(edit[0]) is str
+        and _EDIT_ARITY.get(edit[0]) == len(edit) - 1
+        and all(type(i) is int for i in edit[1:])
+    )
 
 
 def optimize_checks(
@@ -185,7 +187,7 @@ def optimize_checks(
     Returns the rewritten stream and its witness (empty ``edits`` means
     nothing fired).  The input list is not mutated.
     """
-    witness = CheckOptWitness(function, insns_digest(insns))
+    witness = CheckOptWitness(function)
     checked: dict[tuple, int] = {}  # available key -> provider index
     leas: dict[tuple, int] = {}  # (dst, mem repr) -> provider index
     out: list = []
@@ -229,7 +231,6 @@ def optimize_checks(
         for reg in _defined_regs(insn):
             _invalidate(checked, leas, reg)
         out.append(insn)
-    witness.post_digest = insns_digest(out)
     return out, witness
 
 
@@ -250,10 +251,9 @@ def check_checkopt_witness(
 ) -> None:
     """Validate an edit script against the pre/post ISA streams."""
     name = witness.function
-    if witness.pre_digest != insns_digest(pre):
-        raise WitnessError(f"{name}: stale pre-stream digest in witness")
-    if witness.post_digest != insns_digest(post):
-        raise WitnessError(f"{name}: stale post-stream digest in witness")
+    for n, edit in enumerate(witness.edits):
+        if not _well_formed(edit):
+            raise WitnessError(f"{name}: malformed edit #{n}: {edit!r}")
 
     deleted: set[int] = set()
     widened: set[int] = set()
@@ -261,14 +261,12 @@ def check_checkopt_witness(
         kind, i = edit[0], edit[1]
         if i < 0 or i >= len(pre):
             raise WitnessError(f"{name}: edit index {i} out of range")
-        if kind in ("elide", "dedup-lea"):
-            if i in deleted:
-                raise WitnessError(f"{name}: index {i} deleted twice")
-            deleted.add(i)
-        elif kind == "widen":
+        if kind == "widen":
             widened.add(i)
+        elif i in deleted:
+            raise WitnessError(f"{name}: index {i} deleted twice")
         else:
-            raise WitnessError(f"{name}: unknown edit {edit!r}")
+            deleted.add(i)
     if deleted & widened:
         raise WitnessError(f"{name}: edit both deletes and widens a site")
 
@@ -356,16 +354,13 @@ def check_checkopt_witness(
 # Driver: certify and commit per function.
 
 
-def run_checkopt(obj, config) -> str:
+def run_checkopt(obj, config) -> None:
     """Optimize every function of a pre-link unit in place.
 
     Each function's edit script is validated by
     :func:`check_checkopt_witness` before being committed; a rejected
-    witness keeps that function's original stream.  Returns a digest
-    folding the accepted witnesses (chained into the build session's
-    ``checkopt`` stage fingerprint).
+    witness keeps that function's original stream.
     """
-    digests: list[str] = []
     registry = events.active()
     with events.span("compile.checkopt"):
         for func in obj.functions:
@@ -381,10 +376,8 @@ def run_checkopt(obj, config) -> str:
                     ).inc()
                 continue
             func.insns = optimized
-            digests.append(witness.digest())
             if registry is not None:
                 for edit in witness.edits:
                     events.counter(
                         "opt.checkopt", kind=edit[0]
                     ).inc()
-    return hashlib.sha256("\n".join(digests).encode()).hexdigest()

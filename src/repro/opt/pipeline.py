@@ -14,10 +14,9 @@ taint-/layout-preservation obligations the independent checker
 IR.  A pass whose witness fails validation is reverted on the spot
 (the function is restored from a pre-pass snapshot) and the pipeline
 continues without it, bumping the ``opt.witness_rejected`` counter.
-The digests of all *accepted* witnesses are folded into
-``module.opt_witness_digest``, which the build session chains into its
-stage fingerprints so a change in certification behaviour invalidates
-cached objects.
+The checker is handed the snapshot and the rewritten function itself,
+so nothing ties a witness to its IR except what the checker re-derives
+from that pair; an accepted witness is not kept.
 
 The per-function fixpoint loop is explicitly bounded: at most
 :data:`MAX_ITERATIONS` rounds, recorded in the ``opt.fixpoint_iters``
@@ -27,8 +26,6 @@ cost a bounded amount of compile time instead of hanging the build.
 
 from __future__ import annotations
 
-import hashlib
-
 from ..ir.core import IRFunction, IRModule
 from ..ir.verify import verify_module
 from ..obs import events
@@ -37,7 +34,6 @@ from .witness import (
     Witness,
     WitnessError,
     check_witness,
-    function_digest,
     restore_function,
     snapshot_function,
 )
@@ -86,13 +82,10 @@ def run_certified_pass(
     (the build continues un-optimized rather than mis-optimized).
     """
     snapshot = snapshot_function(func)
-    witness = Witness(
-        pass_obj.name, func.name, func.origin, function_digest(func)
-    )
+    witness = Witness(pass_obj.name, func.name, func.origin)
     changed = pass_obj.fn(func, witness=witness)
     if not changed:
         return False, None
-    witness.post_digest = function_digest(func)
     try:
         check_witness(witness, snapshot, func)
     except WitnessError:
@@ -105,19 +98,12 @@ def run_certified_pass(
     return True, witness
 
 
-def _run_pass(
-    pass_obj: Pass, func: IRFunction, accepted: list[str]
-) -> bool:
+def _run_pass(pass_obj: Pass, func: IRFunction) -> bool:
     """Run one certified pass, recording run count and IR-size delta."""
     if events.active() is None:  # skip the IR-size walks when obs is off
-        changed, witness = run_certified_pass(pass_obj, func)
-        if witness is not None:
-            accepted.append(witness.digest())
-        return changed
+        return run_certified_pass(pass_obj, func)[0]
     before = _n_instrs(func)
-    changed, witness = run_certified_pass(pass_obj, func)
-    if witness is not None:
-        accepted.append(witness.digest())
+    changed, _ = run_certified_pass(pass_obj, func)
     events.counter("opt.pass_runs", **{"pass": pass_obj.name}).inc()
     events.histogram("opt.ir_delta", **{"pass": pass_obj.name}).observe(
         before - _n_instrs(func)
@@ -126,33 +112,20 @@ def _run_pass(
 
 
 def optimize_module(
-    module: IRModule,
-    pipeline: str = "confllvm",
-    level: int = 2,
-    verify: bool = True,
+    module: IRModule, pipeline: str = "confllvm", verify: bool = True
 ) -> IRModule:
-    """Optimize a module in place and return it.
-
-    ``level`` 0 skips everything (the O0 escape hatch the paper uses
-    for the two Privado files its O2 bug affects).  Sets
-    ``module.opt_witness_digest`` to a digest of the accepted pass
-    witnesses (the empty-string digest at level 0).
-    """
-    accepted: list[str] = []
-    if level == 0:
-        module.opt_witness_digest = _fold_digests(accepted)
-        return module
+    """Optimize a module in place and return it."""
     run_unsupported = pipeline == "vanilla"
     passes = ITER_PASSES + ((CSE_LOCAL,) if run_unsupported else ())
-    with events.span("compile.opt", pipeline=pipeline, level=level):
+    with events.span("compile.opt", pipeline=pipeline):
         for func in module.functions.values():
-            _run_pass(PROMOTE_SLOTS, func, accepted)
+            _run_pass(PROMOTE_SLOTS, func)
             iters = 0
             for _ in range(MAX_ITERATIONS):
                 iters += 1
                 changed = False
                 for pass_obj in passes:
-                    changed |= _run_pass(pass_obj, func, accepted)
+                    changed |= _run_pass(pass_obj, func)
                 if not changed:
                     break
             if events.active() is not None:
@@ -162,9 +135,4 @@ def optimize_module(
         if verify:
             with events.span("compile.opt.ir-verify"):
                 verify_module(module)
-    module.opt_witness_digest = _fold_digests(accepted)
     return module
-
-
-def _fold_digests(digests: list[str]) -> str:
-    return hashlib.sha256("\n".join(digests).encode()).hexdigest()

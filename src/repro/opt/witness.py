@@ -3,11 +3,15 @@
 Every IR pass in :mod:`repro.opt.pipeline` returns a structured
 :class:`Witness` alongside its rewrite: a list of per-rewrite
 :class:`Obligation` records (taint-preservation and layout-preservation
-claims) bracketed by digests of the pre/post IR.  :func:`check_witness`
-is the independent checker: it recomputes everything a claim asserts
-from the pre/post IR itself — it never trusts the pass — and raises
+claims).  :func:`check_witness` is the independent checker: it
+recomputes everything a claim asserts from the ``(pre, post)`` IR it is
+handed — the pipeline's own pre-pass snapshot and the rewritten
+function, never anything the pass reports about them — and raises
 :class:`WitnessError` on any discrepancy, at which point the pipeline
-reverts the pass (see ``run_certified_pass``).
+reverts the pass (see ``run_certified_pass``).  A malformed witness
+(unknown claim tag, wrong arity, a site or index of the wrong form) is
+rejected up front, before any claim is read, so it is a
+:class:`WitnessError` too, never a crash.
 
 The obligations are *complete* by construction of the checker, not by
 trust in the pass:
@@ -31,7 +35,7 @@ not by the optimizer.
 
 from __future__ import annotations
 
-import hashlib
+import re
 from dataclasses import dataclass, field
 
 from ..errors import ReproError
@@ -91,34 +95,14 @@ class Witness:
     pass_name: str
     function: str
     origin: str
-    pre_digest: str
-    post_digest: str = ""
     obligations: list[Obligation] = field(default_factory=list)
 
     def add(self, kind: str, site: str, *claim) -> None:
         self.obligations.append(Obligation(kind, site, tuple(claim)))
 
-    def digest(self) -> str:
-        """Content digest of the whole witness (for stage fingerprints)."""
-        parts = [self.pass_name, self.function, self.origin,
-                 self.pre_digest, self.post_digest]
-        parts.extend(
-            f"{o.kind}|{o.site}|{o.claim!r}" for o in self.obligations
-        )
-        return hashlib.sha256("\0".join(parts).encode()).hexdigest()
-
 
 # ---------------------------------------------------------------------------
-# IR snapshot / digest / restore — the revert machinery.
-
-def function_digest(func: IRFunction) -> str:
-    """Canonical content digest of a function body (slots + blocks)."""
-    parts = [func.name, func.origin]
-    parts.extend(repr(s) + f"/{s.size}/{s.align}" for s in func.slots)
-    for block in func.blocks:
-        parts.append(block.name)
-        parts.extend(repr(i) for i in block.instrs)
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+# IR snapshot / restore — the revert machinery.
 
 
 class _Cloner:
@@ -266,7 +250,7 @@ def _covered_blocks(ob: Obligation) -> set[str]:
     """Blocks an obligation accounts for (merges cover both sides)."""
     block = _site_block(ob.site)
     names = {block} if block is not None else set()
-    if ob.claim and ob.claim[0] == "merged":
+    if ob.claim[0] == "merged":
         names.add(ob.claim[1])
     return names
 
@@ -285,10 +269,15 @@ def check_witness(
             f"{post.name}: witness origin {witness.origin!r} does not "
             "match the function's lowering provenance"
         )
-    if witness.pre_digest != function_digest(pre):
-        raise WitnessError(f"{post.name}: stale pre-IR digest in witness")
-    if witness.post_digest != function_digest(post):
-        raise WitnessError(f"{post.name}: stale post-IR digest in witness")
+    if witness.pass_name not in _CLAIM_CHECKERS:
+        raise WitnessError(f"unknown pass {witness.pass_name!r} in witness")
+    checker, shapes = _CLAIM_CHECKERS[witness.pass_name]
+    for ob in witness.obligations:
+        if not _well_formed(ob, shapes):
+            raise WitnessError(
+                f"{post.name}: malformed obligation at {ob.site!r}: "
+                f"{ob.kind!r} {ob.claim!r}"
+            )
 
     pre_blocks = _block_reprs(pre)
     post_blocks = _block_reprs(post)
@@ -326,7 +315,7 @@ def check_witness(
     promoted = {
         ob.claim[1]: ob
         for ob in witness.obligations
-        if ob.site.startswith("slot:") and ob.claim[:1] == ("promoted",)
+        if ob.claim[0] == "promoted"
     }
     promoted_uids = {
         int(ob.site[len("slot:"):]) for ob in promoted.values()
@@ -360,21 +349,47 @@ def check_witness(
             f"{sorted(missing)}"
         )
 
-    checker = _CLAIM_CHECKERS.get(witness.pass_name)
-    if checker is None:
-        raise WitnessError(f"unknown pass {witness.pass_name!r} in witness")
     checker(witness, pre, post)
 
 
+#: Site grammar, by the form a claim tag anchors at.
+_SITE_FORMS = {
+    "slot": re.compile(r"slot:[0-9]+"),
+    "block": re.compile(r"block:.+"),
+    "index": re.compile(r".+@[0-9]+"),
+    "init": re.compile(r".+@init"),
+    "term": re.compile(r".+@term"),
+}
+
+
+def _field_ok(kind: type, value) -> bool:
+    """``tuple`` fields are tuples of ints; others match exactly."""
+    if kind is tuple:
+        return type(value) is tuple and all(type(v) is int for v in value)
+    return type(value) is kind
+
+
+def _well_formed(ob, shapes: dict) -> bool:
+    """Does ``ob`` match its claim tag's ``(kind, site form, fields)``?"""
+    claim = ob.claim
+    if type(claim) is not tuple or not claim or type(claim[0]) is not str:
+        return False
+    shape = shapes.get(claim[0])
+    if shape is None:
+        return False
+    kind, form, fields = shape
+    return (
+        ob.kind == kind
+        and type(ob.site) is str
+        and _SITE_FORMS[form].fullmatch(ob.site) is not None
+        and len(claim) == 1 + len(fields)
+        and all(map(_field_ok, fields, claim[1:]))
+    )
+
+
 # ---------------------------------------------------------------------------
-# Per-pass claim validation.
-
-def _parse_index(site: str, func_name: str) -> tuple[str, str]:
-    block, _, index = site.rpartition("@")
-    if not block:
-        raise WitnessError(f"{func_name}: malformed site {site!r}")
-    return block, index
-
+# Per-pass claim validation.  Every obligation reaching these checkers
+# already matches its pass's shape table (see _CLAIM_CHECKERS).
 
 def _post_block(post: IRFunction, name: str, func_name: str) -> Block:
     for block in post.blocks:
@@ -428,12 +443,7 @@ def _def_taints(instr) -> tuple:
 def _check_copyprop(witness, pre, post):
     _require_positionwise(witness, pre, post)
     for ob in witness.obligations:
-        block_name, index = _parse_index(ob.site, post.name)
-        if ob.claim[0] != "rewrite" or ob.kind != "taint":
-            raise WitnessError(
-                f"{post.name}: unexpected claim {ob.claim!r} for "
-                f"{witness.pass_name}"
-            )
+        block_name, _, index = ob.site.rpartition("@")
         _, pre_taints, post_taints = ob.claim
         if pre_taints != post_taints:
             raise WitnessError(
@@ -474,11 +484,7 @@ def _check_cse(witness, pre, post):
     post_map = {b.name: b for b in post.blocks}
     pre_map = {b.name: b for b in pre.blocks}
     for ob in witness.obligations:
-        block_name, index = _parse_index(ob.site, post.name)
-        if ob.claim[0] != "cse":
-            raise WitnessError(
-                f"{post.name}: unexpected claim {ob.claim!r} for cse"
-            )
+        block_name, _, index = ob.site.rpartition("@")
         _, prev_id, dst_id = ob.claim
         i = int(index)
         block = post_map.get(block_name)
@@ -558,11 +564,7 @@ def _check_dce(witness, pre, post):
                 post_used.add(u.id)
     sites: dict[tuple[str, int], Obligation] = {}
     for ob in witness.obligations:
-        block_name, index = _parse_index(ob.site, post.name)
-        if ob.claim[0] != "dead":
-            raise WitnessError(
-                f"{post.name}: unexpected claim {ob.claim!r} for dce"
-            )
+        block_name, _, index = ob.site.rpartition("@")
         sites[(block_name, int(index))] = ob
     pre_map = {b.name: b for b in pre.blocks}
     for block in post.blocks:
@@ -631,16 +633,12 @@ def _check_simplify_cfg(witness, pre, post):
     merged_into = {
         _site_block(ob.site): ob.claim[1]
         for ob in witness.obligations
-        if ob.claim and ob.claim[0] == "merged"
+        if ob.claim[0] == "merged"
     }
     for ob in witness.obligations:
         claim = ob.claim[0]
         if claim == "thread":
-            block_name, tag = _parse_index(ob.site, post.name)
-            if tag != "term":
-                raise WitnessError(
-                    f"{post.name}: thread obligation must anchor @term"
-                )
+            block_name = ob.site.rpartition("@")[0]
             new_block = _post_block(post, block_name, post.name)
             old_block = _pre_block(pre, block_name, post.name)
             n = len(old_block.instrs)
@@ -734,11 +732,6 @@ def _check_simplify_cfg(witness, pre, post):
                     f"{post.name}: merged block {name} body not found "
                     f"in {into}"
                 )
-        else:
-            raise WitnessError(
-                f"{post.name}: unexpected claim {ob.claim!r} for "
-                "simplify_cfg"
-            )
 
 
 def _contains_run(haystack: list[str], needle: list[str]) -> bool:
@@ -754,7 +747,7 @@ def _check_promote_slots(witness, pre, post):
     promoted: dict[int, tuple[int, object]] = {}  # uid -> (vreg id, taint)
     inits: list[int] = []
     for ob in witness.obligations:
-        if ob.site.startswith("slot:"):
+        if ob.claim[0] == "promoted":
             uid = int(ob.site[len("slot:"):])
             _, vreg_id, taint_int = ob.claim
             slot = pre_slots.get(uid)
@@ -797,15 +790,9 @@ def _check_promote_slots(witness, pre, post):
                                 "access; not promotable"
                             )
             promoted[uid] = (vreg_id, slot.taint)
-        elif ob.site.endswith("@init"):
+        elif ob.claim[0] == "zero-init":
             inits = list(ob.claim[1])
-        elif ob.claim[0] == "slot-access":
-            continue  # validated positionally below
-        else:
-            raise WitnessError(
-                f"{post.name}: unexpected claim {ob.claim!r} for "
-                "promote_slots"
-            )
+        # slot-access claims are validated positionally below.
     n_inits = len(promoted)
     entry = post.blocks[0]
     if sorted(vid for vid, _t in promoted.values()) != sorted(inits):
@@ -835,9 +822,9 @@ def _check_promote_slots(witness, pre, post):
     pre_map = {b.name: b for b in pre.blocks}
     post_map = {b.name: b for b in post.blocks}
     for ob in witness.obligations:
-        if not ob.claim or ob.claim[0] != "slot-access":
+        if ob.claim[0] != "slot-access":
             continue
-        block_name, index = _parse_index(ob.site, post.name)
+        block_name, _, index = ob.site.rpartition("@")
         _, uid, vreg_id = ob.claim
         i = int(index)
         off = offsets.get(block_name, 0)
@@ -883,10 +870,22 @@ def _check_promote_slots(witness, pre, post):
             )
 
 
+#: Per pass: its claim checker, and the shape of each claim tag it may
+#: emit, ``tag -> (obligation kind, site form, field types)``.
 _CLAIM_CHECKERS = {
-    "promote_slots": _check_promote_slots,
-    "copyprop_and_fold": _check_copyprop,
-    "dce": _check_dce,
-    "simplify_cfg": _check_simplify_cfg,
-    "cse_local": _check_cse,
+    "promote_slots": (_check_promote_slots, {
+        "promoted": ("layout", "slot", (int, int)),
+        "slot-access": ("layout", "index", (int, int)),
+        "zero-init": ("taint", "init", (tuple,)),
+    }),
+    "copyprop_and_fold": (_check_copyprop, {
+        "rewrite": ("taint", "index", (tuple, tuple)),
+    }),
+    "dce": (_check_dce, {"dead": ("layout", "index", (tuple,))}),
+    "simplify_cfg": (_check_simplify_cfg, {
+        "unreachable": ("layout", "block", ()),
+        "merged": ("layout", "block", (str,)),
+        "thread": ("taint", "term", ()),
+    }),
+    "cse_local": (_check_cse, {"cse": ("taint", "index", (int, int))}),
 }

@@ -15,8 +15,10 @@ from repro.fuzz.harness import (
     check_program,
     fuzz_mutants,
     fuzz_programs,
+    fuzz_witnesses,
     run_fuzz,
 )
+from repro.obs import events
 
 
 def body(seed, size=8):
@@ -66,6 +68,20 @@ def test_fuzz_mutants_kills_everything_sampled():
     assert report.kills_misattributed == 0
     assert report.ok
     assert "mutation-kill" in report.summary()
+
+
+def test_fuzz_witnesses_corrupts_both_checkers():
+    registry = events.Registry()
+    with events.use(registry):
+        report = fuzz_witnesses(seed=0, n=1, size=5)
+    assert report.ok and report.kill_score == 1.0
+    fired = {
+        key for key, value in registry.metrics_snapshot().items()
+        if key.startswith("fuzz.witness_mutants") and value
+    }
+    for operator in ("truncate-claim", "drop-edit", "shift-edit",
+                     "truncate-edit", "self-provider", "double-delete"):
+        assert f"fuzz.witness_mutants{{operator={operator}}}" in fired
 
 
 def test_budget_truncates_but_never_fails():

@@ -5,8 +5,12 @@ import pytest
 
 from repro import OUR_MPX, OUR_SEG, compile_source
 from repro.backend import isa
-from repro.opt import WitnessError, check_checkopt_witness, optimize_checks
-from repro.opt.checkopt import insns_digest
+from repro.opt import (
+    CheckOptWitness,
+    WitnessError,
+    check_checkopt_witness,
+    optimize_checks,
+)
 from repro.runtime.trusted import T_PROTOTYPES, TrustedRuntime
 from repro.link.loader import load
 from repro.verifier import verify_check_sites
@@ -110,14 +114,34 @@ class TestChecker:
         )
         check_checkopt_witness(witness, pre, post)
 
-    def test_stale_digests_rejected(self):
-        pre, post, witness = self.witness_for([reg_chk(), reg_chk()])
-        for attr in ("pre_digest", "post_digest"):
-            saved = getattr(witness, attr)
-            setattr(witness, attr, "0" * 64)
+    def test_replay_against_other_streams_rejected(self):
+        pre, post, witness = self.witness_for(
+            [reg_chk(), isa.MovRI(R1, 1), reg_chk()]
+        )
+        for other_pre, other_post in (
+            (pre, pre),
+            (post, post),
+            ([reg_chk(), isa.MovRI(R0, 1), reg_chk()], post),
+            ([reg_chk(R1), reg_chk(R1), reg_chk(R1)], post),
+        ):
             with pytest.raises(WitnessError):
-                check_checkopt_witness(witness, pre, post)
-            setattr(witness, attr, saved)
+                check_checkopt_witness(witness, other_pre, other_post)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [("elide", 2), ("elide", 2, 0, 0), (), ("elide", "2", 0),
+         ("widen",)],
+        ids=["elide-short", "elide-long", "empty", "elide-str-index",
+             "widen-short"],
+    )
+    def test_malformed_edit_rejected_not_crashed(self, edit):
+        pre, post, witness = self.witness_for(
+            [reg_chk(), isa.MovRI(R1, 1), reg_chk()]
+        )
+        assert witness.edits == [("elide", 2, 0)]
+        witness.edits[0] = edit
+        with pytest.raises(WitnessError, match="malformed edit #0"):
+            check_checkopt_witness(witness, pre, post)
 
     def test_dropped_edit_rejected(self):
         pre, post, witness = self.witness_for([reg_chk(), reg_chk()])
@@ -129,7 +153,6 @@ class TestChecker:
         pre, post, witness = self.witness_for([reg_chk(), reg_chk()])
         (kind, i, _j) = witness.edits[0]
         witness.edits[0] = (kind, i, i)
-        witness.post_digest = insns_digest(post)
         with pytest.raises(WitnessError):
             check_checkopt_witness(witness, pre, post)
 
@@ -147,11 +170,7 @@ class TestChecker:
         # Hand-craft a stream where the claimed provider is dead.
         pre = [reg_chk(), isa.MovRI(R0, 5), reg_chk()]
         post = [pre[0], pre[1]]
-        from repro.opt.checkopt import CheckOptWitness
-
-        witness = CheckOptWitness("f", insns_digest(pre))
-        witness.edits = [("elide", 2, 0)]
-        witness.post_digest = insns_digest(post)
+        witness = CheckOptWitness("f", [("elide", 2, 0)])
         with pytest.raises(WitnessError) as err:
             check_checkopt_witness(witness, pre, post)
         assert "killed by a register write" in str(err.value)
@@ -159,11 +178,7 @@ class TestChecker:
     def test_cross_boundary_evidence_rejected(self):
         pre = [reg_chk(), isa.Label("l"), reg_chk()]
         post = [pre[0], pre[1]]
-        from repro.opt.checkopt import CheckOptWitness
-
-        witness = CheckOptWitness("f", insns_digest(pre))
-        witness.edits = [("elide", 2, 0)]
-        witness.post_digest = insns_digest(post)
+        witness = CheckOptWitness("f", [("elide", 2, 0)])
         with pytest.raises(WitnessError) as err:
             check_checkopt_witness(witness, pre, post)
         assert "boundary" in str(err.value)

@@ -1,10 +1,14 @@
 """Certified pass framework tests: witness emission, validation,
-rejection-and-revert, and the bounded fixpoint loop."""
+rejection-and-revert, snapshot fidelity, and the bounded fixpoint
+loop."""
 
 import pytest
 
+from repro.apps.spec import SPEC_NAMES, kernel_source
+from repro.build.session import BuildSession
+from repro.config import OUR_MPX
 from repro.frontend import lower_program
-from repro.ir import Const, VReg, verify_module
+from repro.ir import Block, Const, Instr, MemRef, StackSlot, VReg, verify_module
 from repro.minic import analyze, parse
 from repro.obs import events
 from repro.opt import (
@@ -14,13 +18,20 @@ from repro.opt import (
     Witness,
     WitnessError,
     check_witness,
-    function_digest,
     optimize_module,
     run_certified_pass,
     snapshot_function,
 )
-from repro.opt.pipeline import DCE, ITER_PASSES, PROMOTE_SLOTS
+from repro.opt import pipeline
+from repro.opt.pipeline import (
+    COPYPROP_AND_FOLD,
+    DCE,
+    ITER_PASSES,
+    PROMOTE_SLOTS,
+    SIMPLIFY_CFG,
+)
 from repro.runtime.trusted import T_PROTOTYPES
+from repro.serve.apps import SERVE_APPS
 from repro.taint import Taint
 
 SOURCE = """
@@ -45,24 +56,36 @@ def blocks_repr(func):
 def emit_witness(pass_obj, func):
     """Run one pass by hand, returning (snapshot, accepted witness)."""
     snapshot = snapshot_function(func)
-    witness = Witness(
-        pass_obj.name, func.name, func.origin, function_digest(func)
-    )
+    witness = Witness(pass_obj.name, func.name, func.origin)
     changed = pass_obj.fn(func, witness=witness)
     assert changed, f"{pass_obj.name} made no change on the test input"
-    witness.post_digest = function_digest(func)
     check_witness(witness, snapshot, func)
     return snapshot, witness
+
+
+#: Each of these changes ``f`` of SOURCE when run in this order.
+CHAIN = (PROMOTE_SLOTS, COPYPROP_AND_FOLD, DCE, SIMPLIFY_CFG)
+
+
+def chain_witnesses(source=SOURCE):
+    """``[(pass, snapshot, witness, post snapshot)]`` for CHAIN on ``f``;
+    the post snapshots stay valid as later passes run."""
+    func = ir_of(source).functions["f"]
+    out = []
+    for pass_obj in CHAIN:
+        snapshot, witness = emit_witness(pass_obj, func)
+        out.append((pass_obj, snapshot, witness, snapshot_function(func)))
+    return out
 
 
 class TestAcceptance:
     def test_real_passes_accepted_and_applied(self):
         module = ir_of()
         f = module.functions["f"]
-        before = function_digest(f)
+        before = blocks_repr(f)
         changed, witness = run_certified_pass(PROMOTE_SLOTS, f)
         assert changed and witness is not None
-        assert witness.post_digest == function_digest(f) != before
+        assert blocks_repr(f) != before
         assert witness.obligations
         verify_module(module)
 
@@ -81,12 +104,6 @@ class TestAcceptance:
             k: v for k, v in snap.items() if "witness_rejected" in k
         }
         assert not rejected, rejected
-        assert module.opt_witness_digest
-
-    def test_witness_digest_deterministic(self):
-        a = optimize_module(ir_of()).opt_witness_digest
-        b = optimize_module(ir_of()).opt_witness_digest
-        assert a == b
 
 
 class TestRejection:
@@ -97,16 +114,6 @@ class TestRejection:
         mutate(witness)
         with pytest.raises(WitnessError):
             check_witness(witness, snapshot, f)
-
-    def test_stale_pre_digest(self):
-        self.corrupt_and_expect(
-            lambda w: setattr(w, "pre_digest", "0" * 64)
-        )
-
-    def test_stale_post_digest(self):
-        self.corrupt_and_expect(
-            lambda w: setattr(w, "post_digest", "0" * 64)
-        )
 
     def test_dropped_obligations(self):
         self.corrupt_and_expect(lambda w: w.obligations.clear())
@@ -143,6 +150,183 @@ class TestRejection:
         assert flipped
         with pytest.raises(WitnessError):
             check_witness(witness, snapshot, f)
+
+
+def _reshape(witness, pick, remake):
+    """Replace the first obligation ``pick`` selects with ``remake(ob)``."""
+    for i, ob in enumerate(witness.obligations):
+        if pick(ob):
+            witness.obligations[i] = remake(ob)
+            return
+    raise AssertionError("the witness has no obligation to reshape")
+
+
+def _with_claim(claim):
+    return lambda ob: Obligation(ob.kind, ob.site, claim)
+
+
+def _tagged(tag):
+    return lambda ob: ob.claim[0] == tag
+
+
+#: Malformed obligations (bad site grammar, claim arity or fields); the
+#: checker must reject each with a WitnessError, not crash on it.
+MALFORMED = [
+    pytest.param(
+        PROMOTE_SLOTS, _tagged("promoted"),
+        lambda ob: Obligation(ob.kind, "slot:abc", ob.claim),
+        id="promote_slots-slot-site-not-an-int",
+    ),
+    pytest.param(
+        PROMOTE_SLOTS, _tagged("promoted"), _with_claim(("promoted",)),
+        id="promote_slots-promoted-without-fields",
+    ),
+    pytest.param(
+        COPYPROP_AND_FOLD, _tagged("rewrite"), _with_claim(()),
+        id="copyprop-empty-claim",
+    ),
+    pytest.param(
+        COPYPROP_AND_FOLD, _tagged("rewrite"), _with_claim(("rewrite",)),
+        id="copyprop-rewrite-without-fields",
+    ),
+    pytest.param(
+        DCE, _tagged("dead"),
+        lambda ob: Obligation(
+            ob.kind, ob.site.rpartition("@")[0] + "@x", ob.claim
+        ),
+        id="dce-index-not-an-int",
+    ),
+    pytest.param(
+        SIMPLIFY_CFG, _tagged("merged"), _with_claim(("merged",)),
+        id="simplify_cfg-merged-without-target",
+    ),
+]
+
+
+class TestMalformedWitness:
+    @pytest.mark.parametrize("pass_obj, pick, remake", MALFORMED)
+    def test_rejected_not_crashed(self, pass_obj, pick, remake):
+        _, snapshot, witness, post = chain_witnesses()[CHAIN.index(pass_obj)]
+        _reshape(witness, pick, remake)
+        with pytest.raises(WitnessError, match="malformed obligation"):
+            check_witness(witness, snapshot, post)
+
+
+#: Another ``f`` whose CHAIN rewrites differ from SOURCE's at every pass
+#: (a witness whose claims also justify a second pair is sound for it).
+OTHER_F = """
+int f(int n) {
+    int t = 1;
+    if (n > 2) { t = t + 0; } else { t = 3; }
+    while (t < n) { t = t * 2; }
+    return t;
+}
+
+int main() { return f(3); }
+"""
+
+
+class TestReplayAgainstOtherIR:
+    """An honest witness only holds for the pair it was emitted on."""
+
+    @pytest.mark.parametrize("index", range(len(CHAIN)),
+                             ids=[p.name for p in CHAIN])
+    def test_rejected_against_unchanged_pair(self, index):
+        _, snapshot, witness, post = chain_witnesses()[index]
+        check_witness(witness, snapshot, post)
+        with pytest.raises(WitnessError):
+            check_witness(witness, snapshot, snapshot)
+        with pytest.raises(WitnessError):
+            check_witness(witness, post, post)
+
+    @pytest.mark.parametrize("index", range(len(CHAIN)),
+                             ids=[p.name for p in CHAIN])
+    def test_rejected_against_another_functions_pair(self, index):
+        _, _, witness, _ = chain_witnesses()[index]
+        main = ir_of().functions["main"]
+        with pytest.raises(WitnessError):
+            check_witness(witness, snapshot_function(main), main)
+        # Another program's f, stamped with this f's lowering provenance
+        # so the identity checks pass: only the replay can reject it.
+        _, other_pre, _, other_post = chain_witnesses(OTHER_F)[index]
+        other_pre.origin = other_post.origin = witness.origin
+        with pytest.raises(WitnessError):
+            check_witness(witness, other_pre, other_post)
+
+
+def _function_state(func):
+    return (
+        func.name,
+        func.origin,
+        [(b.name, [repr(i) for i in b.instrs]) for b in func.blocks],
+        [vars(s) for s in func.slots],
+        [(v.id, v.taint, v.hint) for v in func.param_vregs],
+        (func._next_vreg, func._next_slot, func._next_block),
+    )
+
+
+def _mutable_objects(func) -> dict:
+    """id -> object for every list, block, instruction, VReg, StackSlot
+    and MemRef reachable from ``func``'s body, slots and parameters."""
+    seen: dict = {}
+
+    def walk(x):
+        if id(x) in seen:
+            return
+        if isinstance(x, list):
+            seen[id(x)] = x
+            for y in x:
+                walk(y)
+        elif isinstance(x, tuple):
+            for y in x:
+                walk(y)
+        elif isinstance(x, VReg):
+            seen[id(x)] = x
+        elif isinstance(x, (Block, Instr, StackSlot, MemRef)):
+            seen[id(x)] = x
+            for y in vars(x).values():
+                walk(y)
+
+    walk([func.blocks, func.slots, func.param_vregs])
+    return seen
+
+
+SNAPSHOT_SOURCES = [
+    pytest.param(lambda name=name: kernel_source(name), id=name)
+    for name in SPEC_NAMES
+] + [
+    pytest.param(lambda name=name: SERVE_APPS[name].source, id=name)
+    for name in ("webserver", "dirserver", "classifier")
+]
+
+
+class TestSnapshot:
+    """The revert machinery the checker's (pre, post) pair rests on."""
+
+    @pytest.mark.parametrize("source", SNAPSHOT_SOURCES)
+    def test_snapshot_is_faithful_and_independent(self, source, monkeypatch):
+        # The pipeline snapshots every function before each pass run,
+        # so this sees each one as lowered and after every accepted pass.
+        taken = []
+
+        def checked_snapshot(func):
+            snap = snapshot_function(func)
+            assert _function_state(snap) == _function_state(func)
+            ours = _mutable_objects(func)
+            shared = ours.keys() & _mutable_objects(snap).keys()
+            assert not shared, [ours[i] for i in shared][:5]
+            taken.append(func.name)
+            return snap
+
+        monkeypatch.setattr(pipeline, "snapshot_function", checked_snapshot)
+        session = BuildSession()
+        lowered = session.stage_lower(
+            session.stage_sema(session.stage_parse(source()), OUR_MPX),
+            OUR_MPX,
+        )
+        module = lowered.value
+        optimize_module(module)
+        assert set(taken) == set(module.functions)
 
 
 class TestRevert:

@@ -3,7 +3,8 @@
 # OurMPX with tracing + stats on, then assert the emitted Chrome trace
 # is valid JSON containing both compile-stage (wall) and machine
 # (cycle) spans; finally sanity-check `bench --json` and assert the
-# predecoded and reference execution engines report identical cycles.
+# predecoded and reference execution engines report identical cycles,
+# on the quickstart and on a 4-thread merklefs run.
 # Run from the repo root: sh scripts/smoke.sh
 set -eu
 
@@ -72,6 +73,24 @@ configs = [r["config"] for r in fast]
 print(f"bench OK: {len(fast)} configs ({', '.join(configs)}), "
       "predecoded == reference")
 PY
+
+# Multi-thread cross-engine check: merklefs (the Figure 8 workload) at
+# 4 threads, where every quantum runs fused blocks on the fast engine,
+# must report bench output byte-identical to the reference engine.
+MERKLE="$WORK/merklefs4.mc"
+python - "$MERKLE" <<'PY'
+import sys
+
+from repro.apps.merklefs import merklefs_source
+
+with open(sys.argv[1], "w") as handle:
+    handle.write(merklefs_source(4))
+PY
+python -m repro bench --seed 1 --json "$MERKLE" > "$WORK/bench_mt_fast.json"
+python -m repro bench --seed 1 --json --engine reference "$MERKLE" \
+    > "$WORK/bench_mt_ref.json"
+cmp "$WORK/bench_mt_fast.json" "$WORK/bench_mt_ref.json"
+echo "multi-thread bench OK: merklefs 4 threads, predecoded == reference"
 
 # Build-cache smoke: a cold build populates the object cache; the warm
 # rebuild (here also parallel, --jobs 4) must hit the cache for every

@@ -19,16 +19,17 @@ Two execution engines share these semantics:
   specification;
 * the **predecoded** engine (default) runs code generated by
   :mod:`repro.machine.superblock` the first time execution reaches it.
-  While one thread is live and no step hook other than a block
-  profiler is attached, its hot loop runs whole basic blocks fused
-  into one function each, paying dispatch once per block with
-  Stats/cycle accounting batched between fault points; attached block
-  profilers are charged once per fused block.  Everywhere the schedule
-  is observable -- near the instruction budget, around thread spawns
-  and joins, under other step hooks and for multi-thread schedules --
-  it steps a per-pc table of single-instruction handlers instead.
-  Rare instructions (jump tables, indirect control flow, shadow-stack
-  ops) call the reference ``_i_*`` handler.
+  Every quantum runs whole basic blocks fused into one function each
+  while a block's count fits in what is left of the quantum and of
+  the instruction budget, paying dispatch once per block with
+  Stats/cycle accounting batched between fault points, and steps the
+  rest through a per-pc table of single-instruction handlers.  A
+  single live thread runs blocks back to back across quanta until a
+  schedule event (a thread spawn, join or exit) or the budget.
+  Attached block profilers are charged once per fused block; any other
+  step hook sends every instruction through the handlers.  Rare
+  instructions (jump tables, indirect control flow, shadow-stack ops)
+  call the reference ``_i_*`` handler.
 
 The engines are observably identical — simulated cycles, ``Stats``
 counters, fault kinds/addresses, and the ``add_step_hook`` API agree
@@ -36,7 +37,8 @@ bit-for-bit (pinned by the differential suite under
 ``tests/machine/test_engine_equivalence.py``); only host wall-clock
 differs.
 
-Multi-threading is round-robin over a fixed number of cores with
+Multi-threading is round-robin over a fixed number of cores, one
+``QUANTUM`` (64 instructions) per runnable thread per round, with
 per-core cycle counters and per-core L1 caches; simulated wall-clock
 time is the maximum core time.
 """
@@ -57,7 +59,7 @@ from ..link.layout import CODE_BASE, NATIVE_BASE, THREAD_STACK_SIZE
 from . import costs
 from .cache import LINE_SIZE, L1Cache
 from .memory import Memory
-from .superblock import BlockFuser
+from .superblock import QUANTUM, BlockFuser
 
 MASK32 = 0xFFFFFFFF
 
@@ -193,8 +195,8 @@ class Machine:
         }
         self.engine = engine
         # Fast-engine state, emitted lazily by the fuser: code[pc] ->
-        # fused block entry for the hot loop, and code[pc] -> handler
-        # for precise stepping (budget horizons, generic scheduling).
+        # fused block entry, and code[pc] -> handler for stepping what
+        # no whole block fits in and everything under step hooks.
         self._handlers: list | None = None
         self._blocks: list | None = None
         self._fuser = None
@@ -220,9 +222,11 @@ class Machine:
 
         A hook that is the ``on_step`` method of an object that also has
         ``on_blocks`` is a *block observer* (the block profiler).  While
-        only block observers are attached, the fast engine's hot loop
-        keeps running fused blocks -- which never straddle a label --
-        and tallies them instead, handing each observer batches as
+        only block observers are attached, the fast engine keeps running
+        fused blocks -- which never straddle a label -- in every quantum,
+        single- and multi-thread alike, and tallies them instead; any
+        other hook sends every instruction through the handlers.  Each
+        observer gets the tallies in batches, one thread's at a time, as
         ``on_blocks(thread, tallies, moves, last)``: ``tallies`` maps a
         fused block's pc to ``[charges, runs, cycles, misses, ...]``
         (``charges`` as ``BlockFuser.fuse`` reports them, or their
@@ -315,9 +319,8 @@ class Machine:
             raise
 
     def _run_loop(self, max_instructions: int) -> int:
+        """Round-robin over the runnable threads, one quantum each."""
         budget = max_instructions
-        quantum = 64
-        step = self._step
         while True:
             alive = [t for t in self.threads if t.alive]
             if not alive:
@@ -344,122 +347,112 @@ class Machine:
                 runnable.append(thread)
             if not runnable:
                 raise MachineFault("deadlock", "all live threads blocked")
-            if (
-                self._handlers is not None
+            relaxed = (
+                len(alive) == 1
+                and self._blocks is not None
                 and self._block_observers is not None
-                and len(alive) == 1
-                and len(runnable) == 1
-            ):
-                # Single live thread on the fast engine, observed by
-                # block profilers at most: stay in the hot loop until
-                # the schedule could change.
-                budget = self._run_hot(runnable[0], budget, max_instructions)
-                continue
+            )
             for thread in runnable:
-                if not thread.alive:
-                    continue
-                for _ in range(quantum):
-                    if not thread.alive:
-                        break
-                    # The budget gates *starting* an instruction, so a
-                    # program whose final budgeted instruction halts it
-                    # still returns its exit code instead of being
-                    # misreported as evicted.
-                    if budget <= 0:
-                        raise MachineFault(
-                            "instruction-budget-exhausted",
-                            f"exceeded {max_instructions} instructions",
-                        )
-                    step(thread)
-                    budget -= 1
+                room = QUANTUM
+                if relaxed:
+                    # The only live thread: its quantum grid is
+                    # unobservable until a schedule event or the budget,
+                    # so run fused blocks back to back, then finish the
+                    # quantum the stop fell inside (nothing if it fell
+                    # on the grid).
+                    executed = self._run_blocks(thread, budget)
+                    budget -= executed
+                    if executed:
+                        room = -executed % QUANTUM
+                if thread.alive:
+                    budget = self._run_quantum(
+                        thread, room, budget, max_instructions
+                    )
         return self.exit_code if self.exit_code is not None else 0
 
-    def _run_hot(self, thread: Thread, budget: int,
-                 max_instructions: int) -> int:
-        """The fast engine's hot loop: run the only live thread through
-        lazily fused basic-block functions.
+    def _run_quantum(self, thread: Thread, room: int, budget: int,
+                     max_instructions: int) -> int:
+        """Run ``thread`` for the ``room`` instructions left in its
+        quantum, or until it dies; returns the remaining budget.
 
-        The generic loop's 64-instruction quantum grid is observable
-        only at budget faults and schedule changes; for a single
-        thread, everything in between is a pure performance detail.  So
-        the relaxed phase runs whole blocks back to back with no
-        quantum bookkeeping while more than one block's worth of budget
-        remains, checking the schedule only after blocks that can
-        change it (fuse marks blocks containing ``Halt`` or a native
-        gateway as impure); with block profilers attached it is
-        :meth:`_run_observed`.  Once the budget gets close, or a
-        schedule event fires mid-grid, the precise phase single-steps
-        the predecoded handlers (and any step hooks) along the exact
-        quantum boundaries the generic loop would have used, so budget
-        faults and schedule-change returns land on bit-identical
-        machine states: the budget fault gates *starting* instruction
-        ``budget + 1``, never a program that halts on its final
-        budgeted instruction.  Returns the remaining budget when the
-        schedule may have changed (thread died, blocked on a join,
-        spawned another thread, or the attached step hooks changed).
+        The quantum runs this thread alone, so fused blocks whose
+        counts fit in what is left of the quantum and of the budget
+        run whole, and the handlers (or, on the reference engine,
+        ``_step``) step the rest.  The budget gates *starting* an
+        instruction, so a program whose final budgeted instruction
+        halts it still returns its exit code instead of being
+        misreported as evicted.
         """
+        limit = min(room, budget)
+        executed = 0
+        if self._blocks is not None and self._block_observers is not None:
+            executed = self._run_blocks(thread, limit)
+        step = self._step
+        while executed < limit and thread.alive:
+            step(thread)
+            executed += 1
+        if executed < room and thread.alive:
+            raise MachineFault(
+                "instruction-budget-exhausted",
+                f"exceeded {max_instructions} instructions",
+            )
+        return budget - executed
+
+    def _run_blocks(self, thread: Thread, room: int) -> int:
+        """Run ``thread`` through lazily fused basic-block functions
+        while the next block's count fits in ``room``; returns how many
+        instructions retired.
+
+        Only blocks that can change the schedule (fuse marks blocks
+        containing ``Halt`` or the native gateway impure) are followed
+        by a :meth:`_schedule_changed` check, which can stop the run.
+        A pc outside the code also stops it, so the caller's step
+        raises that fault only if the budget lets the instruction
+        start.  With block profilers attached this is
+        :meth:`_run_observed`.
+        """
+        observers = self._block_observers
+        if observers:
+            return self._run_observed(thread, room, observers)
         blocks = self._blocks
         fuse = self._fuser.fuse
         n = len(blocks)
-        threads = self.threads
-        n_threads = len(threads)
-        hooks = self._step_hooks
-        observers = self._block_observers
-        step = self._step_predecoded
-        budget0 = budget
-        if observers:
-            executed = self._run_observed(thread, budget0, observers)
-        else:
-            executed = 0
-            while budget0 - executed > 64:
-                pc = thread.pc
-                if not 0 <= pc < n:
-                    raise MachineFault(FAULT_EXEC, f"pc out of code: {pc}")
-                entry = blocks[pc]
-                if entry is None:
-                    entry = blocks[pc] = fuse(pc)
-                entry[0](thread)
-                executed += entry[1]
-                if entry[2]:
-                    continue
-                if (
-                    not thread.alive
-                    or thread.waiting_on is not None
-                    or len(threads) != n_threads
-                    or hooks
-                ):
-                    break
+        n_threads = len(self.threads)
+        left = room
         while True:
-            if (
-                not thread.alive
-                or thread.waiting_on is not None
-                or len(threads) != n_threads
-                or self._block_observers is not observers
+            pc = thread.pc
+            if not 0 <= pc < n:
+                break
+            entry = blocks[pc]
+            if entry is None:
+                entry = blocks[pc] = fuse(pc)
+            count = entry[1]
+            if count > left:
+                break
+            entry[0](thread)
+            left -= count
+            if not entry[2] and self._schedule_changed(
+                thread, n_threads, observers
             ):
-                # Finish the quantum the event fell inside: the generic
-                # loop only rechecks the schedule on a 64-grid (or
-                # budget) boundary.
-                target = min(-(-executed // 64) * 64, budget0)
-                while executed < target and thread.alive:
-                    step(thread)
-                    executed += 1
-                return budget0 - executed
-            if executed >= budget0:
-                raise MachineFault(
-                    "instruction-budget-exhausted",
-                    f"exceeded {max_instructions} instructions",
-                )
-            target = min((executed // 64 + 1) * 64, budget0)
-            while executed < target:
-                if not thread.alive:
-                    break
-                step(thread)
-                executed += 1
+                break
+        return room - left
 
-    def _run_observed(self, thread: Thread, budget: int,
+    def _schedule_changed(self, thread: Thread, n_threads: int,
+                          observers: tuple) -> bool:
+        """Whether a fused run must stop after an impure block: the
+        thread died, blocked on a join or spawned another thread, or
+        the attached step hooks changed."""
+        return (
+            not thread.alive
+            or thread.waiting_on is not None
+            or len(self.threads) != n_threads
+            or self._block_observers is not observers
+        )
+
+    def _run_observed(self, thread: Thread, room: int,
                       observers: tuple) -> int:
-        """The relaxed phase of :meth:`_run_hot` with block profilers
-        attached; returns how many instructions it retired.
+        """:meth:`_run_blocks` with block profilers attached; returns
+        how many instructions it retired.
 
         Each fused block runs as in the unobserved loop and is tallied
         with its core-cycle and L1-miss deltas; the tallies go to the
@@ -475,8 +468,7 @@ class Machine:
         blocks = self._blocks
         fuse = self._fuser.fuse
         n = len(blocks)
-        threads = self.threads
-        n_threads = len(threads)
+        n_threads = len(self.threads)
         step = self._step_predecoded
         report = self._report_blocks
         stats = self.stats
@@ -486,7 +478,7 @@ class Machine:
         tallies: dict[int, list] = {}
         moves: list[tuple[int, int, int]] = []
         prev = -1
-        room = min(o.until_sample() for o in observers)
+        until = min(o.until_sample() for o in observers)
         # (pc, run length) of the latest L1 misses.
         last_miss = [-1, 0]
 
@@ -498,22 +490,24 @@ class Machine:
                 last_miss[1] = 1
 
         cache.on_miss = on_miss
-        executed = 0
+        left = room
         try:
-            while budget - executed > 64:
+            while True:
                 pc = thread.pc
                 if not 0 <= pc < n:
-                    raise MachineFault(FAULT_EXEC, f"pc out of code: {pc}")
+                    break
                 entry = blocks[pc]
                 if entry is None:
                     entry = blocks[pc] = fuse(pc)
                 count = entry[1]
+                if count > left:
+                    break
                 charges = entry[3]
-                if charges is None or count > room:
+                if charges is None or count > until:
                     prev = report(observers, thread, tallies, moves, prev)
                     for _ in range(count):
                         step(thread)
-                    room = min(o.until_sample() for o in observers)
+                    until = min(o.until_sample() for o in observers)
                 else:
                     cycles0 = core_cycles[core]
                     misses0 = cache.misses
@@ -550,24 +544,19 @@ class Machine:
                         tally[4] = prev
                         tally[5] = 1
                     prev = pc
-                    room -= count
-                    if not room:
+                    until -= count
+                    if not until:
                         prev = report(observers, thread, tallies, moves, prev)
-                        room = min(o.until_sample() for o in observers)
-                executed += count
-                if entry[2]:
-                    continue
-                if (
-                    not thread.alive
-                    or thread.waiting_on is not None
-                    or len(threads) != n_threads
-                    or self._block_observers is not observers
+                        until = min(o.until_sample() for o in observers)
+                left -= count
+                if not entry[2] and self._schedule_changed(
+                    thread, n_threads, observers
                 ):
                     break
         finally:
             cache.on_miss = None
             report(observers, thread, tallies, moves, prev)
-        return executed
+        return room - left
 
     @staticmethod
     def _report_blocks(observers, thread, tallies, moves, last) -> int:

@@ -9,8 +9,8 @@ semantics are written down.  It emits code in two shapes:
 * a **fused block** is one function for a whole basic block, from a
   leader to the next control-flow terminator, the next label (every
   label is a leader, so a fused block never straddles two blocks of
-  the block profiler) or 64 instructions; the hot loop
-  (:meth:`Machine._run_hot`) runs these.  Per-instruction
+  the block profiler) or ``MAX_BLOCK`` instructions; the scheduler
+  (:meth:`Machine._run_blocks`) runs these.  Per-instruction
   dispatch disappears and ``Stats``/cycle accounting is batched: every
   per-instruction charge is known at fuse time, so the fault-free path
   pays one flush at block exit.  Exactness at faults comes from a
@@ -20,8 +20,10 @@ semantics are written down.  It emits code in two shapes:
   handler;
 * a **handler** is a single-instruction function.  The table
   ``machine._handlers`` holds one per pc, emitted the first time
-  execution steps that pc; it is the precise path at budget horizons,
-  at schedule events, under step hooks and for multi-thread schedules.
+  execution steps that pc; it steps what no whole block fits in (the
+  end of a quantum or of the budget), the rest of a quantum after a
+  schedule event, and every instruction under step hooks other than
+  a block profiler.
   A handler charges ``Stats.instructions`` and the base cycle cost
   before its first fallible statement, exactly like the reference
   engine, so a fault leaves the same counters behind.  Handler sources
@@ -49,11 +51,16 @@ defaults rather than through a namespace copy.  Handler code is also
 shared across binaries by source text, but only while some binary
 still uses it; fused blocks embed their pcs, so they are not shared.
 
-Blocks are capped at the scheduler quantum (64 instructions); the hot
-loop never lets a fused block cross a quantum boundary, which keeps
-budget faults and multi-thread interleavings bit-identical to the
-reference engine (pinned by
-``tests/machine/test_engine_equivalence.py``).
+Blocks are capped at the scheduler ``QUANTUM`` (64 instructions).  A
+quantum runs one thread alone and runs a fused block only when its
+count fits in what is left of the quantum and of the budget, so no
+block crosses a point where another thread could run or the budget
+could fault.  With a single live thread the quantum grid is
+unobservable between schedule events, so blocks run back to back
+across it until an event or the budget, and the scheduler then
+finishes the quantum the stop fell inside.  That keeps budget faults
+and multi-thread interleavings bit-identical to the reference engine
+(pinned by ``tests/machine/test_engine_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -82,9 +89,14 @@ from .memory import PAGE_MASK, PAGE_SIZE
 MASK32 = 0xFFFFFFFF
 TWO64 = 1 << 64
 
-#: Longest fusable block — one scheduler quantum.  Longer straight-line
-#: runs are split; the tail simply starts its own block.
-MAX_BLOCK = 64
+#: The scheduler quantum: instructions a thread runs before the next
+#: runnable thread gets its turn (``Machine._run_loop``).
+QUANTUM = 64
+
+#: Longest fusable block — one quantum, so any block fits in a fresh
+#: quantum.  Longer straight-line runs are split; the tail simply
+#: starts its own block.
+MAX_BLOCK = QUANTUM
 
 #: Instructions that end a basic block (every way control can leave).
 TERMINATORS = (
@@ -174,11 +186,11 @@ class BlockFuser:
 
     ``handlers`` is the predecoded handler table; every slot starts as
     a stub that emits the real handler on first execution.
-    ``fuse(pc) -> (fn, count, pure, charges)`` builds the hot loop's
+    ``fuse(pc) -> (fn, count, pure, charges)`` builds the scheduler's
     block at ``pc``: ``fn`` runs the whole block on a thread; ``count``
     is how many instructions it retires; ``pure`` is True when the block
     cannot change the thread schedule (no ``Halt``, no native gateway),
-    which lets the hot loop skip its per-block schedule checks;
+    which lets the block loop skip its per-block schedule checks;
     ``charges`` holds, per instruction, the cycles the generated code
     charges for it besides cache-miss penalties (a delegated
     terminator's reference handler may add more), or is None when a

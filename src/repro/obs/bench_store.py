@@ -48,6 +48,9 @@ DEFAULT_TOLERANCES = {
     "wall_time_s": None,
 }
 
+#: The per-benchmark metrics ``diff_records`` compares.
+METRICS = tuple(DEFAULT_TOLERANCES)
+
 
 def make_record(
     name: str,
@@ -88,8 +91,9 @@ def make_benchmark(
 
 def load_trajectory(path: str) -> dict:
     """Read a trajectory file; friendly :class:`ReproError` on corrupt
-    or wrong-kind input (missing files surface as ``OSError``, which
-    the CLI renders the same way)."""
+    or wrong-kind input, down to each record's benchmark entries
+    (missing files surface as ``OSError``, which the CLI renders the
+    same way)."""
     with open(path) as handle:
         text = handle.read()
     try:
@@ -108,7 +112,33 @@ def load_trajectory(path: str) -> dict:
         )
     if not isinstance(doc.get("records"), list):
         raise ReproError(f"{path}: trajectory has no records list")
+    for index, record in enumerate(doc["records"]):
+        _check_record(path, index, record)
     return doc
+
+
+def _check_record(path: str, index: int, record) -> None:
+    """Reject a record ``diff_records`` could not compare."""
+    if not isinstance(record, dict):
+        raise ReproError(f"{path}: record {index} is not an object")
+    where = f"{path}: record {index} ({record.get('name')!r})"
+    benchmarks = record.get("benchmarks", [])
+    if not isinstance(benchmarks, list):
+        raise ReproError(f"{where}: benchmarks is not a list")
+    for entry in benchmarks:
+        if not isinstance(entry, dict) or not isinstance(
+            entry.get("name"), str
+        ):
+            raise ReproError(f"{where}: benchmark {entry!r} has no name")
+        for metric in METRICS:
+            value = entry.get(metric, 0)
+            if isinstance(value, bool) or not isinstance(
+                value, (int, float)
+            ):
+                raise ReproError(
+                    f"{where}: {entry['name']}: {metric} {value!r} "
+                    "is not a number"
+                )
 
 
 def append_record(path: str, record: dict) -> int:
@@ -205,7 +235,7 @@ def diff_records(
         )
     for name in shared:
         before, after = old_by_name[name], new_by_name[name]
-        for metric in ("cycles", "instructions", "wall_time_s"):
+        for metric in METRICS:
             if metric not in before or metric not in after:
                 continue
             tol = tols.get(metric)

@@ -18,14 +18,16 @@ binary's ``label_addrs`` — every branch target carries a label, so
 label-delimited intervals are exactly the leader-delimited basic
 blocks of the final code.  The profiler attaches through
 ``Machine.add_step_hook`` as a *block observer*.  Wherever a machine
-steps instructions one at a time (the reference engine, budget
-horizons, multi-thread schedules, runs with other step hooks, and the
-few instructions up to each sample point) it is charged per
-instruction by :meth:`BlockProfiler.on_step`.  On the fast engine's
-single-thread hot loop, whose fused blocks never straddle a label, it
-is charged per fused block by :meth:`BlockProfiler.on_blocks`, in
-batches the machine tallies between sample points.  The per-instruction
-path is the oracle: both paths, and both engines, report identical
+steps instructions one at a time (the reference engine, what no whole
+fused block fits in at the end of a quantum or of the budget, runs
+with other step hooks, and the few instructions up to each sample
+point) it is charged per instruction by
+:meth:`BlockProfiler.on_step`.  Wherever the fast engine runs fused
+blocks, which never straddle a label -- single- and multi-thread
+schedules alike -- it is charged per fused block by
+:meth:`BlockProfiler.on_blocks`, in per-thread batches the machine
+tallies between sample points.  The per-instruction path is the
+oracle: both paths, and both engines, report identical
 totals, edges, sites, samples and flamegraphs, faulting runs included
 — pinned by a differential test.
 

@@ -8,16 +8,21 @@ callbacks must all agree bit-for-bit with the one-step-at-a-time
 reference interpreter.  This suite pins that contract with the random
 ``ProgramGen`` corpus across BASE/OUR_MPX/OUR_SEG plus hand-built fault
 programs (run both through fused blocks and, under a no-op step hook,
-through the single-instruction handlers), and adds budget-boundary
-cases where the fused hot loop's relaxed quantum grid has to realign
-with per-instruction stepping.
+through the single-instruction handlers), multi-thread programs
+(merklefs at 2-6 threads, a thread spawn at every residue of the
+quantum grid, budget cuts through a spawn/join schedule), and
+budget-boundary cases where a single thread's fused blocks have to
+stop at the budget and finish the quantum by stepping.
 """
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro import BASE, OUR_MPX, OUR_SEG
+from repro.apps.merklefs import merklefs_source
 from repro.backend import isa, regs
 from repro.compiler import compile_source
 from repro.errors import MachineFault
@@ -55,14 +60,14 @@ def machine_signature(machine):
     }
 
 
-def run_engine(binary, engine):
+def run_engine(binary, engine, max_instructions=500_000_000):
     """Run a binary under one engine inside a fresh obs registry;
     returns (exit_code_or_fault, machine signature, obs signature)."""
     registry = events.Registry()
     with events.use(registry):
         process = load(binary, runtime=TrustedRuntime(), engine=engine)
         try:
-            outcome = ("exit", process.run())
+            outcome = ("exit", process.run(max_instructions))
         except MachineFault as fault:
             outcome = ("fault", fault.kind, fault.detail, fault.addr)
     obs_sig = (
@@ -77,6 +82,76 @@ def run_engine(binary, engine):
 def test_corpus_program_identical_across_engines(seed, config):
     source = ProgramGen(seed).gen()
     binary = compile_source(source, config, seed=seed)
+    assert run_engine(binary, "predecoded") == run_engine(binary, "reference")
+
+
+@pytest.mark.parametrize("n_threads", (2, 4, 6))
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
+def test_merklefs_threads_identical_across_engines(n_threads, config):
+    # The paper's Fig. 8 workload: readers interleave quantum by quantum
+    # and each quantum runs fused blocks, so every spawn, join and
+    # thread exit lands mid-quantum somewhere.
+    binary = compile_source(merklefs_source(n_threads), config, seed=1)
+    fast = run_engine(binary, "predecoded")
+    assert fast[0] == ("exit", 0)
+    assert fast == run_engine(binary, "reference")
+
+
+#: ``main`` spawns a worker after ``PAD`` straight-line statements of
+#: three instructions each, so across k = 0..63 the spawning block ends
+#: at every residue of the 64-instruction quantum grid -- including on
+#: the grid itself, where the spawning quantum is already over.  Main
+#: then sums the worker's progress counter, so its exit code shows how
+#: the two threads' quanta interleaved.
+SPAWN_ON_GRID = T_PROTOTYPES + """
+int pad;
+int ticks;
+int worker(int x) {
+    for (int i = 0; i < 40; i++) { ticks = ticks + x; }
+    return 0;
+}
+int main() {
+PAD    int a = thread_create((int)&worker, 3);
+    int s = 0;
+    for (int i = 0; i < 30; i++) { s = s + ticks; }
+    thread_join(a);
+    return (s + ticks) & 255;
+}
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def spawn_on_grid_binary(k):
+    return compile_source(
+        SPAWN_ON_GRID.replace("PAD", "    pad = pad + 1;\n" * k), BASE, seed=1
+    )
+
+
+def retired_before_spawn(binary):
+    """Instructions retired when the first thread spawn took effect."""
+    process = load(binary, runtime=TrustedRuntime(), engine="reference")
+    machine = process.machine
+    seen = []
+
+    def hook(thread, pc, insn, cycles):
+        if not seen and len(machine.threads) > 1:
+            seen.append(machine.stats.instructions)
+
+    machine.add_step_hook(hook)
+    process.run()
+    return seen[0]
+
+
+def test_spawn_on_grid_sweep_covers_every_residue():
+    residues = {
+        retired_before_spawn(spawn_on_grid_binary(k)) % 64 for k in range(64)
+    }
+    assert residues == set(range(64))
+
+
+@pytest.mark.parametrize("k", range(64))
+def test_spawn_on_grid_identical_across_engines(k):
+    binary = spawn_on_grid_binary(k)
     assert run_engine(binary, "predecoded") == run_engine(binary, "reference")
 
 
@@ -237,8 +312,9 @@ int main() {
 }
 """
 
-#: Two workers run concurrently, so the profiler is charged per
-#: instruction in between main's single-thread stretches.
+#: Two workers run concurrently: inside each multi-thread quantum the
+#: fused column charges the profiler per fused block, and per
+#: instruction for what no whole block fits in.
 SPAWN_JOIN = T_PROTOTYPES + """
 int done[2];
 int worker(int slot) {
@@ -297,7 +373,9 @@ class TestBlockProfilerEquivalence:
             on_blocks = profiler.on_blocks
 
             def counting_on_blocks(*args):
-                batches.append(len(args[1]))
+                batches.append(
+                    {t.tid for t in machine.threads if t.alive}
+                )
                 on_blocks(*args)
 
             profiler.on_blocks = counting_on_blocks
@@ -320,10 +398,12 @@ class TestBlockProfilerEquivalence:
             "flamegraph": profiler.flamegraph_lines(),
         }
 
-    def assert_columns_agree(self, make, batched=True):
+    def assert_columns_agree(self, make, batched=True, batches=None):
         """The three columns agree; with ``batched``, the fused column
-        really was charged per fused block."""
-        batches = []
+        really was charged per fused block.  ``batches`` collects the
+        tids of the live threads at each fused-column batch."""
+        if batches is None:
+            batches = []
         fused = self.blockprof_signature(make, "fused", batches)
         handlers = self.blockprof_signature(make, "handlers")
         reference = self.blockprof_signature(make, "reference")
@@ -415,9 +495,59 @@ class TestBlockProfilerEquivalence:
 
     def test_spawn_join_identical(self):
         binary = compile_source(SPAWN_JOIN, OUR_MPX, seed=5)
-        reference = self.assert_columns_agree(loaded(binary))
+        batches = []
+        reference = self.assert_columns_agree(loaded(binary), batches=batches)
         assert reference["outcome"][0] == "exit"
         assert len(reference["machine"]["regs"]) == 3
+        # Multi-thread quanta run fused blocks too.
+        assert any({1, 2} <= live for live in batches)
+
+
+#: Budget cuts through SPAWN_JOIN: every cut around main's two spawns
+#: and into its join spin (main keeps stepping the join's re-dispatch
+#: for the rest of the quantum it blocked in), then cuts on the grid
+#: and mid-quantum through the two-worker stretch, the joins and
+#: main's final single-thread loop.
+SPAWN_JOIN_CUTS = (
+    *range(1, 70),
+    *range(640, 6700, 640),
+    *range(1001, 6700, 500),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def spawn_join_binary():
+    return compile_source(SPAWN_JOIN, OUR_MPX, seed=5)
+
+
+class TestMultiThreadBudget:
+    def test_cuts_cover_spin_grid_and_mid_quantum(self):
+        process = load(
+            spawn_join_binary(), runtime=TrustedRuntime(), engine="reference"
+        )
+        trace = []
+
+        def hook(thread, pc, insn, cycles):
+            trace.append((thread.tid, thread.waiting_on is not None))
+
+        process.machine.add_step_hook(hook)
+        process.run()
+        cuts = [c for c in SPAWN_JOIN_CUTS if c < len(trace)]
+        assert len(cuts) == len(SPAWN_JOIN_CUTS)
+        # Cut c retires instructions 1..c; instruction c + 1 is refused.
+        spin = [c for c in cuts if trace[c - 1] == trace[c] and trace[c][1]]
+        same = [c for c in cuts if trace[c - 1][0] == trace[c][0]]
+        mid = [c for c in same if c % 64]
+        switch = [c for c in cuts if c % 64 == 0 and c not in same]
+        assert spin and mid and len(switch) > 1
+
+    @pytest.mark.parametrize("cut", SPAWN_JOIN_CUTS)
+    def test_budget_cut_identical_across_engines(self, cut):
+        binary = spawn_join_binary()
+        fast = run_engine(binary, "predecoded", max_instructions=cut)
+        assert fast[0][:2] == ("fault", "instruction-budget-exhausted")
+        assert fast[1]["instructions"] == cut
+        assert fast == run_engine(binary, "reference", max_instructions=cut)
 
 
 class TestBudgetBoundary:
@@ -425,8 +555,8 @@ class TestBudgetBoundary:
     program whose final budgeted instruction halts it must return its
     exit code, not be misreported as evicted.  Regression tests for the
     off-by-one where ``budget <= 0`` was checked before
-    ``thread.alive``, run across both engines (the fast engine's hot
-    loop additionally realigns its relaxed quantum grid here)."""
+    ``thread.alive``, run across both engines (the fast engine's fused
+    blocks additionally stop short of the budget here)."""
 
     def straight_line(self, n_movs):
         code = [isa.MovRI(regs.RAX, 41) for _ in range(n_movs)]

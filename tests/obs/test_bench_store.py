@@ -71,6 +71,38 @@ class TestStore:
             bench_store.load_trajectory(str(path))
         assert "bench trajectory" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "where, value",
+        (
+            ((), 5),
+            (("benchmarks",), 5),
+            (("benchmarks", 0), 3),
+            (("benchmarks", 0, "name"), 7),
+            (("benchmarks", 0, "cycles"), "x"),
+            (("benchmarks", 1, "wall_time_s"), None),
+        ),
+    )
+    def test_malformed_record_is_a_friendly_diff_error(
+        self, where, value, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        good = str(tmp_path / "BENCH_good.json")
+        bad = str(tmp_path / "BENCH_bad.json")
+        bench_store.append_record(good, record())
+        doc = {"schema": 1, "kind": bench_store.KIND, "records": [record()]}
+        # Replace the value at ``where`` inside the only record.
+        parent, key = doc["records"], 0
+        for step in where:
+            parent, key = parent[key], step
+        parent[key] = value
+        with open(bad, "w") as handle:
+            json.dump(doc, handle)
+        assert main(["bench", "diff", good, bad]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: record 0")
+        assert len(err.strip().splitlines()) == 1
+
     def test_wrong_schema_rejected(self, tmp_path):
         path = tmp_path / "BENCH_v99.json"
         path.write_text(

@@ -15,6 +15,13 @@ Usage::
 Writes to BENCH_seed.json at the repository root by default.  The
 output file is replaced (a seed is a single-record-per-suite baseline,
 not an append-only history).
+
+Every number in the seed is simulated, so the output is
+byte-reproducible: ``scripts/smoke.sh`` regenerates it and ``cmp``s it
+with the committed file, and ``bench diff`` fails on any changed
+number.  Regenerate and commit the seed after any intentional change
+to cycles, instruction counts or check counts; smoke fails until you
+do.
 """
 
 from __future__ import annotations
@@ -48,15 +55,7 @@ def build_records() -> list[dict]:
     # Suite 1: the quickstart example under every configuration —
     # byte-comparable with what smoke.sh stores from `repro bench`.
     _, benchmarks = run_bench_suite(FIXED, suite="quickstart", seed=SEED)
-    records.append(
-        bench_store.make_record(
-            name="quickstart",
-            seed=SEED,
-            engine="predecoded",
-            cache="off",
-            benchmarks=benchmarks,
-        )
-    )
+    records.append(bench_store.make_record("quickstart", SEED, benchmarks))
 
     # Suite 2: libquantum under the aggressive post-codegen check
     # optimizer, where elision actually fires (on the quickstart it
@@ -69,13 +68,7 @@ def build_records() -> list[dict]:
         seed=SEED, checkopt="aggressive",
     )
     records.append(
-        bench_store.make_record(
-            name="libquantum-checkopt",
-            seed=SEED,
-            engine="predecoded",
-            cache="off",
-            benchmarks=ck_benchmarks,
-        )
+        bench_store.make_record("libquantum-checkopt", SEED, ck_benchmarks)
     )
 
     # Suite 3: the Fig. 5 SPEC kernels under the paper's config set.
@@ -89,15 +82,7 @@ def build_records() -> list[dict]:
             configs={c.name: c for c in SPEC_CONFIGS},
         )
         fig5_benchmarks.extend(benchmarks)
-    records.append(
-        bench_store.make_record(
-            name="fig5",
-            seed=SEED,
-            engine="predecoded",
-            cache="off",
-            benchmarks=fig5_benchmarks,
-        )
-    )
+    records.append(bench_store.make_record("fig5", SEED, fig5_benchmarks))
 
     # Suites 4-6: the serving tier, one record per app, matching what
     # smoke.sh stores from `repro serve --store`.  batch=1 makes the
@@ -110,11 +95,7 @@ def build_records() -> list[dict]:
         assert report.valid == report.requests, f"serve seed: {app} invalid"
         records.append(
             bench_store.make_record(
-                name=f"serve/{app}",
-                seed=SEED,
-                engine="predecoded",
-                cache="off",
-                benchmarks=[report.bench_entry()],
+                f"serve/{app}", SEED, [report.bench_entry()]
             )
         )
     return records

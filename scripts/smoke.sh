@@ -2,9 +2,12 @@
 # End-to-end smoke test: compile and run the quickstart program under
 # OurMPX with tracing + stats on, then assert the emitted Chrome trace
 # is valid JSON containing both compile-stage (wall) and machine
-# (cycle) spans; finally sanity-check `bench --json` and assert the
+# (cycle) spans; then sanity-check `bench --json` and assert the
 # predecoded and reference execution engines report identical cycles,
-# on the quickstart and on a 4-thread merklefs run.
+# on the quickstart and on a 4-thread merklefs run.  Later steps gate
+# the cache, fuzzers, profiler and serving tier, diff fresh trajectory
+# records against BENCH_seed.json exactly, and regenerate the seed and
+# `cmp` it with the committed file.
 # Run from the repo root: sh scripts/smoke.sh
 set -eu
 
@@ -159,8 +162,8 @@ test -s "$FOLDED"
 echo "flamegraph OK: $(wc -l < "$FOLDED") frames"
 
 # Benchmark-trajectory gate: a fresh `bench --store` record must pass
-# `bench diff` against the committed seed, and an injected
-# over-tolerance regression must make the diff FAIL (exit nonzero).
+# `bench diff` against the committed seed, and an injected change of
+# one bounds-check count, cycles unchanged, must make the diff exit 3.
 BENCH_CI="$WORK/BENCH_ci.json"
 BENCH_BAD="$WORK/BENCH_bad.json"
 python -m repro bench --seed 1 --json --store "$BENCH_CI" \
@@ -172,17 +175,30 @@ import sys
 
 with open(sys.argv[1]) as handle:
     doc = json.load(handle)
-bench = doc["records"][-1]["benchmarks"][-1]
-bench["cycles"] = int(bench["cycles"] * 1.5)
+bench = next(
+    b for b in doc["records"][-1]["benchmarks"] if b["config"] == "OurMPX"
+)
+bench["checks"]["bnd"] -= 1
 with open(sys.argv[2], "w") as handle:
     json.dump(doc, handle)
 PY
-if python -m repro bench diff BENCH_seed.json "$BENCH_BAD" \
-    --suite quickstart > /dev/null 2>&1; then
-    echo "bench diff FAILED to flag an injected regression" >&2
+STATUS=0
+python -m repro bench diff BENCH_seed.json "$BENCH_BAD" \
+    --suite quickstart > "$WORK/diff_bad.txt" 2>&1 || STATUS=$?
+if [ "$STATUS" -ne 3 ] || ! grep "checks.bnd" "$WORK/diff_bad.txt" > /dev/null
+then
+    echo "bench diff FAILED to flag an injected check change" >&2
+    cat "$WORK/diff_bad.txt" >&2
     exit 1
 fi
-echo "bench gate OK: seed diff clean, injected regression flagged"
+echo "bench gate OK: seed diff clean, injected check change flagged"
+
+# Seed reproducibility: every number in BENCH_seed.json is simulated,
+# so a fresh regeneration must be byte-identical to the committed file.
+# This gates all six suites exactly, fig5 included.
+python scripts/gen_bench_seed.py "$WORK/BENCH_regen.json"
+cmp BENCH_seed.json "$WORK/BENCH_regen.json"
+echo "seed OK: regenerated BENCH_seed.json is byte-identical"
 
 # Check-optimizer smoke (--checkopt aggressive): fig5 kernels still
 # pass ConfVerify with checks elided, both engines stay bit-identical,

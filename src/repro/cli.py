@@ -5,15 +5,13 @@ Commands
 run      compile a MiniC file and execute it on the simulated machine
 verify   compile and run ConfVerify on the result
 disasm   compile and print the linked instruction stream
-bench    run one source under every configuration and print overheads;
-         ``--store FILE`` appends a schema-versioned record to a
-         ``BENCH_*.json`` trajectory; ``bench diff OLD NEW`` compares
-         two trajectories with per-metric tolerances (nonzero exit on
-         regression)
+bench    run one source under every configuration and print overheads
+         and check counts; ``--store FILE`` appends a schema-versioned
+         record to a ``BENCH_*.json`` trajectory; ``bench diff OLD NEW``
+         compares two trajectories exactly (exit 3 on any change)
 report   Fig. 5-8-style overhead decomposition: per-config % overhead
          over Base broken down by check category (bnd/cfi/magic/
          chkstk/shadow + other), measured by the block profiler
-stats    per-configuration table of compile-stage times and check counts
 build    separate compilation: sources -> ``.uo`` objects, or ``--link``
          several objects/sources into a serialized binary
 cache    inspect the content-addressed object cache (stats/list/clear)
@@ -25,7 +23,7 @@ serve    multi-tenant enclave-fleet serving: freeze one verified image,
 Common options: ``--config <name>`` (default OurMPX; see ``repro.config``),
 ``--file name=path`` to add RAM-disk files, ``--stdin-hex BYTES`` to feed
 channel 0, ``--seed N`` for deterministic magic selection.  ``run``,
-``bench``, and ``stats`` also take ``--engine {predecoded,reference}``:
+``bench`` and ``report`` also take ``--engine {predecoded,reference}``:
 the reference engine is the slow one-step-at-a-time interpreter kept as
 an executable specification — results are identical, only wall-clock
 differs.
@@ -44,7 +42,8 @@ suppress injection.
 
 Observability: ``--trace out.json`` writes a Chrome-trace/Perfetto file
 covering both compiler stages (wall clock) and machine execution
-(simulated cycles); ``--metrics`` dumps every recorded counter and
+(simulated cycles); ``bench --trace`` carries one ``compile.total``
+span per configuration.  ``--metrics`` dumps every recorded counter and
 histogram as a table on stderr.  ``run --profile-blocks`` prints
 per-basic-block cycle attribution, ``run --flamegraph out.folded``
 writes a collapsed-stack profile.  See docs/OBSERVABILITY.md.
@@ -109,9 +108,8 @@ def _has_trusted_declarations(source: str) -> bool:
     return _EXTERN_TRUSTED.search(_SOURCE_NOISE.sub(" ", source)) is not None
 
 
-def _apply_checkopt(config, args):
-    """Apply ``--checkopt`` to a named config (no-op when unset/equal)."""
-    level = getattr(args, "checkopt", None)
+def _apply_checkopt(config, level: str | None):
+    """Apply a ``--checkopt`` level to a config (no-op when unset/equal)."""
     if level and level != config.checkopt:
         return config.variant(checkopt=level)
     return config
@@ -237,7 +235,7 @@ def _report_run(args, process, runtime, blockprof=None) -> None:
 
 def cmd_run(args) -> int:
     source = _read_source(args.source, not args.no_prototypes)
-    config = _apply_checkopt(ALL_CONFIGS[args.config], args)
+    config = _apply_checkopt(ALL_CONFIGS[args.config], args.checkopt)
     registry = _activate_obs(args)
     try:
         binary = compile_source(source, config, seed=args.seed,
@@ -272,7 +270,7 @@ def cmd_verify(args) -> int:
     from .verifier import verify_binary
 
     source = _read_source(args.source, not args.no_prototypes)
-    config = _apply_checkopt(ALL_CONFIGS[args.config], args)
+    config = _apply_checkopt(ALL_CONFIGS[args.config], args.checkopt)
     registry = _activate_obs(args)
     try:
         binary = compile_source(source, config, seed=args.seed)
@@ -285,7 +283,7 @@ def cmd_verify(args) -> int:
 
 def cmd_disasm(args) -> int:
     source = _read_source(args.source, not args.no_prototypes)
-    config = _apply_checkopt(ALL_CONFIGS[args.config], args)
+    config = _apply_checkopt(ALL_CONFIGS[args.config], args.checkopt)
     binary = compile_source(source, config, seed=args.seed)
     addr_to_label = {}
     for name, addr in binary.label_addrs.items():
@@ -311,11 +309,10 @@ def run_bench_suite(
     """Compile + run ``source`` under every configuration.
 
     Returns ``(records, benchmarks)``: the per-config records ``bench
-    --json`` prints (deterministic — no host timing), and the
-    ``bench_store`` per-benchmark entries (named ``suite/config`` and
-    carrying measured wall time) that ``--store`` appends to a
-    trajectory.  Shared by ``cmd_bench`` and the seed-trajectory
-    generator so both produce byte-comparable entries.
+    --json`` prints, and the ``bench_store`` per-benchmark entries
+    (named ``suite/config``) that ``--store`` appends to a trajectory.
+    Both hold only simulated numbers.  Shared by ``cmd_bench`` and the
+    seed-trajectory generator so both produce byte-comparable entries.
     """
     from .obs import bench_store
 
@@ -326,27 +323,21 @@ def run_bench_suite(
     # execution stays serial in configuration order, so cycle counts
     # are identical whatever the build width.
     session = default_session()
-    config_map = configs if configs is not None else ALL_CONFIGS
-    if checkopt:
-        config_map = {
-            name: (
-                config.variant(checkopt=checkopt)
-                if config.checkopt != checkopt
-                else config
-            )
-            for name, config in config_map.items()
-        }
+    config_map = {
+        name: _apply_checkopt(config, checkopt)
+        for name, config in (
+            ALL_CONFIGS if configs is None else configs
+        ).items()
+    }
     requests = [
         BuildRequest(source=source, config=config, seed=seed)
         for config in config_map.values()
     ]
     binaries = session.build_many(requests, jobs=jobs)
-    for (name, config), binary in zip(config_map.items(), binaries):
+    for name, binary in zip(config_map, binaries):
         runtime = runtime_factory() if runtime_factory else TrustedRuntime()
         process = load(binary, runtime=runtime, engine=engine)
-        start = time.perf_counter()
         _run_config(name, process)
-        wall_s = time.perf_counter() - start
         cycles = process.wall_cycles
         if base_cycles is None:
             base_cycles = cycles
@@ -377,7 +368,6 @@ def run_bench_suite(
                 cycles=cycles,
                 instructions=stats.instructions,
                 checks=checks,
-                wall_time_s=wall_s,
             )
         )
     return records, benchmarks
@@ -399,8 +389,8 @@ def cmd_bench(args) -> int:
             seed=args.seed,
             engine=args.engine,
             runtime_factory=lambda: _make_runtime(args),
-            jobs=getattr(args, "jobs", None),
-            checkopt=getattr(args, "checkopt", None),
+            jobs=args.jobs,
+            checkopt=args.checkopt,
         )
     except ConfigFault as fault:
         print(f"FAULT: {fault}", file=sys.stderr)
@@ -408,18 +398,7 @@ def cmd_bench(args) -> int:
     finally:
         _finish_obs(args, registry)
     if args.store:
-        cache_state = (
-            "dir"
-            if (args.cache_dir or os.environ.get("REPRO_CACHE_DIR"))
-            else "off"
-        )
-        record = bench_store.make_record(
-            name=suite,
-            seed=args.seed,
-            engine=args.engine,
-            cache=cache_state,
-            benchmarks=benchmarks,
-        )
+        record = bench_store.make_record(suite, args.seed, benchmarks)
         total = bench_store.append_record(args.store, record)
         print(
             f"stored record #{total} ({suite}, {len(benchmarks)} "
@@ -452,38 +431,30 @@ def cmd_bench(args) -> int:
 
 
 def cmd_bench_diff(args) -> int:
-    """Compare two trajectory records; nonzero exit on regression."""
+    """Compare two trajectory records; exit 3 on any changed number."""
     from .obs import bench_store
 
     old = bench_store.latest_record(args.old, name=args.suite)
     new = bench_store.latest_record(args.new, name=args.suite)
-    tolerances = {}
-    if args.tol_cycles is not None:
-        tolerances["cycles"] = args.tol_cycles
-    if args.tol_instructions is not None:
-        tolerances["instructions"] = args.tol_instructions
-    if args.tol_wall is not None:
-        tolerances["wall_time_s"] = args.tol_wall
-    result = bench_store.diff_records(old, new, tolerances)
+    result = bench_store.diff_records(old, new)
     if args.json:
         print(
             json.dumps(
                 {
                     "ok": result.ok,
-                    "regressions": [
+                    "changes": [
                         {
                             "benchmark": row.benchmark,
                             "metric": row.metric,
                             "old": row.old,
                             "new": row.new,
                             "delta_pct": round(row.delta_pct, 4),
-                            "tolerance": row.tolerance,
                         }
-                        for row in result.regressions
+                        for row in result.changes
                     ],
                     "only_old": result.only_old,
                     "only_new": result.only_new,
-                    "compared": len(result.rows),
+                    "compared": result.compared,
                 },
                 indent=2,
             )
@@ -525,7 +496,7 @@ def cmd_report(args) -> int:
     else:
         config_map = dict(ALL_CONFIGS)
     config_map = {
-        name: _apply_checkopt(config, args)
+        name: _apply_checkopt(config, args.checkopt)
         for name, config in config_map.items()
     }
 
@@ -694,69 +665,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_stats(args) -> int:
-    """Per-config comparison: compile-stage wall times + dynamic checks."""
-    source = _read_source(args.source, not args.no_prototypes)
-    all_spans: list[events.Span] = []
-    rows = []
-    for name, config in ALL_CONFIGS.items():
-        config = _apply_checkopt(config, args)
-        registry = events.Registry()
-        note = ""
-        with events.use(registry):
-            binary = compile_source(source, config, seed=args.seed)
-            process = load(binary, runtime=_make_runtime(args),
-                           engine=args.engine)
-            try:
-                process.run()
-            except MachineFault as fault:
-                note = f"FAULT:{fault.kind}"
-        wall: dict[str, float] = {}
-        for span in registry.spans:
-            if span.clock == events.WALL:
-                wall[span.name] = wall.get(span.name, 0.0) + span.dur
-
-        def ms(stage: str) -> str:
-            return f"{wall.get(stage, 0.0) / 1000.0:.2f}"
-
-        front_us = (
-            wall.get("compile.lex", 0.0)
-            + wall.get("compile.parse", 0.0)
-            + wall.get("compile.sema", 0.0)
-        )
-        stats = process.stats
-        rows.append(
-            [
-                name,
-                ms("compile.total"),
-                f"{front_us / 1000.0:.2f}",
-                ms("compile.opt"),
-                ms("compile.codegen"),
-                ms("compile.link"),
-                f"{process.wall_cycles:,}",
-                stats.bnd_checks,
-                stats.cfi_checks,
-                stats.t_calls,
-                note,
-            ]
-        )
-        if args.trace:
-            for span in registry.spans:
-                span.args.setdefault("config", name)
-            all_spans.extend(registry.spans)
-    print(
-        export.render_table(
-            ["config", "total_ms", "front_ms", "opt_ms", "cg_ms", "link_ms",
-             "cycles", "bnd", "cfi", "tcall", "note"],
-            rows,
-            title="per-config stats",
-        )
-    )
-    if args.trace:
-        export.write_chrome_trace(all_spans, args.trace)
-    return 0
-
-
 def cmd_build(args) -> int:
     """Separate compilation: sources -> objects, optionally linked.
 
@@ -769,7 +677,7 @@ def cmd_build(args) -> int:
     the linker instead of compile errors.
     """
     session = default_session()
-    config = _apply_checkopt(ALL_CONFIGS[args.config], args)
+    config = _apply_checkopt(ALL_CONFIGS[args.config], args.checkopt)
     allow_undefined = args.allow_undefined or len(args.sources) > 1
     objs = []
     for path in args.sources:
@@ -900,7 +808,7 @@ def cmd_serve(args) -> int:
     from .obs import bench_store
     from .serve import run_load
 
-    config = _apply_checkopt(ALL_CONFIGS[args.config], args)
+    config = _apply_checkopt(ALL_CONFIGS[args.config], args.checkopt)
     report = run_load(
         args.app,
         config,
@@ -926,17 +834,8 @@ def cmd_serve(args) -> int:
                 )
     _finish_obs(args, registry)
     if args.store:
-        cache_state = (
-            "dir"
-            if (args.cache_dir or os.environ.get("REPRO_CACHE_DIR"))
-            else "off"
-        )
         record = bench_store.make_record(
-            name=f"serve/{args.app}",
-            seed=args.seed,
-            engine=args.engine,
-            cache=cache_state,
-            benchmarks=[report.bench_entry()],
+            f"serve/{args.app}", args.seed, [report.bench_entry()]
         )
         total = bench_store.append_record(args.store, record)
         print(
@@ -996,7 +895,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("verify", cmd_verify),
         ("disasm", cmd_disasm),
         ("bench", cmd_bench),
-        ("stats", cmd_stats),
     ):
         p = sub.add_parser(name)
         p.add_argument("source", help="MiniC source file")
@@ -1014,13 +912,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="user=pw: register a stored password")
         p.add_argument("--stdin-hex", default=None,
                        help="hex bytes fed to channel 0")
-        if name in ("run", "bench", "stats"):
+        if name in ("run", "bench"):
             p.add_argument("--engine", default="predecoded",
                            choices=ENGINES,
                            help="execution engine (reference = slow "
                                 "debug interpreter; identical results)")
         p.set_defaults(handler=handler)
-        if name in ("run", "verify", "bench", "stats"):
+        if name in ("run", "verify", "bench"):
             p.add_argument("--trace", metavar="PATH", default=None,
                            help="write a Chrome-trace/Perfetto JSON file")
         if name in ("run", "verify", "bench"):
@@ -1209,8 +1107,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", metavar="FILE", default=None,
                    help="append a serve/<app> record to a BENCH_*.json "
                         "trajectory file")
-    p.add_argument("--trace", metavar="PATH", default=None,
-                   help="write a Chrome-trace file of the serve counters")
     p.add_argument("--metrics", action="store_true",
                    help="dump per-tenant serve counters to stderr")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -1225,24 +1121,13 @@ def build_bench_diff_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro bench diff",
         description="compare two BENCH_*.json trajectory records; "
-                    "exit 3 when any gated metric regresses beyond "
-                    "tolerance",
+                    "exit 3 when any cycle, instruction or check count "
+                    "differs",
     )
     parser.add_argument("old", help="baseline trajectory file")
     parser.add_argument("new", help="candidate trajectory file")
     parser.add_argument("--suite", default=None, metavar="NAME",
                         help="compare this suite's latest records only")
-    parser.add_argument("--tol-cycles", type=float, default=None,
-                        metavar="F",
-                        help="relative cycle tolerance (default 0.02)")
-    parser.add_argument("--tol-instructions", type=float, default=None,
-                        metavar="F",
-                        help="relative instruction tolerance "
-                             "(default 0.02)")
-    parser.add_argument("--tol-wall", type=float, default=None,
-                        metavar="F",
-                        help="gate wall time too, with this relative "
-                             "tolerance (ungated by default: host noise)")
     parser.add_argument("--json", action="store_true",
                         help="emit the diff result as JSON")
     return parser

@@ -164,6 +164,11 @@ class Machine:
         # per block without changing the hook signature.  Never updated
         # on the hook-free fast path.
         self.hook_cache_misses = 0
+        # The ``stats.instructions`` count at which the current run's
+        # budget is spent, and whether a trusted callback stepped U
+        # code since the fused loop last started (see ``run``).
+        self._budget_end = 0
+        self._called_back = False
         self._dispatch = {
             isa.MagicWord: self._i_magic,
             isa.MovRI: self._i_mov_ri,
@@ -309,7 +314,15 @@ class Machine:
     # Execution
 
     def run(self, max_instructions: int = 500_000_000) -> int:
-        """Run until every thread halts; returns main's exit code."""
+        """Run until every thread halts; returns main's exit code.
+
+        ``max_instructions`` budgets every instruction the run starts,
+        including the U code trusted callbacks step (``TContext.call_u``
+        stops a callback where the budget runs out).  A callback counts
+        against the scheduler's budget at the end of the quantum it ran
+        in, never against the quantum itself.
+        """
+        self._budget_end = self.stats.instructions + max_instructions
         try:
             return self._run_loop(max_instructions)
         except MachineFault as fault:
@@ -373,7 +386,8 @@ class Machine:
     def _run_quantum(self, thread: Thread, room: int, budget: int,
                      max_instructions: int) -> int:
         """Run ``thread`` for the ``room`` instructions left in its
-        quantum, or until it dies; returns the remaining budget.
+        quantum, or until it dies; returns the remaining budget, less
+        what trusted callbacks stepped.
 
         The quantum runs this thread alone, so fused blocks whose
         counts fit in what is left of the quantum and of the budget
@@ -396,7 +410,7 @@ class Machine:
                 "instruction-budget-exhausted",
                 f"exceeded {max_instructions} instructions",
             )
-        return budget - executed
+        return self._budget_end - self.stats.instructions
 
     def _run_blocks(self, thread: Thread, room: int) -> int:
         """Run ``thread`` through lazily fused basic-block functions
@@ -411,6 +425,7 @@ class Machine:
         start.  With block profilers attached this is
         :meth:`_run_observed`.
         """
+        self._called_back = False
         observers = self._block_observers
         if observers:
             return self._run_observed(thread, room, observers)
@@ -440,13 +455,15 @@ class Machine:
     def _schedule_changed(self, thread: Thread, n_threads: int,
                           observers: tuple) -> bool:
         """Whether a fused run must stop after an impure block: the
-        thread died, blocked on a join or spawned another thread, or
-        the attached step hooks changed."""
+        thread died, blocked on a join or spawned another thread, the
+        attached step hooks changed, or a trusted callback spent budget
+        the run's ``room`` does not know of."""
         return (
             not thread.alive
             or thread.waiting_on is not None
             or len(self.threads) != n_threads
             or self._block_observers is not observers
+            or self._called_back
         )
 
     def _run_observed(self, thread: Thread, room: int,

@@ -11,7 +11,7 @@ One measurement layer for the whole compile→verify→execute pipeline:
 * :mod:`repro.obs.blockprof` — basic-block/edge profiling, per-site
   check-overhead attribution, flamegraph export;
 * :mod:`repro.obs.bench_store` — ``BENCH_*.json`` benchmark
-  trajectories and tolerance-gated regression diffs.
+  trajectories and their exact diff.
 
 Observability is opt-in: while no registry is active every
 instrumentation site is a null-object no-op, and activating one never

@@ -1,11 +1,10 @@
-"""Schema-versioned benchmark trajectory files and regression diffing.
+"""Schema-versioned benchmark trajectory files and exact diffing.
 
 ``bench --json --store FILE`` appends one *record* per run to a
 ``BENCH_*.json`` trajectory file; ``bench diff OLD NEW`` compares the
-latest record of two trajectories (or single-record files) with
-per-metric tolerance thresholds and exits nonzero on regression, so
-speed claims are enforced by ``scripts/smoke.sh`` instead of asserted
-in prose.
+latest record of two trajectories (or single-record files) and exits
+nonzero on any change, so cycle and check claims are enforced by
+``scripts/smoke.sh`` instead of asserted in prose.
 
 File format (``schema`` 1)::
 
@@ -14,16 +13,17 @@ File format (``schema`` 1)::
 Each record::
 
     {"schema": 1, "name": "quickstart", "seed": 1,
-     "engine": "predecoded", "cache": "off",
      "benchmarks": [
         {"name": "quickstart/Base", "config": "Base", "cycles": 12345,
-         "instructions": 6789, "checks": {"bnd": 0, ...},
-         "wall_time_s": 0.04},
+         "instructions": 6789, "checks": {"bnd": 0, ...}},
         ...]}
 
-Simulated ``cycles``/``instructions``/``checks`` are deterministic and
-gated; ``wall_time_s`` is host timing, recorded for trend-watching and
-only gated when an explicit tolerance is supplied.
+Every number in a record (simulated ``cycles``, retired
+``instructions``, dynamic ``checks`` counts) is fixed by the source,
+the configuration and the seed, so the gate is exact: a difference in
+either direction fails until the seed is regenerated.  Keys a record
+or entry carries besides these (older files stored ``engine``,
+``cache`` and ``wall_time_s``) are ignored.
 
 This module is deliberately free of compiler imports (pure data), so
 ``repro.obs`` can re-export it without import cycles.
@@ -40,43 +40,19 @@ from ..errors import ReproError
 SCHEMA_VERSION = 1
 KIND = "bench-trajectory"
 
-#: Default relative tolerances per gated metric.  ``None`` means the
-#: metric is informational (reported, never gated).
-DEFAULT_TOLERANCES = {
-    "cycles": 0.02,
-    "instructions": 0.02,
-    "wall_time_s": None,
-}
 
-#: The per-benchmark metrics ``diff_records`` compares.
-METRICS = tuple(DEFAULT_TOLERANCES)
-
-
-def make_record(
-    name: str,
-    seed: int | None,
-    engine: str,
-    cache: str,
-    benchmarks: list[dict],
-) -> dict:
+def make_record(name: str, seed: int | None, benchmarks: list[dict]) -> dict:
     """Assemble one schema-versioned trajectory record."""
     return {
         "schema": SCHEMA_VERSION,
         "name": name,
         "seed": seed,
-        "engine": engine,
-        "cache": cache,
         "benchmarks": list(benchmarks),
     }
 
 
 def make_benchmark(
-    name: str,
-    config: str,
-    cycles: int,
-    instructions: int,
-    checks: dict,
-    wall_time_s: float,
+    name: str, config: str, cycles: int, instructions: int, checks: dict
 ) -> dict:
     """One per-benchmark entry of a record."""
     return {
@@ -85,8 +61,19 @@ def make_benchmark(
         "cycles": cycles,
         "instructions": instructions,
         "checks": dict(checks),
-        "wall_time_s": round(wall_time_s, 6),
     }
+
+
+def _numbers(entry: dict) -> dict:
+    """The compared numbers of one entry: ``cycles``, ``instructions``
+    and one ``checks.<kind>`` per check count (missing ones read 0)."""
+    numbers = {
+        "cycles": entry.get("cycles", 0),
+        "instructions": entry.get("instructions", 0),
+    }
+    for kind, count in entry.get("checks", {}).items():
+        numbers[f"checks.{kind}"] = count
+    return numbers
 
 
 def load_trajectory(path: str) -> dict:
@@ -130,8 +117,13 @@ def _check_record(path: str, index: int, record) -> None:
             entry.get("name"), str
         ):
             raise ReproError(f"{where}: benchmark {entry!r} has no name")
-        for metric in METRICS:
-            value = entry.get(metric, 0)
+        checks = entry.get("checks", {})
+        if not isinstance(checks, dict):
+            raise ReproError(
+                f"{where}: {entry['name']}: checks {checks!r} "
+                "is not an object"
+            )
+        for metric, value in _numbers(entry).items():
             if isinstance(value, bool) or not isinstance(
                 value, (int, float)
             ):
@@ -178,14 +170,12 @@ def latest_record(path: str, name: str | None = None) -> dict:
 
 @dataclass
 class DiffRow:
-    """One compared metric of one benchmark."""
+    """One changed number of one benchmark."""
 
     benchmark: str
     metric: str
     old: float
     new: float
-    tolerance: float | None
-    regressed: bool
 
     @property
     def delta_pct(self) -> float:
@@ -196,31 +186,23 @@ class DiffRow:
 
 @dataclass
 class DiffResult:
-    rows: list[DiffRow] = field(default_factory=list)
+    changes: list[DiffRow] = field(default_factory=list)
+    compared: int = 0
     only_old: list[str] = field(default_factory=list)
     only_new: list[str] = field(default_factory=list)
 
     @property
-    def regressions(self) -> list[DiffRow]:
-        return [row for row in self.rows if row.regressed]
-
-    @property
     def ok(self) -> bool:
-        return not self.regressions
+        return not self.changes
 
 
-def diff_records(
-    old: dict, new: dict, tolerances: dict | None = None
-) -> DiffResult:
+def diff_records(old: dict, new: dict) -> DiffResult:
     """Compare two records benchmark-by-benchmark.
 
-    A metric *regresses* when ``new > old * (1 + tolerance)``;
-    improvements never fail the gate.  Benchmarks present in only one
-    record are reported but do not gate (a trajectory may grow).
+    Every number must be equal: a change in either direction is
+    reported.  Benchmarks present in only one record are listed but do
+    not gate (a trajectory may grow).
     """
-    tols = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tols.update(tolerances)
     old_by_name = {b["name"]: b for b in old.get("benchmarks", [])}
     new_by_name = {b["name"]: b for b in new.get("benchmarks", [])}
     result = DiffResult(
@@ -234,50 +216,29 @@ def diff_records(
             f"({old.get('name')!r} vs {new.get('name')!r})"
         )
     for name in shared:
-        before, after = old_by_name[name], new_by_name[name]
-        for metric in METRICS:
-            if metric not in before or metric not in after:
-                continue
-            tol = tols.get(metric)
-            o, n = before[metric], after[metric]
-            regressed = tol is not None and n > o * (1.0 + tol)
-            result.rows.append(
-                DiffRow(
-                    benchmark=name,
-                    metric=metric,
-                    old=o,
-                    new=n,
-                    tolerance=tol,
-                    regressed=regressed,
-                )
-            )
+        before = _numbers(old_by_name[name])
+        after = _numbers(new_by_name[name])
+        for metric in sorted(set(before) | set(after)):
+            o, n = before.get(metric, 0), after.get(metric, 0)
+            result.compared += 1
+            if o != n:
+                result.changes.append(DiffRow(name, metric, o, n))
     return result
 
 
 def render_diff(result: DiffResult) -> str:
-    """Human-readable diff summary (regressions first)."""
-    lines = []
-    for row in sorted(
-        result.rows, key=lambda r: (not r.regressed, r.benchmark, r.metric)
-    ):
-        if row.metric == "wall_time_s" and not row.regressed:
-            continue  # host-timing noise: only show when gated+failing
-        mark = "REGRESSION" if row.regressed else "ok"
-        tol = (
-            f" (tol {row.tolerance:.1%})" if row.tolerance is not None else ""
-        )
-        lines.append(
-            f"{mark:>10}  {row.benchmark:<28} {row.metric:<12} "
-            f"{row.old:>14,.6g} -> {row.new:>14,.6g}  "
-            f"{row.delta_pct:+.2f}%{tol}"
-        )
+    """Human-readable diff summary: each change, then the totals."""
+    lines = [
+        f"{'CHANGED':>8}  {row.benchmark:<28} {row.metric:<14} "
+        f"{row.old:>14,} -> {row.new:>14,}  {row.delta_pct:+.2f}%"
+        for row in result.changes
+    ]
     for name in result.only_old:
-        lines.append(f"{'dropped':>10}  {name}")
+        lines.append(f"{'dropped':>8}  {name}")
     for name in result.only_new:
-        lines.append(f"{'new':>10}  {name}")
-    n_reg = len(result.regressions)
+        lines.append(f"{'new':>8}  {name}")
     lines.append(
-        f"bench diff: {n_reg} regression(s) across "
-        f"{len({r.benchmark for r in result.rows})} shared benchmark(s)"
+        f"bench diff: {len(result.changes)} of {result.compared} "
+        "compared number(s) changed"
     )
     return "\n".join(lines)

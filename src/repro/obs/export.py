@@ -1,8 +1,9 @@
 """Renderers: metrics as JSON or aligned human-readable tables.
 
 The table renderers are the single output path for every CLI report
-(``--stats``, ``--metrics``, the ``stats`` subcommand, the profiler
-dump), so counters are never printed twice in two formats.
+(``--stats``, ``--metrics``, the ``bench``/``report``/``serve``
+tables, the profiler dump), so counters are never printed twice in two
+formats.
 """
 
 from __future__ import annotations

@@ -210,7 +210,9 @@ class TContext:
         Follows the paper's callback design: T checks the target's
         entry magic (and taint bits) like an indirect call would, plants
         the fixed return thunk ``__tret0`` as the return address, and
-        runs U until its CFI return lands there.
+        runs U until its CFI return lands there.  The U instructions
+        count against the run's instruction budget (see
+        ``Machine.run``), which gates starting each one.
         """
         machine = self.machine
         thread = self.thread
@@ -242,12 +244,16 @@ class TContext:
         thread.pc = fn_ptr - CODE_BASE
         self.charge(costs.T_SWITCH_COST if config.separate_tu
                     else costs.T_PLAIN_CALL_COST)
-        steps = 0
+        stats = machine.stats
         while thread.pc != thunk:
+            if stats.instructions >= machine._budget_end:
+                raise MachineFault(
+                    "instruction-budget-exhausted",
+                    f"{self.sig.name}: callback exceeded the instruction "
+                    "budget",
+                )
             machine._step(thread)
-            steps += 1
-            if steps > 50_000_000:  # pragma: no cover - runaway guard
-                raise MachineFault(FAULT_WRAPPER, "callback did not return")
+        machine._called_back = True
         result = thread.regs[regs.RAX]
         thread.regs = saved_regs
         thread.pc = saved_pc

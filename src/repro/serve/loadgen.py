@@ -16,7 +16,7 @@ setup-cost comparison that justifies the tier's existence —
 
 Round-robin tenant assignment plus ``batch=1`` per-request resets make
 the total simulated cycles/instructions independent of host timing, so
-serve records stored through ``bench --store`` diff cleanly against
+serve records stored through ``serve --store`` diff exactly against
 the committed seed trajectory.
 """
 
@@ -114,15 +114,13 @@ class ServeReport:
         }
 
     def bench_entry(self) -> dict:
-        """A bench_store benchmark entry (deterministic fields only —
-        wall time rides along ungated)."""
+        """A bench_store benchmark entry: the fleet's simulated totals."""
         return bench_store.make_benchmark(
             name=f"serve/{self.app}",
             config=self.config,
             cycles=self.total_cycles,
             instructions=self.total_instructions,
             checks={"bnd_cfi": self.total_checks},
-            wall_time_s=self.wall_s,
         )
 
 

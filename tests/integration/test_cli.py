@@ -1,5 +1,7 @@
 """CLI driver tests."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -186,41 +188,24 @@ class TestCliFaults:
         assert not store.exists()
 
 
-class TestCliStats:
-    def test_stats_table_matches_process_stats(self, hello_file, capsys):
-        from repro.compiler import compile_and_load
-        from repro.config import ALL_CONFIGS
-        from repro.runtime.trusted import T_PROTOTYPES
+class TestCliServe:
+    def test_echo_json_report(self, capsys):
+        assert main(
+            ["serve", "--app", "echo", "--requests", "8", "--seed", "1",
+             "--json"]
+        ) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["app"] == "echo"
+        assert report["requests"] == 8
+        assert report["faults"] == 0
+        assert report["ok"] == report["valid"] == 8
 
-        assert main(["stats", hello_file]) == 0
-        out = capsys.readouterr().out
-        for name in ALL_CONFIGS:
-            assert name in out
-        # The OurMPX row's check counts must match a direct run.
-        process = compile_and_load(
-            T_PROTOTYPES + open(hello_file).read(), ALL_CONFIGS["OurMPX"]
-        )
-        process.run()
-        row = next(
-            line for line in out.splitlines() if line.startswith("OurMPX")
-        )
-        fields = row.split()
-        assert fields[-3] == str(process.stats.bnd_checks)
-        assert fields[-2] == str(process.stats.cfi_checks)
-        assert fields[-1] == str(process.stats.t_calls)
-
-    def test_stats_trace_merges_configs(self, hello_file, tmp_path):
-        import json
-
-        trace = tmp_path / "stats.json"
-        assert main(["stats", hello_file, "--trace", str(trace)]) == 0
-        data = json.loads(trace.read_text())
-        configs = {
-            e["args"].get("config")
-            for e in data["traceEvents"]
-            if e["ph"] == "X"
-        }
-        assert "Base" in configs and "OurMPX" in configs
+    def test_trace_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["serve", "--app", "echo", "--requests", "8",
+                  "--trace", str(tmp_path / "x.json")])
+        assert exit_.value.code == 2
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestCliSpecValidation:

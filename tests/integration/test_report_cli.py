@@ -1,5 +1,6 @@
 """CLI tests for the profiling tier: report, bench --store/diff,
-flamegraph/block-profile flags, and friendly error paths."""
+bench's check columns and trace, flamegraph/block-profile flags, and
+friendly error paths."""
 
 from __future__ import annotations
 
@@ -142,15 +143,17 @@ class TestBenchStoreAndDiff:
         doc = bench_store.load_trajectory(path)
         assert len(doc["records"]) == 2
         record = doc["records"][0]
+        assert set(record) == {"schema", "name", "seed", "benchmarks"}
         assert record["name"] == "suite"
         assert record["seed"] == 2
-        assert record["engine"] == "predecoded"
-        assert record["cache"] == "off"
         names = [b["name"] for b in record["benchmarks"]]
         assert names[0] == "suite/Base"
         for bench in record["benchmarks"]:
+            assert set(bench) == {
+                "name", "config", "cycles", "instructions", "checks"
+            }
             assert bench["cycles"] > 0
-            assert bench["wall_time_s"] >= 0
+        assert doc["records"][0] == doc["records"][1]
 
     def test_diff_identical_exits_zero(self, source_file, tmp_path,
                                        capsys):
@@ -161,7 +164,7 @@ class TestBenchStoreAndDiff:
         capsys.readouterr()
         assert main(["bench", "diff", a, b]) == 0
         out = capsys.readouterr().out
-        assert "0 regression(s)" in out
+        assert "bench diff: 0 of " in out
 
     def test_diff_injected_regression_exits_nonzero(
         self, source_file, tmp_path, capsys
@@ -173,7 +176,7 @@ class TestBenchStoreAndDiff:
         capsys.readouterr()
         code = main(["bench", "diff", a, b])
         assert code == 3
-        assert "REGRESSION" in capsys.readouterr().out
+        assert "CHANGED" in capsys.readouterr().out
 
     def test_diff_json_output(self, source_file, tmp_path, capsys):
         a = str(tmp_path / "BENCH_a.json")
@@ -184,26 +187,73 @@ class TestBenchStoreAndDiff:
         assert main(["bench", "diff", a, b, "--json"]) == 3
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is False
-        assert doc["regressions"][0]["metric"] == "cycles"
+        [change] = doc["changes"]
+        assert change["metric"] == "cycles"
+        assert change["new"] == 2 * change["old"]
+        assert change["delta_pct"] == 100.0
 
-    def test_diff_wider_tolerance_passes(self, source_file, tmp_path,
-                                         capsys):
+    @pytest.mark.parametrize(
+        "flag", ("--tol-cycles", "--tol-instructions", "--tol-wall")
+    )
+    def test_diff_has_no_tolerance(self, flag, source_file, tmp_path,
+                                   capsys):
         a = str(tmp_path / "BENCH_a.json")
-        b = str(tmp_path / "BENCH_b.json")
         self.run_store(source_file, a)
-        self.run_store(source_file, b, cycles_factor=1.5)
-        assert main(["bench", "diff", a, b, "--tol-cycles", "0.6"]) == 0
+        with pytest.raises(SystemExit) as exit_:
+            main(["bench", "diff", a, a, flag, "0.6"])
+        assert exit_.value.code == 2
+
+
+class TestBenchChecksAndTrace:
+    """``bench`` prints per-config check counts as columns and, under
+    ``--trace``, one ``compile.total`` span per config."""
+
+    def test_table_check_columns_match_a_direct_run(self, source_file,
+                                                    capsys):
+        from repro.compiler import compile_and_load
+        from repro.config import ALL_CONFIGS
+        from repro.runtime.trusted import T_PROTOTYPES
+
+        assert main(["bench", source_file]) == 0
+        out = capsys.readouterr().out
+        for name in ALL_CONFIGS:
+            assert name in out
+        process = compile_and_load(
+            T_PROTOTYPES + PROGRAM, ALL_CONFIGS["OurMPX"]
+        )
+        process.run()
+        row = next(
+            line.split() for line in out.splitlines()
+            if line.startswith("OurMPX ")
+        )
+        assert process.stats.bnd_checks > 0
+        assert row[-3:] == [
+            str(process.stats.bnd_checks),
+            str(process.stats.cfi_checks),
+            str(process.stats.t_calls),
+        ]
+
+    def test_trace_has_compile_total_per_config(self, source_file,
+                                                tmp_path, capsys):
+        trace = tmp_path / "bench.json"
+        assert main(["bench", source_file, "--trace", str(trace)]) == 0
+        data = json.loads(trace.read_text())
+        configs = {
+            e["args"].get("config")
+            for e in data["traceEvents"]
+            if e["ph"] == "X" and e["name"] == "compile.total"
+        }
+        assert {"Base", "OurMPX"} <= configs
+
+    def test_stats_subcommand_is_gone(self, source_file, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["stats", source_file])
+        assert exit_.value.code == 2
 
 
 class TestFriendlyErrors:
-    """stats/bench exit with a one-line error on missing or corrupt
+    """bench/bench diff exit with a one-line error on missing or corrupt
     inputs instead of a traceback."""
-
-    def test_stats_missing_source(self, capsys):
-        assert main(["stats", "/no/such/file.mc"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert len(err.strip().splitlines()) == 1
 
     def test_bench_missing_source(self, capsys):
         assert main(["bench", "/no/such/file.mc"]) == 1

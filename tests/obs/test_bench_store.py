@@ -1,8 +1,10 @@
-"""Benchmark trajectory store: schema, append, load, and diff gating."""
+"""Benchmark trajectory store: schema, append, load, and the exact diff
+gate."""
 
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -10,12 +12,10 @@ from repro.errors import ReproError
 from repro.obs import bench_store
 
 
-def record(name="suite", cycles=1000, instructions=900, wall=0.5):
+def record(name="suite", cycles=1000, instructions=900, bnd=10):
     return bench_store.make_record(
         name=name,
         seed=1,
-        engine="predecoded",
-        cache="off",
         benchmarks=[
             bench_store.make_benchmark(
                 name=f"{name}/Base",
@@ -23,15 +23,13 @@ def record(name="suite", cycles=1000, instructions=900, wall=0.5):
                 cycles=cycles,
                 instructions=instructions,
                 checks={"bnd": 0, "cfi": 0, "t_calls": 3},
-                wall_time_s=wall,
             ),
             bench_store.make_benchmark(
                 name=f"{name}/OurMPX",
                 config="OurMPX",
                 cycles=cycles * 2,
                 instructions=instructions * 2,
-                checks={"bnd": 10, "cfi": 4, "t_calls": 3},
-                wall_time_s=wall,
+                checks={"bnd": bnd, "cfi": 4, "t_calls": 3},
             ),
         ],
     )
@@ -79,7 +77,8 @@ class TestStore:
             (("benchmarks", 0), 3),
             (("benchmarks", 0, "name"), 7),
             (("benchmarks", 0, "cycles"), "x"),
-            (("benchmarks", 1, "wall_time_s"), None),
+            (("benchmarks", 1, "checks"), [1, 2]),
+            (("benchmarks", 1, "checks", "bnd"), "10"),
         ),
     )
     def test_malformed_record_is_a_friendly_diff_error(
@@ -101,7 +100,21 @@ class TestStore:
         assert main(["bench", "diff", good, bad]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: record 0")
+        if where:  # a record object names its suite
+            assert err.startswith(f"error: {bad}: record 0 ('suite')")
         assert len(err.strip().splitlines()) == 1
+        with pytest.raises(ReproError):
+            bench_store.load_trajectory(bad)
+
+    def test_extra_keys_of_older_files_are_ignored(self, tmp_path):
+        old = record()
+        old.update(engine="predecoded", cache="off")
+        for bench in old["benchmarks"]:
+            bench["wall_time_s"] = 0.5
+        path = str(tmp_path / "BENCH_old.json")
+        bench_store.append_record(path, old)
+        loaded = bench_store.latest_record(path)
+        assert bench_store.diff_records(loaded, record()).ok
 
     def test_wrong_schema_rejected(self, tmp_path):
         path = tmp_path / "BENCH_v99.json"
@@ -119,44 +132,32 @@ class TestDiff:
     def test_identical_records_pass(self):
         result = bench_store.diff_records(record(), record())
         assert result.ok
-        assert not result.regressions
+        assert not result.changes
+        # cycles, instructions and three check counts per benchmark
+        assert result.compared == 10
 
-    def test_within_tolerance_passes(self):
-        result = bench_store.diff_records(
-            record(cycles=1000), record(cycles=1010)
-        )
-        assert result.ok  # +1% < 2% default
-
-    def test_beyond_tolerance_regresses(self):
+    def test_cycle_increase_changes(self):
         result = bench_store.diff_records(
             record(cycles=1000), record(cycles=1500)
         )
         assert not result.ok
-        metrics = {(r.benchmark, r.metric) for r in result.regressions}
+        metrics = {(r.benchmark, r.metric) for r in result.changes}
         assert ("suite/Base", "cycles") in metrics
 
-    def test_improvement_never_regresses(self):
-        result = bench_store.diff_records(
-            record(cycles=1000), record(cycles=500)
-        )
-        assert result.ok
+    def test_check_count_changes(self):
+        result = bench_store.diff_records(record(bnd=10), record(bnd=9))
+        assert [(r.benchmark, r.metric, r.old, r.new)
+                for r in result.changes] == [
+            ("suite/OurMPX", "checks.bnd", 10, 9)
+        ]
 
-    def test_wall_time_not_gated_by_default(self):
-        result = bench_store.diff_records(
-            record(wall=0.1), record(wall=10.0)
-        )
-        assert result.ok
-
-    def test_wall_time_gated_with_explicit_tolerance(self):
-        result = bench_store.diff_records(
-            record(wall=0.1), record(wall=10.0), {"wall_time_s": 0.5}
-        )
-        assert not result.ok
-
-    def test_custom_cycle_tolerance(self):
-        old, new = record(cycles=1000), record(cycles=1100)
-        assert not bench_store.diff_records(old, new).ok
-        assert bench_store.diff_records(old, new, {"cycles": 0.25}).ok
+    def test_missing_check_kind_reads_zero(self):
+        new = record()
+        del new["benchmarks"][1]["checks"]["cfi"]
+        result = bench_store.diff_records(record(), new)
+        assert [(r.metric, r.old, r.new) for r in result.changes] == [
+            ("checks.cfi", 4, 0)
+        ]
 
     def test_disjoint_records_error(self):
         with pytest.raises(ReproError):
@@ -172,7 +173,6 @@ class TestDiff:
                 cycles=1,
                 instructions=1,
                 checks={},
-                wall_time_s=0.0,
             )
         )
         result = bench_store.diff_records(old, new)
@@ -180,10 +180,65 @@ class TestDiff:
         assert result.only_new == ["suite/OurSeg"]
         assert result.only_old == []
 
-    def test_render_diff_mentions_regression(self):
+    def test_render_diff_shows_old_new_and_delta(self):
         result = bench_store.diff_records(
             record(cycles=1000), record(cycles=2000)
         )
         text = bench_store.render_diff(result)
-        assert "REGRESSION" in text
-        assert "regression(s)" in text
+        assert "CHANGED" in text
+        assert "1,000 ->" in text and "2,000" in text
+        assert "+100.00%" in text
+        assert text.endswith("2 of 10 compared number(s) changed")
+
+
+def seed_record(suite: str) -> dict:
+    """The committed seed's record for ``suite``."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir)
+    return bench_store.latest_record(
+        os.path.join(root, "BENCH_seed.json"), name=suite
+    )
+
+
+class TestExactGate:
+    """Changes inside a relative cycle tolerance, improvements and
+    check-count changes all fail the gate."""
+
+    @staticmethod
+    def mutate(doc: dict, config: str, how) -> dict:
+        doc = json.loads(json.dumps(doc))
+        bench = next(
+            b for b in doc["benchmarks"] if b["config"] == config
+        )
+        how(bench)
+        return doc
+
+    @staticmethod
+    def drop_bounds_checks(bench):
+        # (a) checkopt elides 4,096 more bounds checks, 1 cycle each
+        bench["checks"]["bnd"] -= 4096
+        bench["cycles"] -= 4096
+
+    @staticmethod
+    def slower(bench):
+        # (b) +1.9% cycles: a small slowdown
+        bench["cycles"] = int(bench["cycles"] * 1.019)
+
+    @staticmethod
+    def stale(bench):
+        # (c) half the cycles: a seed older than an optimisation
+        bench["cycles"] //= 2
+
+    @pytest.mark.parametrize("how", ("drop_bounds_checks", "slower", "stale"))
+    def test_change_exits_3(self, how, tmp_path, capsys):
+        from repro.cli import main
+
+        seed = seed_record("libquantum-checkopt")
+        changed = self.mutate(seed, "OurMPX", getattr(self, how))
+        old = str(tmp_path / "BENCH_old.json")
+        new = str(tmp_path / "BENCH_new.json")
+        bench_store.append_record(old, seed)
+        bench_store.append_record(new, changed)
+        assert main(["bench", "diff", old, new]) == 3
+        out = capsys.readouterr().out
+        assert "libquantum-checkopt/OurMPX" in out
+        assert main(["bench", "diff", old, old]) == 0

@@ -3,10 +3,28 @@
 import pytest
 
 from repro import BASE, OUR_MPX, OUR_SEG, compile_and_load
+from repro.compiler import compile_source
 from repro.errors import MachineFault
 from repro.runtime.trusted import T_PROTOTYPES
 
+from tests.machine.test_engine_equivalence import run_engine
+
 CONFIGS = [BASE, OUR_MPX, OUR_SEG]
+
+# One comparator call of ~140k U instructions, all inside one T call.
+SLOW_COMPARATOR = T_PROTOTYPES + """
+int slow(int a, int b) {
+    int spin = 0;
+    for (int i = 0; i < 20000; i++) { spin = spin + 1; }
+    return a - b;
+}
+int main() {
+    int arr[2];
+    arr[0] = 2; arr[1] = 1;
+    u_qsort(arr, 2, slow);
+    return 1;
+}
+"""
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
@@ -97,6 +115,28 @@ class TestCallbackCFI:
         process = compile_and_load(source, OUR_MPX)
         with pytest.raises(MachineFault):
             process.run()
+
+
+class TestCallbackBudget:
+    """U code a callback steps counts against the run's instruction
+    budget, identically on both engines."""
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
+    def test_budget_stops_a_long_callback(self, config):
+        binary = compile_source(SLOW_COMPARATOR, config, seed=1)
+        fast = run_engine(binary, "predecoded", max_instructions=10_000)
+        assert fast[0][:2] == ("fault", "instruction-budget-exhausted")
+        assert fast[1]["instructions"] == 10_000
+        assert fast == run_engine(binary, "reference", max_instructions=10_000)
+
+    def test_budget_covering_callbacks_returns_exit_code(self):
+        binary = compile_source(SLOW_COMPARATOR, OUR_MPX, seed=1)
+        full = run_engine(binary, "predecoded")
+        assert full[0] == ("exit", 1)
+        total = full[1]["instructions"]
+        assert total > 140_000
+        for engine in ("predecoded", "reference"):
+            assert run_engine(binary, engine, max_instructions=total) == full
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)

@@ -116,13 +116,17 @@ echo "cache OK: cold == warm == serial bench output, warm run hit the cache"
 
 # Fuzzing smoke: replay the frozen corpus (every checked-in mutant must
 # still be killed), then a strided live mutation pass — both must
-# report a 100.0% mutation-kill score and exit 0.
+# report a 100.0% mutation-kill score and exit 0.  Then 8 generated
+# programs go through every layer under the config, engine and cache
+# divergence oracles; any finding exits 1.
 FUZZ_OUT="$WORK/fuzz.txt"
 python -m repro fuzz --engine corpus --corpus tests/fuzz/corpus > "$FUZZ_OUT"
 grep "(100.0%)" "$FUZZ_OUT" > /dev/null
 python -m repro fuzz --engine mutation --seed 0 --n 1 --stride 16 > "$FUZZ_OUT"
 grep "(100.0%)" "$FUZZ_OUT" > /dev/null
-echo "fuzz OK: corpus replay + strided mutation pass at 100% kill"
+python -m repro fuzz --engine program --seed 0 --n 8 > "$FUZZ_OUT"
+echo "fuzz OK: corpus replay + strided mutation pass at 100% kill," \
+    "8 generated programs agree"
 
 # Profiling-tier smoke: the check-overhead report must decompose
 # exactly (per-category check cycles + "other" residual == cycle delta

@@ -30,15 +30,17 @@ differs.
 
 Build-layer options: ``--cache-dir DIR`` attaches a content-addressed
 object cache (warm rebuilds skip every compile stage; also honoured via
-``$REPRO_CACHE_DIR``), and ``--jobs N`` compiles independent units in
-parallel (``bench`` compiles its 8 configurations concurrently).
+``$REPRO_CACHE_DIR``), and ``bench``/``report`` take ``--jobs N`` to
+compile their configurations in parallel.
 Parallel and cached builds are byte-identical to cold serial builds.
 
 Prototype injection: unless ``--no-prototypes`` is given, the standard
 T prototypes are prepended when the source contains no real ``extern
-trusted`` declaration.  The detector ignores comments and string
-literals, so merely *mentioning* "extern trusted" in a comment does not
-suppress injection.
+trusted`` declaration: the detector lexes the source with the
+compiler's own lexer, so "extern trusted" in a comment, a string or a
+``#`` line does not suppress injection.  A ``#line 1 "<path>"``
+directive follows the prototypes, so diagnostics name the file and its
+own line numbers.
 
 Observability: ``--trace out.json`` writes a Chrome-trace/Perfetto file
 covering both compiler stages (wall clock) and machine execution
@@ -55,7 +57,6 @@ import argparse
 import contextlib
 import json
 import os
-import re
 import sys
 import time
 
@@ -75,20 +76,9 @@ from .config import ALL_CONFIGS, CHECKOPT_LEVELS, OUR_MPX
 from .errors import MachineFault, ReproError
 from .link.loader import load
 from .machine.cpu import ENGINES
+from .minic import tokenize
 from .obs import events, export
 from .runtime.trusted import T_PROTOTYPES, TrustedRuntime
-
-# Real `extern trusted` declarations, ignoring comments and string/char
-# literals (stripped first so a comment mentioning the phrase does not
-# suppress prototype injection).
-_EXTERN_TRUSTED = re.compile(r"\bextern\s+trusted\b")
-_SOURCE_NOISE = re.compile(
-    r"//[^\n]*"  # line comments
-    r"|/\*.*?\*/"  # block comments
-    r'|"(?:\\.|[^"\\])*"'  # string literals
-    r"|'(?:\\.|[^'\\])*'",  # char literals
-    re.S,
-)
 
 
 class ConfigFault(Exception):
@@ -104,8 +94,13 @@ def _run_config(name: str, process) -> int:
         raise ConfigFault(f"{name}: {fault}") from fault
 
 
-def _has_trusted_declarations(source: str) -> bool:
-    return _EXTERN_TRUSTED.search(_SOURCE_NOISE.sub(" ", source)) is not None
+def _has_trusted_declarations(source: str, filename: str = "<input>") -> bool:
+    """An ``extern`` keyword token directly followed by ``trusted``."""
+    tokens = tokenize(source, filename)
+    return any(
+        first.is_keyword("extern") and second.is_keyword("trusted")
+        for first, second in zip(tokens, tokens[1:])
+    )
 
 
 def _apply_checkopt(config, level: str | None):
@@ -118,8 +113,9 @@ def _apply_checkopt(config, level: str | None):
 def _read_source(path: str, add_prototypes: bool) -> str:
     with open(path) as handle:
         source = handle.read()
-    if add_prototypes and not _has_trusted_declarations(source):
-        source = T_PROTOTYPES + source
+    if add_prototypes and not _has_trusted_declarations(source, path):
+        # The directive keeps diagnostics in the file's own lines.
+        source = f'{T_PROTOTYPES}#line 1 "{path}"\n{source}'
     return source
 
 
@@ -1016,8 +1012,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="link all objects and write the serialized binary")
     p.add_argument("--entry", default="main",
                    help="entry function for --link (default: main)")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="build session parallelism width")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="content-addressed object cache directory")
     p.set_defaults(handler=cmd_build)
@@ -1111,8 +1105,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dump per-tenant serve counters to stderr")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="content-addressed object cache directory")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="build session parallelism width")
     p.set_defaults(handler=cmd_serve)
     return parser
 

@@ -208,16 +208,8 @@ class BlockFuser:
         core_cycles = machine.core_cycles
         miss = costs.CACHE_MISS_PENALTY
         line_mask = LINE_SIZE - 1
-        # The generated most-recently-used fast path indexes the set
-        # array with a literal mask, so it is only valid for the
-        # default L1 geometry; odd geometries fall back to access().
-        self.inline_cache = all(
-            getattr(cache, "_n_sets", 0) == DEFAULT_SETS
-            for cache in caches
-        )
-        # Sources depend on the geometry: share them only for the default.
-        self._handler_entries, self._block_entries = (
-            _image_entries(machine.binary) if self.inline_cache else ({}, {})
+        self._handler_entries, self._block_entries = _image_entries(
+            machine.binary
         )
 
         def touch(core, addr, size):
@@ -359,7 +351,6 @@ class _Emitter:
     )
 
     def __init__(self, fuser: BlockFuser, single: bool):
-        self.fuser = fuser
         self.machine = fuser.machine
         self.single = single
         self.lines: list[str] = []
@@ -403,14 +394,11 @@ class _Emitter:
             head.append("    r = t.regs")
         head.append("    c = t.core")
         if self.needs_cache:
-            if self.fuser.inline_cache:
-                head.append("    cache_ = CACHES[c]")
-                head.append("    acc_ = cache_.access")
-                head.append("    sets_ = cache_._sets")
-                if self.h_pending:
-                    head.append("    h_ = 0")
-            else:
-                head.append("    acc_ = CACHES[c].access")
+            head.append("    cache_ = CACHES[c]")
+            head.append("    acc_ = cache_.access")
+            head.append("    sets_ = cache_._sets")
+            if self.h_pending:
+                head.append("    h_ = 0")
         if not self.recon:
             body = ["    " + line for line in lines]
             return "\n".join(head + body) + "\n"
@@ -500,17 +488,10 @@ class _Emitter:
 
     def _cache_lines(self, var: str, size: int) -> list[str]:
         self.needs_cache = True
-        if not self.fuser.inline_cache:
-            return [
-                f"if ({var} & {LINE_SIZE - 1}) + {size} <= {LINE_SIZE}:",
-                f"    if not acc_({var}):",
-                f"        C[c] += {costs.CACHE_MISS_PENALTY}",
-                "else:",
-                f"    TOUCH(c, {var}, {size})",
-            ]
         # Replicates L1Cache.access's most-recently-used branch inline
         # (a block batches the hit count into h_); everything else — LRU
-        # shuffles, misses — still goes through access().
+        # shuffles, misses — still goes through access().  The literal
+        # set mask is the default geometry, the only one Machine builds.
         if self.single:
             hit = "cache_.hits += 1"
         else:

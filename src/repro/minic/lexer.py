@@ -1,189 +1,117 @@
-"""Hand-written lexer for MiniC."""
+"""MiniC lexer: one compiled master regex over the whole source.
+
+Identifiers and numbers are ASCII (``[A-Za-z_][A-Za-z0-9_]*``,
+``[0-9]+``, ``0[xX][0-9A-Fa-f]+``).  Whitespace, ``//`` and ``/*...*/``
+comments and ``#`` lines are trivia; the one ``#`` line it reads is
+``#line N "file"``, after which the next line is line N of ``file``.
+Char and string literals hold characters up to 0xFF and the escapes
+``\\n \\t \\r \\0 \\\\ \\' \\"`` and ``\\xH``/``\\xHH``.  Any other
+input raises :class:`LexError` at the offending token.
+"""
 
 from __future__ import annotations
 
+import re
+
 from ..errors import LexError, SourceLocation
-from .tokens import (
-    KEYWORDS,
-    PUNCTUATORS,
-    TK_CHAR,
-    TK_EOF,
-    TK_IDENT,
-    TK_INT,
-    TK_KEYWORD,
-    TK_PUNCT,
-    TK_STRING,
-    Token,
+from .tokens import (KEYWORDS, PUNCTUATORS, TK_CHAR, TK_EOF, TK_IDENT,
+                     TK_INT, TK_KEYWORD, TK_PUNCT, TK_STRING, Token)
+
+_ESCAPES = {"n": 10, "t": 9, "r": 13, "0": 0, "\\": 92, "'": 39, '"': 34}
+_ESCAPE = r"\\(?:x[0-9A-Fa-f]{1,2}|[ntr0\\'\"])"
+_ESCAPE_RE = re.compile(_ESCAPE)
+_PUNCT = "|".join(
+    re.escape(p) for p in sorted(PUNCTUATORS, key=len, reverse=True)
 )
+# Alternatives are tried in order: trivia first, so that `//` and `/*`
+# are never punctuators, and an unterminated `/*` or literal ("open")
+# before punctuators, so that it raises at its opening column.
+_MASTER = re.compile(
+    rf"""(?P<trivia>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)+)
+    |(?P<hash>\#[^\n]*)
+    |(?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    |(?P<int>0[xX][0-9A-Fa-f]*|[0-9]+)
+    |(?P<char>'(?:[^'\\\n\u0100-\U0010ffff]|{_ESCAPE})')
+    |(?P<string>"(?:[^"\\\n\u0100-\U0010ffff]|{_ESCAPE})*")
+    |(?P<open>/\*|['"])
+    |(?P<punct>{_PUNCT})
+    |(?P<stray>.)""",
+    re.S | re.X,
+)
+# One escape or character of a literal that the master regex rejected;
+# the empty match at the end stops every scan.
+_LITERAL_PART = re.compile(
+    rf"{_ESCAPE}|(?P<hex>\\x)|(?P<bad>\\.?)|(?P<plain>.)|\Z", re.S
+)
+_LINE_DIRECTIVE = re.compile(r'#line[ \t]+([0-9]+)[ \t]+"(.*)"[ \t]*')
 
-_ESCAPES = {
-    "n": 10,
-    "t": 9,
-    "r": 13,
-    "0": 0,
-    "\\": 92,
-    "'": 39,
-    '"': 34,
-}
+
+def _unescape(match: re.Match) -> str:
+    text = match.group()
+    return chr(int(text[2:], 16) if text[1] == "x" else _ESCAPES[text[1]])
 
 
-class Lexer:
-    """Converts MiniC source text into a list of tokens."""
-
-    def __init__(self, source: str, filename: str = "<input>"):
-        self._src = source
-        self._filename = filename
-        self._pos = 0
-        self._line = 1
-        self._col = 1
-
-    def _loc(self) -> SourceLocation:
-        return SourceLocation(self._line, self._col, self._filename)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index >= len(self._src):
-            return ""
-        return self._src[index]
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._pos >= len(self._src):
-                return
-            if self._src[self._pos] == "\n":
-                self._line += 1
-                self._col = 1
-            else:
-                self._col += 1
-            self._pos += 1
-
-    def _skip_trivia(self) -> None:
-        while True:
-            ch = self._peek()
-            if not ch:
-                return
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self._peek() and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._loc()
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if not self._peek():
-                        raise LexError("unterminated block comment", start)
-                    self._advance()
-                self._advance(2)
-            elif ch == "#":
-                # Preprocessor-style lines (#define is handled by the
-                # driver's textual substitution; here we just skip them).
-                while self._peek() and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    def _lex_number(self) -> Token:
-        loc = self._loc()
-        start = self._pos
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self._advance(2)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-            text = self._src[start : self._pos]
-            return Token(TK_INT, text, loc, value=int(text, 16))
-        while self._peek().isdigit():
-            self._advance()
-        text = self._src[start : self._pos]
-        return Token(TK_INT, text, loc, value=int(text))
-
-    def _lex_escape(self, loc: SourceLocation) -> int:
-        self._advance()  # backslash
-        ch = self._peek()
-        if ch == "x":
-            self._advance()
-            digits = ""
-            while self._peek() in "0123456789abcdefABCDEF" and len(digits) < 2:
-                digits += self._peek()
-                self._advance()
-            if not digits:
-                raise LexError("empty hex escape", loc)
-            return int(digits, 16)
-        if ch not in _ESCAPES:
-            raise LexError(f"unknown escape \\{ch}", loc)
-        self._advance()
-        return _ESCAPES[ch]
-
-    def _lex_char(self) -> Token:
-        loc = self._loc()
-        self._advance()  # opening quote
-        if self._peek() == "\\":
-            value = self._lex_escape(loc)
-        else:
-            if not self._peek():
-                raise LexError("unterminated char literal", loc)
-            value = ord(self._peek())
-            self._advance()
-        if self._peek() != "'":
-            raise LexError("unterminated char literal", loc)
-        self._advance()
-        return Token(TK_CHAR, "", loc, value=value)
-
-    def _lex_string(self) -> Token:
-        loc = self._loc()
-        self._advance()  # opening quote
-        data = bytearray()
-        while True:
-            ch = self._peek()
-            if not ch or ch == "\n":
-                raise LexError("unterminated string literal", loc)
-            if ch == '"':
-                self._advance()
-                break
-            if ch == "\\":
-                data.append(self._lex_escape(loc))
-            else:
-                data.append(ord(ch))
-                self._advance()
-        return Token(TK_STRING, "", loc, value=bytes(data))
-
-    def _lex_word(self) -> Token:
-        loc = self._loc()
-        start = self._pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self._src[start : self._pos]
-        kind = TK_KEYWORD if text in KEYWORDS else TK_IDENT
-        return Token(kind, text, loc)
-
-    def tokens(self) -> list[Token]:
-        """Lex the whole input, returning tokens terminated by EOF."""
-        result: list[Token] = []
-        while True:
-            self._skip_trivia()
-            ch = self._peek()
-            if not ch:
-                result.append(Token(TK_EOF, "", self._loc()))
-                return result
-            if ch.isdigit():
-                result.append(self._lex_number())
-            elif ch == "'":
-                result.append(self._lex_char())
-            elif ch == '"':
-                result.append(self._lex_string())
-            elif ch.isalpha() or ch == "_":
-                result.append(self._lex_word())
-            else:
-                loc = self._loc()
-                for punct in PUNCTUATORS:
-                    if self._src.startswith(punct, self._pos):
-                        self._advance(len(punct))
-                        result.append(Token(TK_PUNCT, punct, loc))
-                        break
-                else:
-                    raise LexError(f"unexpected character {ch!r}", loc)
+def _error(source: str, pos: int, loc: SourceLocation) -> LexError:
+    """The error for the stray character, unterminated comment or
+    malformed literal at ``pos``: the first fault from the left."""
+    quote = source[pos]
+    if source.startswith("/*", pos):
+        return LexError("unterminated block comment", loc)
+    if quote not in "'\"":
+        return LexError(f"unexpected character {quote!r}", loc)
+    kind = "char" if quote == "'" else "string"
+    for part in _LITERAL_PART.finditer(source, pos + 1):
+        text, group = part.group(), part.lastgroup
+        if group == "hex":
+            return LexError("empty hex escape", loc)
+        if group == "bad":
+            return LexError(f"unknown escape {text}", loc)
+        if text in ("", "\n", quote) or (
+            kind == "char" and not source.startswith("'", part.end())
+        ):
+            return LexError(f"unterminated {kind} literal", loc)
+        if kind == "char" or group == "plain" and ord(text) > 0xFF:
+            return LexError(f"{kind} literal holds a character above 0xFF", loc)
 
 
 def tokenize(source: str, filename: str = "<input>") -> list[Token]:
-    """Convenience wrapper: lex ``source`` into a token list."""
-    return Lexer(source, filename).tokens()
+    """Lex ``source`` into tokens terminated by EOF."""
+    tokens: list[Token] = []
+    append = tokens.append
+    line, line_start = 1, 0
+    for match in _MASTER.finditer(source):
+        group, text, start = match.lastgroup, match.group(), match.start()
+        if group == "trivia":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = start + text.rindex("\n") + 1
+            continue
+        loc = SourceLocation(line, start - line_start + 1, filename)
+        if group == "ident":
+            kind = TK_KEYWORD if text in KEYWORDS else TK_IDENT
+            append(Token(kind, text, loc))
+        elif group == "punct":
+            append(Token(TK_PUNCT, text, loc))
+        elif group == "int":
+            base = 16 if text[:2] in ("0x", "0X") else 10
+            try:
+                append(Token(TK_INT, text, loc, value=int(text, base)))
+            except ValueError:  # no hex digits, or past int()'s digit limit
+                message = "empty hex" if base == 16 else "too long an integer"
+                raise LexError(f"{message} literal", loc) from None
+        elif group == "string":
+            data = _ESCAPE_RE.sub(_unescape, text[1:-1]).encode("latin-1")
+            append(Token(TK_STRING, "", loc, value=data))
+        elif group == "char":
+            value = ord(_ESCAPE_RE.sub(_unescape, text[1:-1]))
+            append(Token(TK_CHAR, "", loc, value=value))
+        elif group == "hash":
+            directive = _LINE_DIRECTIVE.fullmatch(text)
+            if directive:
+                line = int(directive.group(1)) - 1
+                filename = directive.group(2)
+        else:
+            raise _error(source, start, loc)
+    column = len(source) - line_start + 1
+    append(Token(TK_EOF, "", SourceLocation(line, column, filename)))
+    return tokens

@@ -193,15 +193,16 @@ class DiffResult:
 
     @property
     def ok(self) -> bool:
-        return not self.changes
+        return not self.changes and not self.only_old
 
 
 def diff_records(old: dict, new: dict) -> DiffResult:
     """Compare two records benchmark-by-benchmark.
 
     Every number must be equal: a change in either direction is
-    reported.  Benchmarks present in only one record are listed but do
-    not gate (a trajectory may grow).
+    reported.  A benchmark present only in the old record was dropped
+    and fails the diff like a change; one present only in the new
+    record is listed but does not gate (a trajectory may grow).
     """
     old_by_name = {b["name"]: b for b in old.get("benchmarks", [])}
     new_by_name = {b["name"]: b for b in new.get("benchmarks", [])}

@@ -233,6 +233,13 @@ class TestCliSpecValidation:
         assert "invalid choice: 'superblock'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", (["build", "x.mc"], ["serve"]))
+    def test_jobs_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + ["--jobs", "2"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
     def test_malformed_password_spec_fails_fast(self, hello_file, capsys):
         assert main(["run", hello_file, "--password", "justauser"]) == 1
         err = capsys.readouterr().err
@@ -288,6 +295,42 @@ class TestPrototypeInjectionHeuristic:
         assert not _has_trusted_declarations('char *s = "extern trusted";')
         # Identifier containing the words is not a declaration either.
         assert not _has_trusted_declarations("int extern_trusted = 1;")
+
+
+    def test_hash_line_mentioning_the_phrase_is_trivia(self, tmp_path,
+                                                       capsys):
+        src = tmp_path / "hashed.mc"
+        src.write_text(
+            "# this file declares no extern trusted functions\n"
+            "int main() { print_int(7); return 0; }\n"
+        )
+        assert main(["run", str(src)]) == 0
+        assert "7" in capsys.readouterr().out
+
+
+class TestCliDiagnostics:
+    """With the T prototypes injected, errors still name the source
+    file and count its own lines."""
+
+    def test_sema_error_names_file_and_line(self, tmp_path, capsys):
+        src = tmp_path / "err.mc"
+        src.write_text("int main() {\n    return nope;\n}\n")
+        assert main(["run", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {src}:2:12: unknown identifier" in err
+
+    def test_lex_error_names_file_and_line(self, tmp_path, capsys):
+        src = tmp_path / "err.mc"
+        src.write_text("int main() {\n    return 1 $ 2;\n}\n")
+        assert main(["run", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {src}:2:14: unexpected character '$'" in err
+
+    def test_no_prototypes_keeps_line_numbers(self, tmp_path, capsys):
+        src = tmp_path / "err.mc"
+        src.write_text("int main() {\n    return nope;\n}\n")
+        assert main(["run", "--no-prototypes", str(src)]) == 1
+        assert ":2:12: unknown identifier" in capsys.readouterr().err
 
 
 class TestCliBuildAndCache:

@@ -180,6 +180,30 @@ class TestDiff:
         assert result.only_new == ["suite/OurSeg"]
         assert result.only_old == []
 
+    def test_dropped_benchmark_fails_the_diff(self, tmp_path, capsys):
+        from repro.cli import main
+
+        old = record()
+        new = record()
+        new["benchmarks"] = [
+            b for b in new["benchmarks"] if b["config"] != "OurMPX"
+        ]
+        result = bench_store.diff_records(old, new)
+        assert not result.ok
+        assert result.changes == []
+        assert result.only_old == ["suite/OurMPX"]
+        assert "dropped  suite/OurMPX" in bench_store.render_diff(result)
+        old_path = str(tmp_path / "BENCH_old.json")
+        new_path = str(tmp_path / "BENCH_new.json")
+        bench_store.append_record(old_path, old)
+        bench_store.append_record(new_path, new)
+        assert main(["bench", "diff", old_path, new_path]) == 3
+        capsys.readouterr()
+        assert main(["bench", "diff", old_path, new_path, "--json"]) == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ok"] is False
+        assert doc["only_old"] == ["suite/OurMPX"]
+
     def test_render_diff_shows_old_new_and_delta(self):
         result = bench_store.diff_records(
             record(cycles=1000), record(cycles=2000)

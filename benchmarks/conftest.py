@@ -34,7 +34,7 @@ def pytest_collection_modifyitems(config, items):
 
 @pytest.fixture(scope="session", autouse=True)
 def build_session(tmp_path_factory):
-    """One cached, parallel build session for the whole benchmark run.
+    """One cached build session for the whole benchmark run.
 
     Many benchmark modules compile the same kernel under several
     configurations (and some recompile identical sources across
@@ -45,20 +45,13 @@ def build_session(tmp_path_factory):
     ``$REPRO_CACHE_DIR`` persists the cache across benchmark runs —
     a warm Fig. 5 rerun then does a small fraction of the compile
     work; otherwise a throwaway per-run directory is used.
-    ``$REPRO_BUILD_JOBS`` overrides the parallel width (default 4).
     """
     from repro.build import BuildSession, ObjectCache, use_session
 
     cache_dir = os.environ.get("REPRO_CACHE_DIR") or str(
         tmp_path_factory.mktemp("object-cache")
     )
-    try:
-        jobs = int(os.environ.get("REPRO_BUILD_JOBS", "4"))
-    except ValueError:
-        jobs = 4
-    with use_session(
-        BuildSession(cache=ObjectCache(cache_dir), jobs=jobs)
-    ) as session:
+    with use_session(BuildSession(cache=ObjectCache(cache_dir))) as session:
         yield session
 
 

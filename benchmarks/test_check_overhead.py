@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.spec import SPEC_NAMES, kernel_source
-from repro.build import BuildRequest, default_session
+from repro.build import default_session
 from repro.config import SPEC_CONFIGS
 from repro.link.loader import load
 from repro.obs.blockprof import attach_block_profiler
@@ -28,9 +28,7 @@ def _profile_kernel(name: str) -> dict[str, dict]:
         return _RESULTS[name]
     source = kernel_source(name, scale=1)
     session = default_session()
-    binaries = session.build_many(
-        [BuildRequest(source=source, config=config) for config in SPEC_CONFIGS]
-    )
+    binaries = [session.build(source, config) for config in SPEC_CONFIGS]
     results: dict[str, dict] = {}
     for config, binary in zip(SPEC_CONFIGS, binaries):
         process = load(binary)

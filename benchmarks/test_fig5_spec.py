@@ -20,7 +20,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.spec import SPEC_NAMES, kernel_source
-from repro.build import BuildRequest, default_session
+from repro.build import default_session
 from repro.config import SPEC_CONFIGS
 from repro.link.loader import load
 
@@ -33,13 +33,10 @@ def _run_kernel(name: str) -> dict[str, int]:
     if name in _RESULTS:
         return _RESULTS[name]
     source = kernel_source(name, scale=1)
-    # All six configurations build through the shared session (parallel
-    # + cached, byte-identical to serial); execution stays serial so
-    # cycle counts are unaffected by the build width.
+    # All six configurations build through the shared (cached) session
+    # first, then run one after another.
     session = default_session()
-    binaries = session.build_many(
-        [BuildRequest(source=source, config=config) for config in SPEC_CONFIGS]
-    )
+    binaries = [session.build(source, config) for config in SPEC_CONFIGS]
     cycles: dict[str, int] = {}
     expected_rc = None
     for config, binary in zip(SPEC_CONFIGS, binaries):

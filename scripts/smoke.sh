@@ -96,23 +96,23 @@ cmp "$WORK/bench_mt_fast.json" "$WORK/bench_mt_ref.json"
 echo "multi-thread bench OK: merklefs 4 threads, predecoded == reference"
 
 # Build-cache smoke: a cold build populates the object cache; the warm
-# rebuild (here also parallel, --jobs 4) must hit the cache for every
-# unit and reproduce bench --json byte-for-byte.  Cached/parallel
-# builds are also required to match the plain serial run above.
+# rebuild must hit the cache for every unit and reproduce bench --json
+# byte-for-byte.  Cached builds are also required to match the plain
+# uncached run above.
 CACHE="$WORK/objcache"
 BENCH_COLD="$WORK/bench_cold.json"
 BENCH_WARM="$WORK/bench_warm.json"
 WARM_METRICS="$WORK/warm_metrics.txt"
 python -m repro bench --seed 1 --json --cache-dir "$CACHE" "$SRC" > "$BENCH_COLD"
-python -m repro bench --seed 1 --json --cache-dir "$CACHE" --jobs 4 \
-    --metrics "$SRC" > "$BENCH_WARM" 2> "$WARM_METRICS"
+python -m repro bench --seed 1 --json --cache-dir "$CACHE" --metrics \
+    "$SRC" > "$BENCH_WARM" 2> "$WARM_METRICS"
 cmp "$BENCH_COLD" "$BENCH_FAST"
 cmp "$BENCH_COLD" "$BENCH_WARM"
 grep -q "build.cache.hit" "$WARM_METRICS"
 # (plain grep, not -q: -q exits at first match and the early pipe
 # close would surface as a broken-pipe error from the CLI)
 REPRO_CACHE_DIR="$CACHE" python -m repro cache stats | grep "entries" > /dev/null
-echo "cache OK: cold == warm == serial bench output, warm run hit the cache"
+echo "cache OK: cold == warm == uncached bench output, warm run hit the cache"
 
 # Fuzzing smoke: replay the frozen corpus (every checked-in mutant must
 # still be killed), then a strided live mutation pass — both must

@@ -1,5 +1,4 @@
-"""The staged build layer: separate compilation, object caching, and
-parallel builds.
+"""The staged build layer: separate compilation and object caching.
 
 This package turns the one-shot ``compile_source`` pipeline into a real
 separate-compilation toolchain, mirroring the paper's per-unit compile
@@ -17,9 +16,7 @@ separate-compilation toolchain, mirroring the paper's per-unit compile
 * :class:`~repro.build.cache.ObjectCache` — a content-addressed object
   store keyed by (format version, source hash, config fingerprint,
   seed); hits skip every compile stage up to and including codegen.
-* :mod:`~repro.build.executor` — the parallel build executor behind
-  ``BuildSession.build_many`` (the CLI's ``--jobs N``); parallel builds
-  are required to be byte-identical to serial ones.
+  Warm (cached) builds are required to be byte-identical to cold ones.
 
 The classic entry points :func:`repro.compile_source` and
 :func:`repro.compile_and_load` are thin wrappers over the process-wide
@@ -29,7 +26,6 @@ default session (see :func:`default_session` / :class:`use_session`).
 from __future__ import annotations
 
 from .cache import ObjectCache
-from .executor import build_many
 from .serialize import (
     FORMAT_VERSION,
     SerializeError,
@@ -42,7 +38,6 @@ from .serialize import (
     source_hash,
 )
 from .session import (
-    BuildRequest,
     BuildSession,
     StageResult,
     default_session,
@@ -51,13 +46,11 @@ from .session import (
 )
 
 __all__ = [
-    "BuildRequest",
     "BuildSession",
     "FORMAT_VERSION",
     "ObjectCache",
     "SerializeError",
     "StageResult",
-    "build_many",
     "config_fingerprint",
     "default_session",
     "dump_binary",

@@ -5,15 +5,14 @@ under their :func:`~repro.build.serialize.object_cache_key` digest:
 
     <root>/<first two hex chars>/<digest>.uo
 
-Writes are atomic (temp file + ``os.replace``) so concurrent builders
-— the parallel executor's worker threads, or several processes sharing
-one cache directory — never observe torn entries.  Reads bump the entry
-mtime, which drives least-recently-used eviction when ``max_entries``
-is set.
+Writes are atomic (temp file + ``os.replace``) so several processes
+sharing one cache directory never observe torn entries.  Entries are
+never evicted; ``clear`` (``python -m repro cache clear``) empties the
+store.
 
 Every operation flows through ``repro.obs`` counters:
-``build.cache.hit``, ``build.cache.miss``, ``build.cache.store`` and
-``build.cache.evict`` (all zero-cost while no registry is active).
+``build.cache.hit``, ``build.cache.miss`` and ``build.cache.store``
+(all zero-cost while no registry is active).
 """
 
 from __future__ import annotations
@@ -29,9 +28,8 @@ _SUFFIX = ".uo"
 class ObjectCache:
     """A content-addressed store of serialized compilation units."""
 
-    def __init__(self, root: str, max_entries: int | None = None):
+    def __init__(self, root: str):
         self.root = str(root)
-        self.max_entries = max_entries
         os.makedirs(self.root, exist_ok=True)
 
     # -- addressing --------------------------------------------------------
@@ -47,17 +45,12 @@ class ObjectCache:
 
     def get(self, digest: str) -> bytes | None:
         """The stored blob for ``digest``, or None on a miss."""
-        path = self._path(digest)
         try:
-            with open(path, "rb") as handle:
+            with open(self._path(digest), "rb") as handle:
                 data = handle.read()
         except OSError:
             events.counter("build.cache.miss").inc()
             return None
-        try:
-            os.utime(path)  # LRU touch
-        except OSError:
-            pass
         events.counter("build.cache.hit").inc()
         return data
 
@@ -77,28 +70,6 @@ class ObjectCache:
                 pass
             raise
         events.counter("build.cache.store").inc()
-        if self.max_entries is not None:
-            self._evict(keep=path)
-
-    def _evict(self, keep: str) -> None:
-        entries = self.entries()
-        excess = len(entries) - self.max_entries
-        if excess <= 0:
-            return
-        # Oldest mtime first; never evict the entry just written.
-        entries.sort(key=lambda e: (e[2], e[0]))
-        for digest, _, _ in entries:
-            if excess <= 0:
-                break
-            path = self._path(digest)
-            if path == keep:
-                continue
-            try:
-                os.unlink(path)
-            except OSError:
-                continue
-            events.counter("build.cache.evict").inc()
-            excess -= 1
 
     # -- inspection --------------------------------------------------------
 

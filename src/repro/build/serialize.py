@@ -15,7 +15,7 @@ program) both get a canonical byte representation:
 
 Canonical bytes give the project its equality oracle: two artifacts are
 *bit-identical* iff their dumps compare equal, which is what the
-cold/warm-cache and serial/parallel determinism tests pin.
+cold/warm-cache determinism tests pin.
 
 The same canonical encoding powers content addressing:
 :func:`source_hash`, :func:`config_fingerprint`, and

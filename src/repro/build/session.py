@@ -17,19 +17,17 @@ objects); the stage itself is a no-op unless ``config.checkopt`` is
 (:mod:`repro.opt.checkopt`) rewrites each function's ISA stream under
 translation validation.
 
-Sessions optionally carry
-
-* an :class:`~repro.build.cache.ObjectCache`: ``compile_unit`` looks up
-  the (format version, source hash, config fingerprint, seed) key
-  before running any stage, and a hit deserializes the stored object
-  instead of compiling — no parse/sema/lower/opt/codegen spans are
-  recorded, only a ``build.cache.hit`` counter;
-* a default ``jobs`` width for :meth:`BuildSession.build_many`, the
-  parallel build executor (byte-identical results to a serial build).
+A session optionally carries an
+:class:`~repro.build.cache.ObjectCache`: ``compile_unit`` looks up the
+(format version, source hash, config fingerprint, seed) key before
+running any stage, and a hit deserializes the stored object instead of
+compiling — no parse/sema/lower/opt/codegen spans are recorded, only a
+``build.cache.hit`` counter.  Builds run one at a time on the calling
+thread; a batch of configurations is a loop over :meth:`BuildSession.build`.
 
 One process-wide *default session* backs the compatibility wrappers
 ``repro.compile_source`` / ``repro.compile_and_load``; scope a custom
-session (with a cache, or a jobs width) via :class:`use_session`.
+session (say, with a cache) via :class:`use_session`.
 """
 
 from __future__ import annotations
@@ -69,24 +67,19 @@ class StageResult:
     value: object
 
 
-@dataclass(frozen=True)
-class BuildRequest:
-    """One (source, config) build unit for :meth:`BuildSession.build_many`."""
-
-    source: str
-    config: BuildConfig
-    entry: str = "main"
-    filename: str = "<input>"
-    seed: int | None = None
-    verify: bool = False
-
-
 class BuildSession:
-    """Staged compile/link driver with optional caching and parallelism."""
+    """Staged compile/link driver with an optional object cache.
+
+    Builds are serial: ``jobs`` is accepted only as ``1``, for existing
+    callers that pass it explicitly.
+    """
 
     def __init__(self, cache: ObjectCache | None = None, jobs: int = 1):
+        if jobs != 1:
+            raise ValueError(
+                f"builds are serial: jobs must be 1, not {jobs!r}"
+            )
         self.cache = cache
-        self.jobs = max(1, int(jobs))
 
     # ------------------------------------------------------------------
     # Stages.  Span names and nesting are identical to the historical
@@ -141,7 +134,6 @@ class BuildSession:
         filename: str = "<input>",
         seed: int | None = None,
         allow_undefined: bool = False,
-        use_cache: bool = True,
     ) -> UObject:
         """Compile one source unit to a pre-link :class:`UObject`.
 
@@ -151,7 +143,7 @@ class BuildSession:
         patches instruction words in place).
         """
         digest = None
-        if use_cache and self.cache is not None:
+        if self.cache is not None:
             digest = object_cache_key(source, config, seed, allow_undefined)
             data = self.cache.get(digest)
             if data is not None:
@@ -206,19 +198,6 @@ class BuildSession:
                 verify_binary(binary)
         return binary
 
-    def build_many(
-        self, requests: list[BuildRequest], jobs: int | None = None
-    ) -> list[Binary]:
-        """Build independent (source, config) units, possibly in parallel.
-
-        Results arrive in request order and are byte-identical to a
-        serial build whatever ``jobs`` is (each request's pipeline is
-        pure and isolated; see tests/buildsys/test_parallel.py).
-        """
-        from .executor import build_many
-
-        return build_many(self, requests, jobs=jobs)
-
 
 # ---------------------------------------------------------------------------
 # The process-wide default session behind compile_source/compile_and_load.
@@ -231,19 +210,15 @@ def default_session() -> BuildSession:
     """The active process-wide session (created lazily).
 
     A fresh default session attaches an :class:`ObjectCache` at
-    ``$REPRO_CACHE_DIR`` when that variable is set, and builds with
-    ``$REPRO_BUILD_JOBS`` workers (default 1).
+    ``$REPRO_CACHE_DIR`` when that variable is set.
     """
     global _default
     with _lock:
         if _default is None:
             cache_dir = os.environ.get("REPRO_CACHE_DIR")
-            cache = ObjectCache(cache_dir) if cache_dir else None
-            try:
-                jobs = int(os.environ.get("REPRO_BUILD_JOBS", "1"))
-            except ValueError:
-                jobs = 1
-            _default = BuildSession(cache=cache, jobs=jobs)
+            _default = BuildSession(
+                cache=ObjectCache(cache_dir) if cache_dir else None
+            )
         return _default
 
 

@@ -30,9 +30,7 @@ differs.
 
 Build-layer options: ``--cache-dir DIR`` attaches a content-addressed
 object cache (warm rebuilds skip every compile stage; also honoured via
-``$REPRO_CACHE_DIR``), and ``bench``/``report`` take ``--jobs N`` to
-compile their configurations in parallel.
-Parallel and cached builds are byte-identical to cold serial builds.
+``$REPRO_CACHE_DIR``).  Cached builds are byte-identical to cold builds.
 
 Prototype injection: unless ``--no-prototypes`` is given, the standard
 T prototypes are prepended when the source contains no real ``extern
@@ -61,7 +59,6 @@ import sys
 import time
 
 from .build import (
-    BuildRequest,
     BuildSession,
     ObjectCache,
     default_session,
@@ -111,8 +108,13 @@ def _apply_checkopt(config, level: str | None):
 
 
 def _read_source(path: str, add_prototypes: bool) -> str:
-    with open(path) as handle:
-        source = handle.read()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            source = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ReproError(
+            f"{path}: source is not valid UTF-8 (byte {exc.start})"
+        ) from None
     if add_prototypes and not _has_trusted_declarations(source, path):
         # The directive keeps diagnostics in the file's own lines.
         source = f'{T_PROTOTYPES}#line 1 "{path}"\n{source}'
@@ -143,18 +145,16 @@ def _make_runtime(args) -> TrustedRuntime:
 
 @contextlib.contextmanager
 def _session_scope(args):
-    """Scope a build session built from ``--cache-dir``/``--jobs``.
+    """Scope a build session caching in ``--cache-dir``.
 
-    Without either flag the process default session (which honours
-    ``$REPRO_CACHE_DIR``/``$REPRO_BUILD_JOBS``) stays active.
+    Without the flag the process default session (which honours
+    ``$REPRO_CACHE_DIR``) stays active.
     """
     cache_dir = getattr(args, "cache_dir", None)
-    jobs = getattr(args, "jobs", None)
-    if not cache_dir and not jobs:
+    if not cache_dir:
         yield default_session()
         return
-    cache = ObjectCache(cache_dir) if cache_dir else None
-    with use_session(BuildSession(cache=cache, jobs=jobs or 1)) as session:
+    with use_session(BuildSession(cache=ObjectCache(cache_dir))) as session:
         yield session
 
 
@@ -234,8 +234,8 @@ def cmd_run(args) -> int:
     config = _apply_checkopt(ALL_CONFIGS[args.config], args.checkopt)
     registry = _activate_obs(args)
     try:
-        binary = compile_source(source, config, seed=args.seed,
-                                verify=args.verify)
+        binary = compile_source(source, config, filename=args.source,
+                                seed=args.seed, verify=args.verify)
         runtime = _make_runtime(args)
         process = load(binary, runtime=runtime, engine=args.engine)
         blockprof = None
@@ -269,7 +269,8 @@ def cmd_verify(args) -> int:
     config = _apply_checkopt(ALL_CONFIGS[args.config], args.checkopt)
     registry = _activate_obs(args)
     try:
-        binary = compile_source(source, config, seed=args.seed)
+        binary = compile_source(source, config, filename=args.source,
+                                seed=args.seed)
         verify_binary(binary)
     finally:
         _finish_obs(args, registry)
@@ -280,7 +281,8 @@ def cmd_verify(args) -> int:
 def cmd_disasm(args) -> int:
     source = _read_source(args.source, not args.no_prototypes)
     config = _apply_checkopt(ALL_CONFIGS[args.config], args.checkopt)
-    binary = compile_source(source, config, seed=args.seed)
+    binary = compile_source(source, config, filename=args.source,
+                            seed=args.seed)
     addr_to_label = {}
     for name, addr in binary.label_addrs.items():
         addr_to_label.setdefault(addr, []).append(name)
@@ -299,8 +301,8 @@ def run_bench_suite(
     engine: str = "predecoded",
     configs: dict | None = None,
     runtime_factory=None,
-    jobs: int | None = None,
     checkopt: str | None = None,
+    filename: str = "<input>",
 ) -> tuple[list[dict], list[dict]]:
     """Compile + run ``source`` under every configuration.
 
@@ -309,28 +311,26 @@ def run_bench_suite(
     (named ``suite/config``) that ``--store`` appends to a trajectory.
     Both hold only simulated numbers.  Shared by ``cmd_bench`` and the
     seed-trajectory generator so both produce byte-comparable entries.
+    ``filename`` is the name compile diagnostics give the source.
     """
     from .obs import bench_store
 
     records: list[dict] = []
     benchmarks: list[dict] = []
     base_cycles = None
-    # Compile every configuration up front (in parallel with --jobs);
-    # execution stays serial in configuration order, so cycle counts
-    # are identical whatever the build width.
+    # Compile every configuration up front, then run them in
+    # configuration order.
     session = default_session()
-    config_map = {
-        name: _apply_checkopt(config, checkopt)
+    binaries = {
+        name: session.build(
+            source, _apply_checkopt(config, checkopt), filename=filename,
+            seed=seed,
+        )
         for name, config in (
             ALL_CONFIGS if configs is None else configs
         ).items()
     }
-    requests = [
-        BuildRequest(source=source, config=config, seed=seed)
-        for config in config_map.values()
-    ]
-    binaries = session.build_many(requests, jobs=jobs)
-    for name, binary in zip(config_map, binaries):
+    for name, binary in binaries.items():
         runtime = runtime_factory() if runtime_factory else TrustedRuntime()
         process = load(binary, runtime=runtime, engine=engine)
         _run_config(name, process)
@@ -385,8 +385,8 @@ def cmd_bench(args) -> int:
             seed=args.seed,
             engine=args.engine,
             runtime_factory=lambda: _make_runtime(args),
-            jobs=args.jobs,
             checkopt=args.checkopt,
+            filename=args.source,
         )
     except ConfigFault as fault:
         print(f"FAULT: {fault}", file=sys.stderr)
@@ -500,12 +500,12 @@ def cmd_report(args) -> int:
     results: dict[str, dict] = {}
     try:
         session = default_session()
-        requests = [
-            BuildRequest(source=source, config=config, seed=args.seed)
-            for config in config_map.values()
-        ]
-        binaries = session.build_many(requests)
-        for (name, _config), binary in zip(config_map.items(), binaries):
+        binaries = {
+            name: session.build(source, config, filename=args.source,
+                                seed=args.seed)
+            for name, config in config_map.items()
+        }
+        for name, binary in binaries.items():
             verify_check_sites(binary)
             process = load(binary, runtime=_make_runtime(args),
                            engine=args.engine)
@@ -523,18 +523,15 @@ def cmd_report(args) -> int:
         # every bounds-checked config with the optimizer off and charge
         # the difference (sites and profiled bnd cycles) to checkopt.
         if getattr(args, "checkopt", None) == "aggressive":
-            elidable = {
-                name: config.variant(checkopt="off")
+            off_binaries = {
+                name: session.build(
+                    source, config.variant(checkopt="off"),
+                    filename=args.source, seed=args.seed,
+                )
                 for name, config in config_map.items()
                 if config.scheme == "mpx"
             }
-            off_requests = [
-                BuildRequest(source=source, config=config, seed=args.seed)
-                for config in elidable.values()
-            ]
-            for (name, _config), binary in zip(
-                elidable.items(), session.build_many(off_requests)
-            ):
+            for name, binary in off_binaries.items():
                 process = load(binary, runtime=_make_runtime(args),
                                engine=args.engine)
                 blockprof = attach_block_profiler(process.machine)
@@ -923,10 +920,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="content-addressed object cache directory "
                             "(warm rebuilds skip all compile stages)")
-        if name == "bench":
-            p.add_argument("--jobs", type=int, default=None, metavar="N",
-                           help="compile configurations with N parallel "
-                                "workers (results are byte-identical)")
         if name == "run":
             p.add_argument("--verify", action="store_true",
                            help="run ConfVerify before loading")
@@ -984,8 +977,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dump all recorded metrics to stderr")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="content-addressed object cache directory")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="compile configurations with N parallel workers")
     p.set_defaults(handler=cmd_report)
 
     p = sub.add_parser(

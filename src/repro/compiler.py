@@ -11,7 +11,7 @@ Both entry points are thin compatibility wrappers over the staged
 build layer (:mod:`repro.build`): they delegate to the process-wide
 default :class:`~repro.build.session.BuildSession`, so an active
 session override (``repro.build.use_session``) transparently gives
-every caller object caching and parallel-build support.  The staged
+every caller object caching.  The staged
 pipeline is parse -> analyze (taint inference) -> lower to IR ->
 optimize -> codegen (+instrumentation) -> link (magic selection) ->
 verify (ConfVerify, unless disabled) -> load.

@@ -1,12 +1,14 @@
 """Content-addressed object cache: key isolation across configs and
-seeds, hit/miss/evict accounting through repro.obs, cold==warm
-determinism, LRU eviction, and corrupt-entry recovery.
+seeds, hit/miss/store accounting through repro.obs, cold==warm
+determinism, and corrupt-entry recovery.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
+
+import pytest
 
 from repro import OUR_MPX, OUR_SEG
 from repro.build import (
@@ -15,6 +17,7 @@ from repro.build import (
     dump_binary,
     object_cache_key,
 )
+from repro.config import ALL_CONFIGS
 from repro.link.loader import load
 from repro.obs import events
 from repro.runtime.trusted import T_PROTOTYPES
@@ -91,27 +94,31 @@ class TestHitBehaviour:
         assert p1.wall_cycles == p2.wall_cycles
         assert p1.stats.instructions == p2.stats.instructions
 
-    def test_use_cache_false_bypasses(self, tmp_path):
-        cache = ObjectCache(tmp_path)
-        session = BuildSession(cache=cache)
+    def test_warm_session_hits_every_unit(self, tmp_path):
+        session = BuildSession(cache=ObjectCache(tmp_path))
+        units = [
+            (source, config)
+            for source in (PROGRAM, OTHER)
+            for config in ALL_CONFIGS.values()
+        ]
+        cold = [session.build(s, c, seed=3) for s, c in units]
         registry = events.Registry()
         with events.use(registry):
-            session.compile_unit(PROGRAM, OUR_MPX, seed=1, use_cache=False)
-        assert cache.entries() == []
-        assert "build.cache.miss" not in registry.metrics_snapshot()
+            warm = [session.build(s, c, seed=3) for s, c in units]
+        assert registry.metrics_snapshot()["build.cache.hit"] == len(units)
+        assert "compile.codegen" not in {s.name for s in registry.spans}
+        for a, b in zip(cold, warm):
+            assert dump_binary(a) == dump_binary(b)
 
 
-class TestEviction:
-    def test_lru_eviction_bounded(self, tmp_path):
-        cache = ObjectCache(tmp_path, max_entries=2)
-        session = BuildSession(cache=cache)
-        registry = events.Registry()
-        with events.use(registry):
-            for seed in (1, 2, 3):
-                session.build(PROGRAM, OUR_MPX, seed=seed)
-        assert len(cache.entries()) == 2
-        assert registry.metrics_snapshot()["build.cache.evict"] >= 1
+class TestSession:
+    def test_jobs_other_than_one_rejected(self):
+        BuildSession(jobs=1)
+        with pytest.raises(ValueError, match="jobs must be 1"):
+            BuildSession(jobs=2)
 
+
+class TestInspection:
     def test_stats_shape(self, tmp_path):
         cache = ObjectCache(tmp_path)
         BuildSession(cache=cache).build(PROGRAM, OUR_MPX, seed=1)

@@ -233,7 +233,9 @@ class TestCliSpecValidation:
         assert "invalid choice: 'superblock'" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("argv", (["build", "x.mc"], ["serve"]))
+    @pytest.mark.parametrize("argv", (
+        ["build", "x.mc"], ["serve"], ["bench", "x.mc"], ["report", "x.mc"],
+    ))
     def test_jobs_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_:
             main(argv + ["--jobs", "2"])
@@ -326,11 +328,25 @@ class TestCliDiagnostics:
         err = capsys.readouterr().err
         assert f"error: {src}:2:14: unexpected character '$'" in err
 
-    def test_no_prototypes_keeps_line_numbers(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command", ("run", "verify", "disasm", "bench", "report")
+    )
+    def test_no_prototypes_keeps_line_numbers(self, command, tmp_path,
+                                              capsys):
         src = tmp_path / "err.mc"
         src.write_text("int main() {\n    return nope;\n}\n")
-        assert main(["run", "--no-prototypes", str(src)]) == 1
-        assert ":2:12: unknown identifier" in capsys.readouterr().err
+        assert main([command, "--no-prototypes", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {src}:2:12: unknown identifier" in err
+
+    def test_undecodable_source_names_the_file(self, tmp_path, capsys):
+        src = tmp_path / "bad.mc"
+        src.write_bytes(b"int main() { return 0; } // \xff\n")
+        assert main(["run", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}: ")
+        assert "UTF-8" in err
+        assert "Traceback" not in err
 
 
 class TestCliBuildAndCache:
@@ -413,16 +429,17 @@ class TestCliBuildAndCache:
         out = capsys.readouterr().out
         assert "entries" in out and "1" in out
 
-    def test_bench_json_cold_warm_jobs_identical(self, hello_file, tmp_path,
-                                                 capsys):
+    def test_bench_json_cold_warm_identical(self, hello_file, tmp_path,
+                                            capsys):
         cache_dir = str(tmp_path / "cache")
-        assert main(["bench", hello_file, "--json", "--seed", "2",
-                     "--cache-dir", cache_dir]) == 0
+        argv = ["bench", hello_file, "--json", "--seed", "2",
+                "--cache-dir", cache_dir]
+        assert main(argv) == 0
         cold = capsys.readouterr().out
-        assert main(["bench", hello_file, "--json", "--seed", "2",
-                     "--cache-dir", cache_dir, "--jobs", "4"]) == 0
-        warm = capsys.readouterr().out
-        assert cold == warm
+        assert main(argv + ["--metrics"]) == 0
+        warm = capsys.readouterr()
+        assert cold == warm.out
+        assert "build.cache.hit" in warm.err
 
     def test_cache_list_and_clear(self, hello_file, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")

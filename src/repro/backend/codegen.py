@@ -470,11 +470,6 @@ class FunctionCodegen:
             self._emit(isa.Lea(dst, mem))
             flush()
             self._invalidate_checks(dst)
-        elif isinstance(instr, ir.LocalAddr):
-            off, is_priv = self._frame.slot_offsets[instr.slot.uid]
-            dst, flush = self._write(instr.dst)
-            self._emit(isa.Lea(dst, self._stack_mem(off, private=is_priv)))
-            flush()
         elif isinstance(instr, ir.GlobalAddr):
             dst, flush = self._write(instr.dst)
             gtaint = self._module.globals[instr.name].taint

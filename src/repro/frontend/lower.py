@@ -137,8 +137,8 @@ class FunctionLowerer:
                 max(symbol.type.size, 1),
                 symbol.type.align,
                 _slot_taint(symbol.type),
+                symbol.address_taken or not symbol.type.is_scalar,
             )
-            slot.address_taken = symbol.address_taken or not symbol.type.is_scalar
             self._slots[symbol.uid] = slot
         # Parameters arrive in virtual registers and are spilled to
         # their slots (promotion un-spills the scalar ones).
@@ -287,10 +287,10 @@ class FunctionLowerer:
             default_block = self._func.new_block("sw.default")
         else:
             default_block = end
-        table = [
+        table = tuple(
             (case.value, blk.name)
             for case, blk in zip(stmt.cases, case_blocks)
-        ]
+        )
         self._terminate(SwitchBr(cond, table, default_block.name))
         # `break` exits the switch (C semantics); `continue` still
         # targets the enclosing loop, so only the break stack grows.
@@ -375,32 +375,24 @@ class FunctionLowerer:
     def _apply_index(
         self, mem: MemRef, index, elem_size: int, region: Taint
     ) -> MemRef:
-        mem = MemRef(
-            region=region,
-            base=mem.base,
-            slot=mem.slot,
-            global_name=mem.global_name,
-            index=mem.index,
-            scale=mem.scale,
-            disp=mem.disp,
-        )
         if isinstance(index, int):
-            mem.disp += index * elem_size
-            return mem
+            return MemRef(region, mem.base, mem.slot, mem.global_name,
+                          mem.index, mem.scale, mem.disp + index * elem_size)
         if mem.index is not None:
             # Two index registers: fold the old one into the base.
             folded = self._temp(PUBLIC, "addr")
-            self._emit(Lea(folded, mem))
-            mem = MemRef(region=region, base=folded)
-        if elem_size in (1, 2, 4, 8):
-            mem.index = index
-            mem.scale = elem_size
-        else:
+            self._emit(Lea(folded, MemRef(
+                region, mem.base, mem.slot, mem.global_name, mem.index,
+                mem.scale, mem.disp,
+            )))
+            mem = MemRef(region, base=folded)
+        scale = elem_size
+        if elem_size not in (1, 2, 4, 8):
             scaled = self._temp(index.taint, "scaled")
             self._emit(Bin("mul", scaled, index, elem_size))
-            mem.index = scaled
-            mem.scale = 1
-        return mem
+            index, scale = scaled, 1
+        return MemRef(region, mem.base, mem.slot, mem.global_name, index,
+                      scale, mem.disp)
 
     def _lower_member_lvalue(self, node: ast.Member) -> tuple[MemRef, int]:
         struct, fld = self._member_field(node)
@@ -677,13 +669,14 @@ class FunctionLowerer:
             dst = self._temp(ret_taint, "ret")
         if isinstance(node.callee, ast.Ident) and node.callee.binding[0] == "func":
             self._emit(
-                Call(dst, node.callee.binding[1].name, args, arg_taints,
-                     ret_taint, n_fixed)
+                Call(dst, node.callee.binding[1].name, tuple(args),
+                     tuple(arg_taints), ret_taint, n_fixed)
             )
         else:
             target = self._as_vreg(self._lower_expr(node.callee))
             self._emit(
-                CallIndirect(dst, target, args, arg_taints, ret_taint, n_fixed)
+                CallIndirect(dst, target, tuple(args), tuple(arg_taints),
+                             ret_taint, n_fixed)
             )
         return dst if dst is not None else 0
 

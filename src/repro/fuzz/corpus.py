@@ -186,15 +186,6 @@ def replay_corpus(directory: str) -> FuzzReport:
     return report
 
 
-@dataclass
-class _SeedSpec:
-    """What `seed_corpus` freezes from a run (internal helper)."""
-
-    seeds: tuple[int, ...]
-    size: int
-    per_operator: int = 1
-
-
 def seed_corpus(
     directory: str,
     seeds: tuple[int, ...] = tuple(range(6)),

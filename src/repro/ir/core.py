@@ -12,11 +12,22 @@ memory access carries a concrete :class:`~repro.taint.lattice.Taint`
 backend uses the access ``region`` to pick the MPX bounds register or
 fs/gs segment prefix, and slot/vreg taints to pick the public or the
 private stack.
+
+IR objects are immutable once built: ``VReg``, ``StackSlot``,
+``MemRef`` and every instruction class raise on any field write, and
+the sequences they hold are tuples.  Only the containers (a
+:class:`Block`'s instruction list, an :class:`IRFunction`'s block and
+slot lists) change, and a pass rewrites by building new instructions
+into them.  That is what makes certification cheap: the pre-pass
+snapshot the witness checker compares against shares every instruction
+with the function, so an instruction a pass left alone is the same
+object before and after it, and the checker only looks at new ones
+(see :mod:`repro.opt.witness`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 
 from ..errors import IRError
 from ..minic.types import FuncType
@@ -34,15 +45,54 @@ UN_OPS = frozenset({"neg", "not"})
 Operand = object  # VReg | int
 
 
+def _frozen(cls=None, *, eq: bool = True):
+    """A slotted dataclass whose fields no one can write once it is built.
+
+    ``dataclass(frozen=True)`` does the same, but its ``__init__`` writes
+    each field through ``object.__setattr__``, which makes building an
+    object about four times dearer than for a plain slotted class; this
+    ``__init__`` writes the slots through their descriptors (about twice
+    a plain one), and any other write or delete raises
+    ``FrozenInstanceError``.
+    """
+    if cls is None:
+        return lambda c: _frozen(c, eq=eq)
+    cls = dataclass(slots=True, eq=eq)(cls)
+    names = [f.name for f in fields(cls)]
+    env: dict = {}
+    params, body = [], []
+    for f in fields(cls):
+        env[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            env[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        body.append(f"    _set_{f.name}(self, {f.name})")
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()")
+    exec(f"def __init__(self, {', '.join(params)}):\n" + "\n".join(body), env)
+    cls.__init__ = env["__init__"]
+    cls.__setattr__ = cls.__delattr__ = _refuse_write
+    # copy and pickle rebuild through __init__, as they cannot write.
+    cls.__reduce__ = lambda self: (
+        type(self), tuple(getattr(self, n) for n in names)
+    )
+    return cls
+
+
+def _refuse_write(self, name, *value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+@_frozen(eq=False)
 class VReg:
-    """A virtual register with a fixed taint."""
+    """A virtual register with a fixed taint.  Equality is identity: two
+    registers are the same register only if they are the same object."""
 
-    __slots__ = ("id", "taint", "hint")
-
-    def __init__(self, id_: int, taint: Taint, hint: str = ""):
-        self.id = id_
-        self.taint = taint
-        self.hint = hint
+    id: int
+    taint: Taint
+    hint: str = ""
 
     def __repr__(self) -> str:
         tag = "H" if self.taint is Taint.PRIVATE else "L"
@@ -50,7 +100,7 @@ class VReg:
         return f"%{self.id}{tag}{suffix}"
 
 
-@dataclass
+@_frozen
 class StackSlot:
     """A named chunk of a function's frame, on the stack of its taint."""
 
@@ -60,8 +110,6 @@ class StackSlot:
     align: int
     taint: Taint
     address_taken: bool = False
-    # Assigned by the backend's frame layout:
-    offset: int = -1
 
     def __repr__(self) -> str:
         tag = "H" if self.taint is Taint.PRIVATE else "L"
@@ -74,6 +122,8 @@ class StackSlot:
 
 class Instr:
     """Base class.  ``uses``/``defs`` drive dataflow and regalloc."""
+
+    __slots__ = ()
 
     def uses(self) -> list[VReg]:
         return [v for v in self._use_operands() if isinstance(v, VReg)]
@@ -89,7 +139,7 @@ class Instr:
         return False
 
 
-@dataclass
+@_frozen
 class Const(Instr):
     dst: VReg
     value: int
@@ -101,7 +151,7 @@ class Const(Instr):
         return f"{self.dst!r} = const {self.value}"
 
 
-@dataclass
+@_frozen
 class Copy(Instr):
     dst: VReg
     src: Operand
@@ -116,7 +166,7 @@ class Copy(Instr):
         return f"{self.dst!r} = {self.src!r}"
 
 
-@dataclass
+@_frozen
 class Un(Instr):
     op: str
     dst: VReg
@@ -132,7 +182,7 @@ class Un(Instr):
         return f"{self.dst!r} = {self.op} {self.src!r}"
 
 
-@dataclass
+@_frozen
 class Bin(Instr):
     op: str
     dst: VReg
@@ -149,7 +199,7 @@ class Bin(Instr):
         return f"{self.dst!r} = {self.op} {self.a!r}, {self.b!r}"
 
 
-@dataclass
+@_frozen
 class MemRef:
     """An IR memory reference: exactly one of ``base`` (a pointer
     register), ``slot`` (frame-relative) or ``global_name`` is set, plus
@@ -171,8 +221,10 @@ class MemRef:
     disp: int = 0
 
     def __post_init__(self):
-        anchors = sum(
-            x is not None for x in (self.base, self.slot, self.global_name)
+        anchors = (
+            (self.base is not None)
+            + (self.slot is not None)
+            + (self.global_name is not None)
         )
         assert anchors == 1, "MemRef needs exactly one anchor"
 
@@ -195,7 +247,7 @@ class MemRef:
         return f"{tag}[{' + '.join(parts)}]"
 
 
-@dataclass
+@_frozen
 class Load(Instr):
     """``dst = size-byte load mem`` (zero-extending for size 1)."""
 
@@ -213,7 +265,7 @@ class Load(Instr):
         return f"{self.dst!r} = load{self.size} {self.mem!r}"
 
 
-@dataclass
+@_frozen
 class Store(Instr):
     mem: MemRef
     src: Operand
@@ -226,7 +278,7 @@ class Store(Instr):
         return f"store{self.size} {self.mem!r}, {self.src!r}"
 
 
-@dataclass
+@_frozen
 class Lea(Instr):
     """Materialize the effective address of a memory reference."""
 
@@ -243,19 +295,7 @@ class Lea(Instr):
         return f"{self.dst!r} = lea {self.mem!r}"
 
 
-@dataclass
-class LocalAddr(Instr):
-    dst: VReg
-    slot: StackSlot
-
-    def defs(self):
-        return [self.dst]
-
-    def __repr__(self):
-        return f"{self.dst!r} = addr {self.slot!r}"
-
-
-@dataclass
+@_frozen
 class GlobalAddr(Instr):
     dst: VReg
     name: str
@@ -267,7 +307,7 @@ class GlobalAddr(Instr):
         return f"{self.dst!r} = addr @{self.name}"
 
 
-@dataclass
+@_frozen
 class FuncAddr(Instr):
     dst: VReg
     fname: str
@@ -279,7 +319,7 @@ class FuncAddr(Instr):
         return f"{self.dst!r} = funcaddr {self.fname}"
 
 
-@dataclass
+@_frozen
 class Call(Instr):
     """Direct call.  ``arg_taints``/``ret_taint`` snapshot the callee
     signature so the backend can emit magic-sequence taint bits without
@@ -287,8 +327,8 @@ class Call(Instr):
 
     dst: VReg | None
     name: str
-    args: list[Operand]
-    arg_taints: list[Taint]
+    args: tuple[Operand, ...]
+    arg_taints: tuple[Taint, ...]
     ret_taint: Taint
     n_fixed: int  # args beyond n_fixed are variadic (public, stack-passed)
 
@@ -304,12 +344,12 @@ class Call(Instr):
         return f"{dst}call {self.name}({args})"
 
 
-@dataclass
+@_frozen
 class CallIndirect(Instr):
     dst: VReg | None
     target: VReg
-    args: list[Operand]
-    arg_taints: list[Taint]
+    args: tuple[Operand, ...]
+    arg_taints: tuple[Taint, ...]
     ret_taint: Taint
     n_fixed: int
 
@@ -325,7 +365,7 @@ class CallIndirect(Instr):
         return f"{dst}icall {self.target!r}({args})"
 
 
-@dataclass
+@_frozen
 class TlsBaseAddr(Instr):
     """The current thread's TLS base (rsp masked to the stack base)."""
 
@@ -338,7 +378,7 @@ class TlsBaseAddr(Instr):
         return f"{self.dst!r} = tlsbase"
 
 
-@dataclass
+@_frozen
 class VarArgAddr(Instr):
     """Address of the index-th variadic slot of the *current* frame."""
 
@@ -358,7 +398,7 @@ class VarArgAddr(Instr):
 # Terminators
 
 
-@dataclass
+@_frozen
 class Jump(Instr):
     target: str
 
@@ -370,7 +410,7 @@ class Jump(Instr):
         return f"jump {self.target}"
 
 
-@dataclass
+@_frozen
 class Branch(Instr):
     cond: VReg
     if_true: str
@@ -387,7 +427,7 @@ class Branch(Instr):
         return f"branch {self.cond!r} ? {self.if_true} : {self.if_false}"
 
 
-@dataclass
+@_frozen
 class SwitchBr(Instr):
     """Multi-way branch.  The backend lowers it to a jump table under
     the vanilla pipeline (when dense) or to a compare chain under
@@ -395,7 +435,7 @@ class SwitchBr(Instr):
     rejects indirect jumps (Section 4, "Indirect jumps")."""
 
     cond: VReg
-    table: list[tuple[int, str]]  # (case value, block label)
+    table: tuple[tuple[int, str], ...]  # (case value, block label)
     default: str
 
     def _use_operands(self):
@@ -410,7 +450,7 @@ class SwitchBr(Instr):
         return f"switch {self.cond!r} [{arms}] else {self.default}"
 
 
-@dataclass
+@_frozen
 class Ret(Instr):
     value: Operand | None
 
@@ -457,7 +497,10 @@ class IRFunction:
         self.blocks: list[Block] = []
         self.slots: list[StackSlot] = []
         self.param_vregs: list[VReg] = []
-        self._next_vreg = 0
+        # Every register of the function, indexed by id.  new_vreg is
+        # the only way to make one, so the witness checker can tell a
+        # register a pass invented from one the function already had.
+        self.vregs: list[VReg] = []
         self._next_slot = 0
         self._next_block = 0
         # Lowering provenance, stamped by the frontend: identifies the
@@ -467,14 +510,21 @@ class IRFunction:
         self.origin = ""
 
     def new_vreg(self, taint: Taint, hint: str = "") -> VReg:
-        vreg = VReg(self._next_vreg, taint, hint)
-        self._next_vreg += 1
+        vreg = VReg(len(self.vregs), taint, hint)
+        self.vregs.append(vreg)
         return vreg
 
     def new_slot(
-        self, name: str, size: int, align: int, taint: Taint
+        self,
+        name: str,
+        size: int,
+        align: int,
+        taint: Taint,
+        address_taken: bool = False,
     ) -> StackSlot:
-        slot = StackSlot(self._next_slot, name, size, align, taint)
+        slot = StackSlot(
+            self._next_slot, name, size, align, taint, address_taken
+        )
         self._next_slot += 1
         self.slots.append(slot)
         return slot

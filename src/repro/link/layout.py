@@ -83,10 +83,6 @@ class MemoryLayout:
 
     # Derived areas -----------------------------------------------------
 
-    def globals_base(self, private: bool) -> int:
-        region = self._pick(private)
-        return region.base
-
     def heap_range(self, private: bool) -> tuple[int, int]:
         region = self._pick(private)
         gsize = self.priv_globals_size if private else self.pub_globals_size

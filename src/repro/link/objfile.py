@@ -80,7 +80,3 @@ class Binary:
     read_only_ranges: list[tuple[int, int]] = field(default_factory=list)
     # Address -> check category (populated by the linker; see class doc).
     check_sites: dict[int, str] = field(default_factory=dict)
-
-    @property
-    def entry_addr(self) -> int:
-        return self.label_addrs[self.entry]

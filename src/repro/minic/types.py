@@ -308,9 +308,3 @@ def taint_positions(type_: Type) -> list[TaintTerm]:
             terms.extend(taint_positions(p))
         return terms
     return [type_.taint]
-
-
-def pointee_region(type_: Type) -> TaintTerm:
-    """The memory-region taint a pointer of this type must respect."""
-    assert isinstance(type_, PointerType)
-    return type_.pointee.taint

@@ -21,7 +21,7 @@ runs the pass uncertified (direct unit-test use).
 
 from __future__ import annotations
 
-from ..arith import eval_bin, eval_un
+from ..arith import eval_bin, eval_un, wrap
 from ..errors import MachineFault
 from ..ir.core import (
     Bin,
@@ -159,14 +159,7 @@ def copyprop_and_fold(func: IRFunction, witness=None) -> bool:
     for block in func.blocks:
         env: dict[int, object] = {}  # vreg id -> replacement Operand
         new_instrs = []
-
-        def note(i, old, new, block=block):
-            if witness is not None and new != old:
-                witness.add(
-                    "taint", f"{block.name}@{i}", "rewrite",
-                    _def_taints(old), _def_taints(new),
-                )
-
+        block_changed = False
         for i, original in enumerate(block.instrs):
             instr = _rewrite_uses(original, env)
             # Kill mappings for anything this instruction redefines.
@@ -189,26 +182,24 @@ def copyprop_and_fold(func: IRFunction, witness=None) -> bool:
                     except MachineFault:
                         value = None
                     if value is not None:
-                        folded = Const(instr.dst, value)
-                        note(i, original, folded)
-                        new_instrs.append(folded)
+                        instr = Const(instr.dst, value)
                         env[instr.dst.id] = value
-                        changed = True
-                        continue
             elif isinstance(instr, Un):
                 if isinstance(instr.src, int):
                     value = eval_un(instr.op, instr.src)
-                    folded = Const(instr.dst, value)
-                    note(i, original, folded)
-                    new_instrs.append(folded)
+                    instr = Const(instr.dst, value)
                     env[instr.dst.id] = value
-                    changed = True
-                    continue
-            note(i, original, instr)
+            if instr is not original:
+                block_changed = True
+                if witness is not None:
+                    witness.add(
+                        "taint", f"{block.name}@{i}", "rewrite",
+                        _def_taints(original), _def_taints(instr),
+                    )
             new_instrs.append(instr)
-        if new_instrs != block.instrs:
+        if block_changed:
+            block.instrs = new_instrs
             changed = True
-        block.instrs = new_instrs
     return changed
 
 
@@ -237,25 +228,47 @@ def _rewrite_mem(mem: MemRef, env) -> MemRef:
 
 
 def _rewrite_uses(instr, env):
+    """``instr`` with its uses substituted from ``env``; the original
+    object itself when nothing changes, so an untouched instruction
+    keeps its identity (the witness checker compares by identity)."""
     if isinstance(instr, Copy):
-        return Copy(instr.dst, _subst(instr.src, env))
+        src = _subst(instr.src, env)
+        if src is instr.src:
+            return instr
+        return Copy(instr.dst, src)
     if isinstance(instr, Un):
-        return Un(instr.op, instr.dst, _subst(instr.src, env))
+        src = _subst(instr.src, env)
+        if src is instr.src:
+            return instr
+        return Un(instr.op, instr.dst, src)
     if isinstance(instr, Bin):
-        return Bin(instr.op, instr.dst, _subst(instr.a, env), _subst(instr.b, env))
+        a, b = _subst(instr.a, env), _subst(instr.b, env)
+        if a is instr.a and b is instr.b:
+            return instr
+        return Bin(instr.op, instr.dst, a, b)
     if isinstance(instr, Load):
-        return Load(instr.dst, _rewrite_mem(instr.mem, env), instr.size)
+        mem = _rewrite_mem(instr.mem, env)
+        if mem is instr.mem:
+            return instr
+        return Load(instr.dst, mem, instr.size)
     if isinstance(instr, Store):
-        return Store(
-            _rewrite_mem(instr.mem, env), _subst(instr.src, env), instr.size
-        )
+        mem, src = _rewrite_mem(instr.mem, env), _subst(instr.src, env)
+        if mem is instr.mem and src is instr.src:
+            return instr
+        return Store(mem, src, instr.size)
     if isinstance(instr, Lea):
-        return Lea(instr.dst, _rewrite_mem(instr.mem, env))
+        mem = _rewrite_mem(instr.mem, env)
+        if mem is instr.mem:
+            return instr
+        return Lea(instr.dst, mem)
     if isinstance(instr, Call):
+        args = _subst_args(instr.args, env)
+        if args is instr.args:
+            return instr
         return Call(
             instr.dst,
             instr.name,
-            [_subst(a, env) for a in instr.args],
+            args,
             instr.arg_taints,
             instr.ret_taint,
             instr.n_fixed,
@@ -264,36 +277,53 @@ def _rewrite_uses(instr, env):
         target = _subst(instr.target, env)
         if isinstance(target, int):
             target = instr.target
+        args = _subst_args(instr.args, env)
+        if target is instr.target and args is instr.args:
+            return instr
         return CallIndirect(
             instr.dst,
             target,
-            [_subst(a, env) for a in instr.args],
+            args,
             instr.arg_taints,
             instr.ret_taint,
             instr.n_fixed,
         )
     if isinstance(instr, VarArgAddr):
-        return VarArgAddr(instr.dst, _subst(instr.index, env))
+        index = _subst(instr.index, env)
+        if index is instr.index:
+            return instr
+        return VarArgAddr(instr.dst, index)
     if isinstance(instr, Branch):
         cond = _subst(instr.cond, env)
+        if cond is instr.cond:
+            return instr
         if isinstance(cond, int):
             return Jump(instr.if_true if cond != 0 else instr.if_false)
         return Branch(cond, instr.if_true, instr.if_false)
     if isinstance(instr, SwitchBr):
         cond = _subst(instr.cond, env)
+        if cond is instr.cond:
+            return instr
         if isinstance(cond, int):
-            from ..arith import wrap
-
             for value, target in instr.table:
                 if wrap(value) == wrap(cond):
                     return Jump(target)
             return Jump(instr.default)
         return SwitchBr(cond, instr.table, instr.default)
     if isinstance(instr, Ret):
-        if instr.value is not None:
-            return Ret(_subst(instr.value, env))
-        return instr
+        value = _subst(instr.value, env)
+        if value is instr.value:
+            return instr
+        return Ret(value)
     return instr
+
+
+def _subst_args(args: tuple, env) -> tuple:
+    """``args`` substituted from ``env``; ``args`` itself if unchanged."""
+    new = tuple(_subst(a, env) for a in args)
+    if all(x is y for x, y in zip(new, args)):
+        return args
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -304,43 +334,46 @@ _PURE = (Const, Copy, Bin, Un, Lea, Load, VarArgAddr)
 
 
 def dce(func: IRFunction, witness=None) -> bool:
-    """Remove pure instructions whose results are never used."""
-    changed = False
-    # Witness sites key deletions by *pre-pass* index, so track each
-    # surviving instruction's original position across rounds.
-    orig = {b.name: list(range(len(b.instrs))) for b in func.blocks}
-    while True:
-        used: set[int] = set()
-        for block in func.blocks:
-            for instr in block.instrs:
-                for use in instr.uses():
-                    used.add(use.id)
-        removed = False
-        for block in func.blocks:
-            kept = []
-            kept_orig = []
-            for pos, instr in enumerate(block.instrs):
-                if (
-                    isinstance(instr, _PURE)
-                    and not instr.is_terminator
-                    and instr.defs()
-                    and all(d.id not in used for d in instr.defs())
-                ):
-                    removed = True
-                    if witness is not None:
-                        witness.add(
-                            "layout",
-                            f"{block.name}@{orig[block.name][pos]}",
-                            "dead", tuple(d.id for d in instr.defs()),
-                        )
-                    continue
-                kept.append(instr)
-                kept_orig.append(orig[block.name][pos])
-            block.instrs = kept
-            orig[block.name] = kept_orig
-        if not removed:
-            return changed
-        changed = True
+    """Remove pure instructions whose results are never used, to a
+    fixpoint: deleting one can leave the registers it read unused.
+
+    One walk counts each register's uses; a register whose count drops
+    to zero takes its pure definitions with it.  Deletion is confluent,
+    so this removes exactly what repeated whole-function rounds would.
+    Witness sites key deletions by pre-pass index.
+    """
+    uses: dict[int, int] = {}
+    defined_at: dict[int, list[tuple[Block, int]]] = {}
+    for block in func.blocks:
+        for pos, instr in enumerate(block.instrs):
+            for u in instr.uses():
+                uses[u.id] = uses.get(u.id, 0) + 1
+            if isinstance(instr, _PURE):
+                defined_at.setdefault(instr.dst.id, []).append((block, pos))
+    dead: dict[str, set[int]] = {}
+    work = [vid for vid in defined_at if vid not in uses]
+    while work:
+        for block, pos in defined_at.pop(work.pop(), ()):
+            dead.setdefault(block.name, set()).add(pos)
+            for u in block.instrs[pos].uses():
+                uses[u.id] -= 1
+                if not uses[u.id]:
+                    work.append(u.id)
+    for block in func.blocks:
+        gone = dead.get(block.name)
+        if not gone:
+            continue
+        if witness is not None:
+            for pos in sorted(gone):
+                witness.add(
+                    "layout", f"{block.name}@{pos}", "dead",
+                    (block.instrs[pos].dst.id,),
+                )
+        block.instrs = [
+            instr for pos, instr in enumerate(block.instrs)
+            if pos not in gone
+        ]
+    return bool(dead)
 
 
 # ---------------------------------------------------------------------------

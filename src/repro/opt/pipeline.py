@@ -18,6 +18,11 @@ The checker is handed the snapshot and the rewritten function itself,
 so nothing ties a witness to its IR except what the checker re-derives
 from that pair; an accepted witness is not kept.
 
+IR objects are frozen, so the snapshot copies only the function's
+lists and shares every instruction with it; an instruction the pass
+left alone is the same object before and after, and the checker
+compares by identity, looking only at what the pass changed.
+
 The per-function fixpoint loop is explicitly bounded: at most
 :data:`MAX_ITERATIONS` rounds, recorded in the ``opt.fixpoint_iters``
 histogram.  Two passes that undo each other (a "ping-pong") therefore
@@ -36,6 +41,7 @@ from .witness import (
     check_witness,
     restore_function,
     snapshot_function,
+    unchanged_since,
 )
 
 #: Fixpoint cap for the iterative pass loop (see module docstring).
@@ -83,8 +89,10 @@ def run_certified_pass(
     """
     snapshot = snapshot_function(func)
     witness = Witness(pass_obj.name, func.name, func.origin)
-    changed = pass_obj.fn(func, witness=witness)
-    if not changed:
+    pass_obj.fn(func, witness=witness)
+    # Whether the run changed anything is read off the IR, not taken
+    # from the pass: only a run that changed nothing goes unchecked.
+    if unchanged_since(snapshot, func):
         return False, None
     try:
         check_witness(witness, snapshot, func)

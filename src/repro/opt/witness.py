@@ -13,6 +13,12 @@ reverts the pass (see ``run_certified_pass``).  A malformed witness
 rejected up front, before any claim is read, so it is a
 :class:`WitnessError` too, never a crash.
 
+IR objects are frozen, so the snapshot shares every instruction with
+the function, and the checker compares pre and post *by identity*: a
+block changed exactly when its instruction list differs by identity,
+and only instructions new to the pass are walked.  A check costs in
+proportion to what its pass changed.
+
 The obligations are *complete* by construction of the checker, not by
 trust in the pass:
 
@@ -20,13 +26,16 @@ trust in the pass:
   obligation anchored in it (a dropped obligation is rejected);
 * every obligation must anchor in a block that actually changed (a
   phantom obligation is rejected);
+* every removed block needs a ``block:`` obligation (``unreachable`` or
+  ``merged``), which only simplify_cfg may emit;
 * same-length rewrites (copy propagation, CSE) must carry an obligation
   at *every* differing instruction position;
 * slots missing from the post-IR frame must each be justified by a
   ``promoted`` obligation whose promotability the checker re-derives
-  from the pre-IR;
-* shared virtual registers must keep their taint, and rewritten memory
-  accesses their region, bit-for-bit.
+  from the pre-IR, with every access to the slot rewritten;
+* the function's registers keep their identity, hence their taint:
+  every register a new instruction names is one of them; and rewritten
+  memory accesses keep their region, bit-for-bit.
 
 The checker is deliberately smaller and dumber than the passes — the
 point of translation validation is that the TCB grows by this file,
@@ -37,6 +46,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import compress, count
+from operator import is_, is_not
 
 from ..errors import ReproError
 from ..ir.core import (
@@ -47,19 +58,11 @@ from ..ir.core import (
     CallIndirect,
     Const,
     Copy,
-    FuncAddr,
-    GlobalAddr,
     IRFunction,
     Jump,
     Lea,
     Load,
-    LocalAddr,
-    MemRef,
-    Ret,
-    StackSlot,
     Store,
-    SwitchBr,
-    TlsBaseAddr,
     Un,
     VarArgAddr,
     VReg,
@@ -105,104 +108,17 @@ class Witness:
 # IR snapshot / restore — the revert machinery.
 
 
-class _Cloner:
-    """Deep-clones a function body, preserving VReg/slot identity webs."""
-
-    def __init__(self):
-        self._vregs: dict[int, VReg] = {}
-        self._slots: dict[int, StackSlot] = {}
-
-    def vreg(self, v):
-        if not isinstance(v, VReg):
-            return v  # int operand (or None)
-        clone = self._vregs.get(v.id)
-        if clone is None:
-            clone = VReg(v.id, v.taint, v.hint)
-            self._vregs[v.id] = clone
-        return clone
-
-    def slot(self, s: StackSlot) -> StackSlot:
-        clone = self._slots.get(s.uid)
-        if clone is None:
-            clone = StackSlot(
-                s.uid, s.name, s.size, s.align, s.taint,
-                s.address_taken, s.offset,
-            )
-            self._slots[s.uid] = clone
-        return clone
-
-    def mem(self, m: MemRef) -> MemRef:
-        return MemRef(
-            region=m.region,
-            base=self.vreg(m.base) if m.base is not None else None,
-            slot=self.slot(m.slot) if m.slot is not None else None,
-            global_name=m.global_name,
-            index=self.vreg(m.index) if m.index is not None else None,
-            scale=m.scale,
-            disp=m.disp,
-        )
-
-    def instr(self, i):
-        v = self.vreg
-        if isinstance(i, Const):
-            return Const(v(i.dst), i.value)
-        if isinstance(i, Copy):
-            return Copy(v(i.dst), v(i.src))
-        if isinstance(i, Un):
-            return Un(i.op, v(i.dst), v(i.src))
-        if isinstance(i, Bin):
-            return Bin(i.op, v(i.dst), v(i.a), v(i.b))
-        if isinstance(i, Load):
-            return Load(v(i.dst), self.mem(i.mem), i.size)
-        if isinstance(i, Store):
-            return Store(self.mem(i.mem), v(i.src), i.size)
-        if isinstance(i, Lea):
-            return Lea(v(i.dst), self.mem(i.mem))
-        if isinstance(i, LocalAddr):
-            return LocalAddr(v(i.dst), self.slot(i.slot))
-        if isinstance(i, GlobalAddr):
-            return GlobalAddr(v(i.dst), i.name)
-        if isinstance(i, FuncAddr):
-            return FuncAddr(v(i.dst), i.fname)
-        if isinstance(i, TlsBaseAddr):
-            return TlsBaseAddr(v(i.dst))
-        if isinstance(i, VarArgAddr):
-            return VarArgAddr(v(i.dst), v(i.index))
-        if isinstance(i, Call):
-            return Call(
-                v(i.dst) if i.dst is not None else None,
-                i.name, [v(a) for a in i.args],
-                list(i.arg_taints), i.ret_taint, i.n_fixed,
-            )
-        if isinstance(i, CallIndirect):
-            return CallIndirect(
-                v(i.dst) if i.dst is not None else None,
-                v(i.target), [v(a) for a in i.args],
-                list(i.arg_taints), i.ret_taint, i.n_fixed,
-            )
-        if isinstance(i, Jump):
-            return Jump(i.target)
-        if isinstance(i, Branch):
-            return Branch(v(i.cond), i.if_true, i.if_false)
-        if isinstance(i, SwitchBr):
-            return SwitchBr(v(i.cond), list(i.table), i.default)
-        if isinstance(i, Ret):
-            return Ret(v(i.value) if i.value is not None else None)
-        raise WitnessError(f"cannot snapshot instruction {i!r}")
-
-
 def snapshot_function(func: IRFunction) -> IRFunction:
-    """A deep clone of ``func`` (same counters, fresh object web)."""
-    cloner = _Cloner()
+    """``func`` as it is now, for a later check or revert: fresh block,
+    slot and register lists that share every (frozen) instruction,
+    register and slot with ``func``.  A pass changes ``func`` only by
+    replacing list entries, which leaves the snapshot as it was."""
     snap = IRFunction(func.name, func.sig, list(func.param_names))
     snap.origin = func.origin
-    snap.param_vregs = [cloner.vreg(v) for v in func.param_vregs]
-    snap.slots = [cloner.slot(s) for s in func.slots]
-    snap.blocks = [
-        Block(b.name, [cloner.instr(i) for i in b.instrs])
-        for b in func.blocks
-    ]
-    snap._next_vreg = func._next_vreg
+    snap.vregs = list(func.vregs)
+    snap.param_vregs = list(func.param_vregs)
+    snap.slots = list(func.slots)
+    snap.blocks = [Block(b.name, list(b.instrs)) for b in func.blocks]
     snap._next_slot = func._next_slot
     snap._next_block = func._next_block
     return snap
@@ -211,48 +127,56 @@ def snapshot_function(func: IRFunction) -> IRFunction:
 def restore_function(func: IRFunction, snap: IRFunction) -> None:
     """Revert ``func`` in place to a snapshot taken before a pass ran."""
     func.origin = snap.origin
+    func.vregs = snap.vregs
     func.param_vregs = snap.param_vregs
     func.slots = snap.slots
     func.blocks = snap.blocks
-    func._next_vreg = snap._next_vreg
     func._next_slot = snap._next_slot
     func._next_block = snap._next_block
+
+
+def unchanged_since(snap: IRFunction, func: IRFunction) -> bool:
+    """Does ``func`` still hold exactly what ``snap`` holds, by identity?"""
+    return (
+        func.origin == snap.origin
+        and [b.name for b in func.blocks] == [b.name for b in snap.blocks]
+        and all(map(_same, (b.instrs for b in func.blocks),
+                    (b.instrs for b in snap.blocks)))
+        and _same(func.slots, snap.slots)
+        and _same(func.vregs, snap.vregs)
+        and _same(func.param_vregs, snap.param_vregs)
+    )
 
 
 # ---------------------------------------------------------------------------
 # The checker.
 
-def _block_reprs(func: IRFunction) -> dict[str, list[str]]:
-    return {b.name: [repr(i) for i in b.instrs] for b in func.blocks}
+def _same(a: list, b: list) -> bool:
+    """Do two lists hold the same objects, in order?"""
+    return len(a) == len(b) and all(map(is_, a, b))
 
 
-def _vreg_taints(func: IRFunction) -> dict[int, object]:
-    taints: dict[int, object] = {}
-    for block in func.blocks:
-        for instr in block.instrs:
-            for v in (*instr.uses(), *instr.defs()):
-                taints[v.id] = v.taint
-    for v in func.param_vregs:
-        taints[v.id] = v.taint
-    return taints
-
-
-def _site_block(site: str) -> str | None:
-    """The block an obligation site anchors in (None for slot sites)."""
-    if site.startswith("slot:"):
-        return None
-    if site.startswith("block:"):
-        return site[len("block:"):]
-    return site.rsplit("@", 1)[0]
-
-
-def _covered_blocks(ob: Obligation) -> set[str]:
-    """Blocks an obligation accounts for (merges cover both sides)."""
-    block = _site_block(ob.site)
-    names = {block} if block is not None else set()
-    if ob.claim[0] == "merged":
-        names.add(ob.claim[1])
-    return names
+def _check_registers(
+    pre: IRFunction, post: IRFunction, new_instrs: list
+) -> None:
+    """The function's registers keep their identity, hence their taint,
+    and every register a new instruction or a parameter names is one of
+    them: none can be relabelled, or shadowed by an impostor."""
+    n, regs = len(pre.vregs), post.vregs
+    if regs[:n] != pre.vregs or any(
+        v.id != i for i, v in enumerate(regs[n:], n)
+    ):
+        raise WitnessError(f"{post.name}: pass rewrote the register table")
+    named = list(post.param_vregs)
+    for instr in new_instrs:
+        named += instr.uses()
+        named += instr.defs()
+    for v in named:
+        if v.id not in range(len(regs)) or regs[v.id] is not v:
+            raise WitnessError(
+                f"{post.name}: {v!r} is not the function's register "
+                "of that id"
+            )
 
 
 def check_witness(
@@ -279,47 +203,67 @@ def check_witness(
                 f"{ob.kind!r} {ob.claim!r}"
             )
 
-    pre_blocks = _block_reprs(pre)
-    post_blocks = _block_reprs(post)
+    pre_blocks = {b.name: b for b in pre.blocks}
+    post_blocks = {b.name: b for b in post.blocks}
+    if len(post_blocks) != len(post.blocks):
+        raise WitnessError(f"{post.name}: pass duplicated a block name")
     for name in post_blocks:
         if name not in pre_blocks:
             raise WitnessError(
                 f"{post.name}: pass introduced new block {name!r}"
             )
-
-    # Global taint preservation: shared vregs keep their taint.
-    pre_taints = _vreg_taints(pre)
-    for vid, taint in _vreg_taints(post).items():
-        if vid in pre_taints and pre_taints[vid] is not taint:
-            raise WitnessError(
-                f"{post.name}: vreg %{vid} taint changed "
-                f"{pre_taints[vid]!r} -> {taint!r}"
-            )
+    if pre.blocks and (
+        not post.blocks or post.blocks[0].name != pre.blocks[0].name
+    ):
+        raise WitnessError(f"{post.name}: pass moved the entry block")
+    # A block changed exactly when its instruction list differs by
+    # identity; instructions no pre block of a changed block held are
+    # new, and only they are walked.
+    changed = {
+        name
+        for name, block in pre_blocks.items()
+        if name not in post_blocks
+        or not _same(block.instrs, post_blocks[name].instrs)
+    }
+    old = {id(i) for name in changed for i in pre_blocks[name].instrs}
+    _check_registers(pre, post, [
+        instr
+        for name in changed
+        if name in post_blocks
+        for instr in post_blocks[name].instrs
+        if id(instr) not in old
+    ])
 
     # Global layout preservation: surviving slots are unchanged;
     # removed slots need a 'promoted' obligation (validated below).
     pre_slots = {s.uid: s for s in pre.slots}
     for slot in post.slots:
-        old = pre_slots.get(slot.uid)
-        if old is None:
+        if pre_slots.get(slot.uid) is not slot:
             raise WitnessError(
-                f"{post.name}: pass introduced slot {slot!r}"
+                f"{post.name}: pass introduced or rewrote slot {slot!r}"
             )
-        if (slot.name, slot.size, slot.align, slot.taint) != (
-            old.name, old.size, old.align, old.taint
-        ):
-            raise WitnessError(
-                f"{post.name}: slot {slot.uid} layout changed"
-            )
+    # One pass over the obligations: the slots claimed promoted, the
+    # blocks claimed removed ('unreachable' or 'merged', which only
+    # simplify_cfg may emit), and every block an obligation accounts
+    # for (a merge covers both sides).
+    promoted_uids: set[int] = set()
+    claimed_removed: set[str] = set()
+    covered: set[str] = set()
+    for ob in witness.obligations:
+        site = ob.site
+        if site.startswith("slot:"):
+            if ob.claim[0] == "promoted":
+                promoted_uids.add(int(site[len("slot:"):]))
+            continue
+        if site.startswith("block:"):
+            block = site[len("block:"):]
+            claimed_removed.add(block)
+            if ob.claim[0] == "merged":
+                covered.add(ob.claim[1])
+        else:
+            block = site.rpartition("@")[0]
+        covered.add(block)
     removed_slots = set(pre_slots) - {s.uid for s in post.slots}
-    promoted = {
-        ob.claim[1]: ob
-        for ob in witness.obligations
-        if ob.claim[0] == "promoted"
-    }
-    promoted_uids = {
-        int(ob.site[len("slot:"):]) for ob in promoted.values()
-    }
     if removed_slots != promoted_uids:
         raise WitnessError(
             f"{post.name}: removed slots {sorted(removed_slots)} not "
@@ -327,26 +271,21 @@ def check_witness(
         )
 
     # Changed-block accounting: full, both directions.
-    changed = {
-        name
-        for name in pre_blocks
-        if post_blocks.get(name) != pre_blocks[name]
-    }
-    covered: set[str] = set()
-    for ob in witness.obligations:
-        names = _covered_blocks(ob)
-        covered |= names
-        for name in names:
-            if name not in changed:
-                raise WitnessError(
-                    f"{post.name}: obligation at {ob.site} anchors in "
-                    f"unchanged block {name!r}"
-                )
-    missing = changed - covered
-    if missing:
+    removed_blocks = pre_blocks.keys() - post_blocks.keys()
+    if removed_blocks - claimed_removed:
+        raise WitnessError(
+            f"{post.name}: blocks removed without a block obligation: "
+            f"{sorted(removed_blocks - claimed_removed)}"
+        )
+    if covered - changed:
+        raise WitnessError(
+            f"{post.name}: obligations anchor in unchanged blocks "
+            f"{sorted(covered - changed)}"
+        )
+    if changed - covered:
         raise WitnessError(
             f"{post.name}: changed blocks without obligations: "
-            f"{sorted(missing)}"
+            f"{sorted(changed - covered)}"
         )
 
     checker(witness, pre, post)
@@ -362,15 +301,9 @@ _SITE_FORMS = {
 }
 
 
-def _field_ok(kind: type, value) -> bool:
-    """``tuple`` fields are tuples of ints; others match exactly."""
-    if kind is tuple:
-        return type(value) is tuple and all(type(v) is int for v in value)
-    return type(value) is kind
-
-
 def _well_formed(ob, shapes: dict) -> bool:
-    """Does ``ob`` match its claim tag's ``(kind, site form, fields)``?"""
+    """Does ``ob`` match its claim tag's ``(kind, site form, fields)``?
+    A ``tuple`` field is a tuple of ints; other fields match exactly."""
     claim = ob.claim
     if type(claim) is not tuple or not claim or type(claim[0]) is not str:
         return False
@@ -378,42 +311,42 @@ def _well_formed(ob, shapes: dict) -> bool:
     if shape is None:
         return False
     kind, form, fields = shape
-    return (
+    if not (
         ob.kind == kind
         and type(ob.site) is str
-        and _SITE_FORMS[form].fullmatch(ob.site) is not None
         and len(claim) == 1 + len(fields)
-        and all(map(_field_ok, fields, claim[1:]))
-    )
+        and _SITE_FORMS[form].fullmatch(ob.site)
+    ):
+        return False
+    for field_type, value in zip(fields, claim[1:]):
+        if type(value) is not field_type:
+            return False
+        if field_type is tuple:
+            for v in value:
+                if type(v) is not int:
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------
 # Per-pass claim validation.  Every obligation reaching these checkers
 # already matches its pass's shape table (see _CLAIM_CHECKERS).
 
-def _post_block(post: IRFunction, name: str, func_name: str) -> Block:
-    for block in post.blocks:
+def _block(func: IRFunction, name: str) -> Block:
+    for block in func.blocks:
         if block.name == name:
             return block
-    raise WitnessError(f"{func_name}: obligation block {name!r} missing")
-
-
-def _pre_block(pre: IRFunction, name: str, func_name: str) -> Block:
-    for block in pre.blocks:
-        if block.name == name:
-            return block
-    raise WitnessError(
-        f"{func_name}: obligation block {name!r} not in pre-IR"
-    )
+    raise WitnessError(f"{func.name}: obligation block {name!r} missing")
 
 
 def _require_positionwise(
     witness: Witness, pre: IRFunction, post: IRFunction, *, offsets=None
 ) -> None:
-    """Common-block bodies must have equal length, and every differing
-    position must carry an obligation (used by the 1:1 rewrite passes).
-    ``offsets`` maps block name -> number of instructions inserted at
-    the front of the post block (promote_slots' entry initializers)."""
+    """Common-block bodies must have equal length, and every position
+    where pre and post hold different objects must carry an obligation
+    (used by the 1:1 rewrite passes).  ``offsets`` maps block name ->
+    number of instructions inserted at the front of the post block
+    (promote_slots' entry initializers)."""
     offsets = offsets or {}
     sites = {ob.site for ob in witness.obligations}
     pre_map = {b.name: b for b in pre.blocks}
@@ -427,13 +360,13 @@ def _require_positionwise(
                 f"{post.name}: block {block.name} length changed "
                 "under a positionwise pass"
             )
-        for i, pre_instr in enumerate(old.instrs):
-            if repr(block.instrs[i + off]) != repr(pre_instr):
-                if f"{block.name}@{i}" not in sites:
-                    raise WitnessError(
-                        f"{post.name}: rewrite at {block.name}@{i} has "
-                        "no obligation"
-                    )
+        new = block.instrs[off:] if off else block.instrs
+        for i in compress(count(), map(is_not, old.instrs, new)):
+            if f"{block.name}@{i}" not in sites:
+                raise WitnessError(
+                    f"{post.name}: rewrite at {block.name}@{i} has "
+                    "no obligation"
+                )
 
 
 def _def_taints(instr) -> tuple:
@@ -451,13 +384,13 @@ def _check_copyprop(witness, pre, post):
                 f"{pre_taints} -> {post_taints}"
             )
         i = int(index)
-        pblock = _post_block(post, block_name, post.name)
-        oblock = _pre_block(pre, block_name, post.name)
-        if i >= len(pblock.instrs) or i >= len(oblock.instrs):
+        new_instrs = _block(post, block_name).instrs
+        old_instrs = _block(pre, block_name).instrs
+        if i >= len(new_instrs) or i >= len(old_instrs):
             raise WitnessError(
                 f"{post.name}: {ob.site}: index out of range"
             )
-        new, old = pblock.instrs[i], oblock.instrs[i]
+        new, old = new_instrs[i], old_instrs[i]
         if _def_taints(new) != tuple(post_taints):
             raise WitnessError(
                 f"{post.name}: {ob.site}: claimed taints {post_taints} "
@@ -469,14 +402,13 @@ def _check_copyprop(witness, pre, post):
                 f"do not match pre-IR {_def_taints(old)}"
             )
         # Region preservation for rewritten memory accesses.
-        for a, b in ((old, new),):
-            if isinstance(a, (Load, Store, Lea)) and isinstance(
-                b, (Load, Store, Lea)
-            ):
-                if a.mem.region is not b.mem.region:
-                    raise WitnessError(
-                        f"{post.name}: {ob.site}: memory region changed"
-                    )
+        mems = (Load, Store, Lea)
+        if isinstance(old, mems) and isinstance(new, mems) and (
+            old.mem.region is not new.mem.region
+        ):
+            raise WitnessError(
+                f"{post.name}: {ob.site}: memory region changed"
+            )
 
 
 def _check_cse(witness, pre, post):
@@ -557,61 +489,57 @@ def _same_computation(a, b) -> bool:
 
 
 def _check_dce(witness, pre, post):
-    post_used: set[int] = set()
-    for block in post.blocks:
-        for instr in block.instrs:
-            for u in instr.uses():
-                post_used.add(u.id)
-    sites: dict[tuple[str, int], Obligation] = {}
+    dead_at: dict[str, dict[int, Obligation]] = {}
     for ob in witness.obligations:
         block_name, _, index = ob.site.rpartition("@")
-        sites[(block_name, int(index))] = ob
+        dead_at.setdefault(block_name, {})[int(index)] = ob
     pre_map = {b.name: b for b in pre.blocks}
-    for block in post.blocks:
-        old = pre_map.get(block.name)
-        if old is None:
-            continue
+    post_map = {b.name: b for b in post.blocks}
+    # check_witness has rejected removed blocks (dce has no block
+    # claims) and obligations outside changed blocks, and every changed
+    # block carries one, so these are exactly the changed blocks.
+    claimed_ids: set[int] = set()
+    for name, sites in dead_at.items():
+        old = _block(pre, name).instrs
+        new = _block(post, name).instrs
+        if max(sites) >= len(old):
+            raise WitnessError(
+                f"{post.name}: dce site {name}@{max(sites)} out of range"
+            )
         # The post block must be exactly the pre block minus the
         # instructions claimed dead at their pre indices.
-        deleted = {
-            i for (name, i) in sites if name == block.name
-        }
-        kept = [
-            repr(instr)
-            for i, instr in enumerate(old.instrs)
-            if i not in deleted
-        ]
-        if kept != [repr(i) for i in block.instrs]:
+        kept = [instr for i, instr in enumerate(old) if i not in sites]
+        if not _same(kept, new):
             raise WitnessError(
-                f"{post.name}: block {block.name} is not pre minus the "
+                f"{post.name}: block {name} is not pre minus the "
                 "claimed deletions"
             )
-        for i in deleted:
-            if i >= len(old.instrs):
+        for i, ob in sites.items():
+            dead = old[i]
+            ids = tuple(ob.claim[1])
+            if tuple(d.id for d in dead.defs()) != ids:
                 raise WitnessError(
-                    f"{post.name}: dce site {block.name}@{i} out of range"
-                )
-            dead = old.instrs[i]
-            ob = sites[(block.name, i)]
-            claimed_ids = tuple(ob.claim[1])
-            if tuple(d.id for d in dead.defs()) != claimed_ids:
-                raise WitnessError(
-                    f"{post.name}: dce claim ids {claimed_ids} do not "
-                    f"match {dead!r}"
+                    f"{post.name}: dce claim ids {ids} do not match "
+                    f"{dead!r}"
                 )
             if not isinstance(dead, _PURE) or not dead.defs():
                 raise WitnessError(
                     f"{post.name}: dce deleted impure {dead!r}"
                 )
-            for vid in claimed_ids:
-                if vid in post_used:
+            claimed_ids.update(ids)
+    for block in post.blocks:
+        for instr in block.instrs:
+            for u in instr.uses():
+                if u.id in claimed_ids:
                     raise WitnessError(
-                        f"{post.name}: dce deleted %{vid} but it is "
+                        f"{post.name}: dce deleted %{u.id} but it is "
                         "still used"
                     )
 
 
 def _check_simplify_cfg(witness, pre, post):
+    # check_witness has required each block a removal claim names to be
+    # a pre-IR block the pass changed, and the entry block to stay.
     post_names = {b.name for b in post.blocks}
     post_targets: set[str] = set()
     for block in post.blocks:
@@ -631,7 +559,7 @@ def _check_simplify_cfg(witness, pre, post):
         return name
 
     merged_into = {
-        _site_block(ob.site): ob.claim[1]
+        ob.site[len("block:"):]: ob.claim[1]
         for ob in witness.obligations
         if ob.claim[0] == "merged"
     }
@@ -639,12 +567,10 @@ def _check_simplify_cfg(witness, pre, post):
         claim = ob.claim[0]
         if claim == "thread":
             block_name = ob.site.rpartition("@")[0]
-            new_block = _post_block(post, block_name, post.name)
-            old_block = _pre_block(pre, block_name, post.name)
+            new_block = _block(post, block_name)
+            old_block = _block(pre, block_name)
             n = len(old_block.instrs)
-            if [repr(i) for i in new_block.instrs[: n - 1]] != [
-                repr(i) for i in old_block.instrs[:-1]
-            ]:
+            if not _same(new_block.instrs[: n - 1], old_block.instrs[:-1]):
                 raise WitnessError(
                     f"{post.name}: thread rewrote more than the "
                     f"terminator of {block_name}"
@@ -685,19 +611,10 @@ def _check_simplify_cfg(witness, pre, post):
                 )
         elif claim == "unreachable":
             name = ob.site[len("block:"):]
-            if name == pre.blocks[0].name:
-                raise WitnessError(
-                    f"{post.name}: entry block claimed unreachable"
-                )
             if name in post_names or name in post_targets:
                 raise WitnessError(
                     f"{post.name}: block {name} claimed unreachable but "
                     "still present or targeted"
-                )
-            if name not in {b.name for b in pre.blocks}:
-                raise WitnessError(
-                    f"{post.name}: unreachable claim for unknown block "
-                    f"{name}"
                 )
         elif claim == "merged":
             name = ob.site[len("block:"):]
@@ -707,26 +624,19 @@ def _check_simplify_cfg(witness, pre, post):
                     f"{post.name}: block {name} claimed merged but "
                     "still present or targeted"
                 )
-            if into not in post_names:
-                raise WitnessError(
-                    f"{post.name}: merge target {into} missing from "
-                    "post-IR"
-                )
-            old = _pre_block(pre, name, post.name)
-            absorber = _post_block(post, into, post.name)
-            body = [repr(i) for i in absorber.instrs]
+            old = _block(pre, name)
+            body = _block(post, into).instrs
             # The surviving block must still start with its own pre
             # body (sans terminator, which the merge consumed)...
-            pre_into = _pre_block(pre, into, post.name)
-            head = [repr(i) for i in pre_into.instrs[:-1]]
-            if body[: len(head)] != head:
+            head = _block(pre, into).instrs[:-1]
+            if not _same(body[: len(head)], head):
                 raise WitnessError(
                     f"{post.name}: merge into {into} disturbed the "
                     "absorber's own body"
                 )
             # ...and the absorbed body (sans its possibly-rethreaded
             # terminator) must appear inside it.
-            needle = [repr(i) for i in old.instrs[:-1]]
+            needle = old.instrs[:-1]
             if needle and not _contains_run(body, needle):
                 raise WitnessError(
                     f"{post.name}: merged block {name} body not found "
@@ -734,17 +644,45 @@ def _check_simplify_cfg(witness, pre, post):
                 )
 
 
-def _contains_run(haystack: list[str], needle: list[str]) -> bool:
+def _contains_run(haystack: list, needle: list) -> bool:
+    """Does ``haystack`` hold ``needle``'s objects contiguously?"""
     n = len(needle)
     return any(
-        haystack[i:i + n] == needle
+        _same(haystack[i:i + n], needle)
         for i in range(len(haystack) - n + 1)
     )
 
 
 def _check_promote_slots(witness, pre, post):
+    if not post.blocks:
+        raise WitnessError(f"{post.name}: pass left no blocks")
     pre_slots = {s.uid: s for s in pre.slots}
+    # One walk over the pre-IR re-derives promotability: a slot whose
+    # address is taken, or that has a partial access, is disqualified;
+    # every other reference is a whole-slot direct Load/Store, and each
+    # must be rewritten.
+    unpromotable: dict[int, str] = {}
+    accesses: dict[int, set[str]] = {}
+    for block in pre.blocks:
+        for i, instr in enumerate(block.instrs):
+            mem = getattr(instr, "mem", None)
+            if mem is None or mem.slot is None:
+                continue
+            uid = mem.slot.uid
+            if isinstance(instr, Lea):
+                unpromotable[uid] = "address taken via lea"
+                continue
+            slot = pre_slots.get(uid)
+            if (
+                mem.index is not None
+                or mem.disp != 0
+                or slot is None
+                or instr.size != slot.size
+            ):
+                unpromotable[uid] = "has a partial access; not promotable"
+            accesses.setdefault(uid, set()).add(f"{block.name}@{i}")
     promoted: dict[int, tuple[int, object]] = {}  # uid -> (vreg id, taint)
+    rewritten: dict[int, set[str]] = {}
     inits: list[int] = []
     for ob in witness.obligations:
         if ob.claim[0] == "promoted":
@@ -763,36 +701,23 @@ def _check_promote_slots(witness, pre, post):
                 raise WitnessError(
                     f"{post.name}: slot {uid} promotion changes taint"
                 )
-            # Re-derive promotability: every pre reference must be a
-            # whole-slot direct Load/Store.
-            for block in pre.blocks:
-                for instr in block.instrs:
-                    mem = getattr(instr, "mem", None)
-                    if isinstance(instr, Lea) and instr.mem.slot is not None \
-                            and instr.mem.slot.uid == uid:
-                        raise WitnessError(
-                            f"{post.name}: slot {uid} address taken via "
-                            "lea"
-                        )
-                    if (
-                        isinstance(instr, (Load, Store))
-                        and mem is not None
-                        and mem.slot is not None
-                        and mem.slot.uid == uid
-                    ):
-                        if (
-                            mem.index is not None
-                            or mem.disp != 0
-                            or instr.size != slot.size
-                        ):
-                            raise WitnessError(
-                                f"{post.name}: slot {uid} has a partial "
-                                "access; not promotable"
-                            )
+            if uid in unpromotable:
+                raise WitnessError(
+                    f"{post.name}: slot {uid} {unpromotable[uid]}"
+                )
             promoted[uid] = (vreg_id, slot.taint)
         elif ob.claim[0] == "zero-init":
             inits = list(ob.claim[1])
-        # slot-access claims are validated positionally below.
+        else:  # slot-access
+            rewritten.setdefault(ob.claim[1], set()).add(ob.site)
+    # Every access to a promoted slot is claimed rewritten, and nothing
+    # else is: so each slot-access site below is a pre-IR access.
+    for uid in promoted.keys() | rewritten.keys():
+        if uid not in promoted or rewritten.get(uid) != accesses.get(uid):
+            raise WitnessError(
+                f"{post.name}: slot {uid}: slot-access claims do not "
+                "match the accesses to a promoted slot"
+            )
     n_inits = len(promoted)
     entry = post.blocks[0]
     if sorted(vid for vid, _t in promoted.values()) != sorted(inits):
@@ -818,7 +743,8 @@ def _check_promote_slots(witness, pre, post):
             )
     offsets = {entry.name: n_inits} if n_inits else {}
     _require_positionwise(witness, pre, post, offsets=offsets)
-    # Validate each rewritten access.
+    # Validate each rewritten access.  check_witness has rejected
+    # removed blocks, and _require_positionwise unequal lengths.
     pre_map = {b.name: b for b in pre.blocks}
     post_map = {b.name: b for b in post.blocks}
     for ob in witness.obligations:
@@ -827,26 +753,11 @@ def _check_promote_slots(witness, pre, post):
         block_name, _, index = ob.site.rpartition("@")
         _, uid, vreg_id = ob.claim
         i = int(index)
-        off = offsets.get(block_name, 0)
-        old_block = pre_map.get(block_name)
-        new_block = post_map.get(block_name)
-        if old_block is None or new_block is None or i >= len(
-            old_block.instrs
-        ):
-            raise WitnessError(
-                f"{post.name}: bad slot-access site {ob.site}"
-            )
-        old_instr = old_block.instrs[i]
-        new_instr = new_block.instrs[i + off]
-        if not isinstance(old_instr, (Load, Store)) or (
-            old_instr.mem.slot is None or old_instr.mem.slot.uid != uid
-        ):
-            raise WitnessError(
-                f"{post.name}: {ob.site}: pre-IR is not an access to "
-                f"slot {uid}"
-            )
-        expect_vid, taint = promoted.get(uid, (None, None))
-        if expect_vid != vreg_id:
+        old_instr = pre_map[block_name].instrs[i]
+        new_instr = post_map[block_name].instrs[
+            i + offsets.get(block_name, 0)
+        ]
+        if promoted[uid][0] != vreg_id:
             raise WitnessError(
                 f"{post.name}: {ob.site}: access register does not "
                 "match the promotion"

@@ -81,7 +81,7 @@ class TestCallMetadata:
             "main",
         )
         call = next(c for c in instrs(f, Call) if c.name == "mix")
-        assert call.arg_taints == [PRIVATE, PUBLIC]
+        assert call.arg_taints == (PRIVATE, PUBLIC)
         assert call.ret_taint is PRIVATE
 
     def test_indirect_call_lowered_with_taints(self):
@@ -94,7 +94,7 @@ class TestCallMetadata:
         )
         icalls = instrs(f, CallIndirect)
         assert len(icalls) == 1
-        assert icalls[0].arg_taints == [PUBLIC]
+        assert icalls[0].arg_taints == (PUBLIC,)
 
     def test_variadic_args_counted(self):
         _, f = ir_for(

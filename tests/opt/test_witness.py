@@ -2,13 +2,24 @@
 rejection-and-revert, snapshot fidelity, and the bounded fixpoint
 loop."""
 
+import dataclasses
+
 import pytest
 
 from repro.apps.spec import SPEC_NAMES, kernel_source
 from repro.build.session import BuildSession
 from repro.config import OUR_MPX
 from repro.frontend import lower_program
-from repro.ir import Block, Const, Instr, MemRef, StackSlot, VReg, verify_module
+from repro.ir import (
+    Block,
+    Const,
+    Instr,
+    MemRef,
+    StackSlot,
+    Store,
+    VReg,
+    verify_module,
+)
 from repro.minic import analyze, parse
 from repro.obs import events
 from repro.opt import (
@@ -63,6 +74,24 @@ def emit_witness(pass_obj, func):
     return snapshot, witness
 
 
+#: The SPEC kernels and serve apps, as sources.
+SNAPSHOT_SOURCES = [
+    pytest.param(lambda name=name: kernel_source(name), id=name)
+    for name in SPEC_NAMES
+] + [
+    pytest.param(lambda name=name: SERVE_APPS[name].source, id=name)
+    for name in ("webserver", "dirserver", "classifier")
+]
+
+
+def lowered_module(source: str):
+    """``source`` lowered as an OurMPX build lowers it."""
+    session = BuildSession()
+    return session.stage_lower(
+        session.stage_sema(session.stage_parse(source), OUR_MPX), OUR_MPX
+    ).value
+
+
 #: Each of these changes ``f`` of SOURCE when run in this order.
 CHAIN = (PROMOTE_SLOTS, COPYPROP_AND_FOLD, DCE, SIMPLIFY_CFG)
 
@@ -95,10 +124,16 @@ class TestAcceptance:
         changed, witness = run_certified_pass(DCE, f)
         assert not changed and witness is None
 
-    def test_full_pipeline_accepts_everything(self):
+    @pytest.mark.parametrize("pipeline_name", ["confllvm", "vanilla"])
+    @pytest.mark.parametrize("source", SNAPSHOT_SOURCES)
+    def test_full_pipeline_accepts_everything(self, source, pipeline_name):
+        # An honest pass that loses an instruction's identity (rebuilds
+        # an unchanged instruction) would be reverted silently and change
+        # the generated code; no witness may be rejected.
+        module = lowered_module(source())
         registry = events.Registry()
         with events.use(registry):
-            module = optimize_module(ir_of())
+            optimize_module(module, pipeline_name)
         snap = registry.metrics_snapshot()
         rejected = {
             k: v for k, v in snap.items() if "witness_rejected" in k
@@ -259,15 +294,15 @@ def _function_state(func):
         func.name,
         func.origin,
         [(b.name, [repr(i) for i in b.instrs]) for b in func.blocks],
-        [vars(s) for s in func.slots],
+        [dataclasses.astuple(s) for s in func.slots],
         [(v.id, v.taint, v.hint) for v in func.param_vregs],
-        (func._next_vreg, func._next_slot, func._next_block),
+        (len(func.vregs), func._next_slot, func._next_block),
     )
 
 
-def _mutable_objects(func) -> dict:
+def _ir_objects(func) -> dict:
     """id -> object for every list, block, instruction, VReg, StackSlot
-    and MemRef reachable from ``func``'s body, slots and parameters."""
+    and MemRef reachable from ``func``'s body, slots and registers."""
     seen: dict = {}
 
     def walk(x):
@@ -280,24 +315,23 @@ def _mutable_objects(func) -> dict:
         elif isinstance(x, tuple):
             for y in x:
                 walk(y)
-        elif isinstance(x, VReg):
+        elif isinstance(x, Block):
             seen[id(x)] = x
-        elif isinstance(x, (Block, Instr, StackSlot, MemRef)):
+            walk(x.instrs)
+        elif isinstance(x, (Instr, VReg, StackSlot, MemRef)):
             seen[id(x)] = x
-            for y in vars(x).values():
-                walk(y)
+            for f in dataclasses.fields(x):
+                walk(getattr(x, f.name))
 
-    walk([func.blocks, func.slots, func.param_vregs])
+    walk([func.blocks, func.slots, func.param_vregs, func.vregs])
     return seen
 
 
-SNAPSHOT_SOURCES = [
-    pytest.param(lambda name=name: kernel_source(name), id=name)
-    for name in SPEC_NAMES
-] + [
-    pytest.param(lambda name=name: SERVE_APPS[name].source, id=name)
-    for name in ("webserver", "dirserver", "classifier")
-]
+def _assert_frozen(obj) -> None:
+    """Writing any field of ``obj`` raises, whatever the value."""
+    for f in dataclasses.fields(obj):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, f.name, getattr(obj, f.name))
 
 
 class TestSnapshot:
@@ -307,26 +341,30 @@ class TestSnapshot:
     def test_snapshot_is_faithful_and_independent(self, source, monkeypatch):
         # The pipeline snapshots every function before each pass run,
         # so this sees each one as lowered and after every accepted pass.
+        # A snapshot shares only frozen objects with its function: no
+        # list or block, and nothing whose fields can be written.
         taken = []
+        checked_types: set[type] = set()
 
         def checked_snapshot(func):
             snap = snapshot_function(func)
             assert _function_state(snap) == _function_state(func)
-            ours = _mutable_objects(func)
-            shared = ours.keys() & _mutable_objects(snap).keys()
-            assert not shared, [ours[i] for i in shared][:5]
+            ours = _ir_objects(func)
+            shared = [ours[i] for i in ours.keys() & _ir_objects(snap).keys()]
+            mutable = [x for x in shared if isinstance(x, (list, Block))]
+            assert not mutable, mutable[:5]
+            for obj in shared:
+                if type(obj) not in checked_types:
+                    _assert_frozen(obj)
+                    checked_types.add(type(obj))
             taken.append(func.name)
             return snap
 
         monkeypatch.setattr(pipeline, "snapshot_function", checked_snapshot)
-        session = BuildSession()
-        lowered = session.stage_lower(
-            session.stage_sema(session.stage_parse(source()), OUR_MPX),
-            OUR_MPX,
-        )
-        module = lowered.value
+        module = lowered_module(source())
         optimize_module(module)
         assert set(taken) == set(module.functions)
+        assert {VReg, StackSlot, MemRef} <= checked_types
 
 
 class TestRevert:
@@ -351,32 +389,194 @@ class TestRevert:
         assert snap.get("opt.witness_rejected{pass=dce}") == 1
 
     def test_taint_laundering_pass_is_reverted(self):
-        """A pass that flips a vreg's taint is caught by the global
-        taint-preservation check, whatever it claims."""
+        """A pass that relabels a private register as public is caught
+        by the register check, whatever it claims.  Registers are
+        frozen, so it has to launder through an impostor: a new VReg
+        with the same id and the flipped taint."""
 
         def launder(func, witness=None):
             for block in func.blocks:
-                for instr in block.instrs:
-                    for v in instr.defs():
-                        if v.taint is Taint.PRIVATE:
-                            v.taint = Taint.PUBLIC
+                for i, instr in enumerate(block.instrs):
+                    for f in dataclasses.fields(instr):
+                        v = getattr(instr, f.name)
+                        if (
+                            isinstance(v, VReg)
+                            and v.taint is Taint.PRIVATE
+                            and v not in instr.defs()
+                        ):
+                            with pytest.raises(
+                                dataclasses.FrozenInstanceError
+                            ):
+                                v.taint = Taint.PUBLIC
+                            impostor = VReg(v.id, Taint.PUBLIC, v.hint)
+                            block.instrs[i] = dataclasses.replace(
+                                instr, **{f.name: impostor}
+                            )
+                            # A well-formed claim: the rewrite keeps
+                            # the def taints, so only the register
+                            # check can reject it.
+                            taints = tuple(
+                                int(d.taint) for d in instr.defs()
+                            )
+                            witness.add(
+                                "taint", f"{block.name}@{i}", "rewrite",
+                                taints, taints,
+                            )
                             return True
             return False
 
-        module = ir_of(
-            T_PROTOTYPES
-            + """
+        source = T_PROTOTYPES + """
             int main() {
                 private int secret = 42;
                 return declassify_int(secret + 0);
             }
             """
-        )
-        f = module.functions["main"]
+        f = ir_of(source).functions["main"]
+        snapshot = snapshot_function(f)
+        witness = Witness("copyprop_and_fold", f.name, f.origin)
+        assert launder(f, witness)
+        with pytest.raises(WitnessError, match="not the function's register"):
+            check_witness(witness, snapshot, f)
+
+        f = ir_of(source).functions["main"]
         before = blocks_repr(f)
-        changed, witness = run_certified_pass(Pass("dce", launder), f)
+        changed, witness = run_certified_pass(
+            Pass("copyprop_and_fold", launder), f
+        )
         assert not changed and witness is None
         assert blocks_repr(f) == before
+
+    def test_equal_but_new_instruction_is_rejected(self):
+        """An instruction replaced by an equal but new object is a
+        change, and a change with no obligation is reverted."""
+
+        def swap(func, witness=None):
+            entry = func.blocks[0]
+            entry.instrs[0] = dataclasses.replace(entry.instrs[0])
+            return True
+
+        f = ir_of().functions["f"]
+        original = f.blocks[0].instrs[0]
+        changed, witness = run_certified_pass(
+            Pass("copyprop_and_fold", swap), f
+        )
+        assert not changed and witness is None
+        assert f.blocks[0].instrs[0] is original
+
+
+DCE_SOURCE = """
+int g;
+int f(int x) { if (x) { g = 5; } return x; }
+int main() { return f(1); }
+"""
+
+
+def _rejected_and_reverted(pass_obj, func):
+    """Run ``pass_obj`` certified; it must be rejected and reverted."""
+    before = blocks_repr(func)
+    slots = list(func.slots)
+    changed, witness = run_certified_pass(pass_obj, func)
+    assert not changed and witness is None
+    assert blocks_repr(func) == before and func.slots == slots
+
+
+class TestBlockAndSlotAccounting:
+    """Removed blocks and promoted slots must be fully accounted for."""
+
+    def test_dce_cannot_delete_blocks(self):
+        """A dce witness may only delete instructions: dropping every
+        block but one, with a 'dead' claim in each dropped block, is
+        rejected (only simplify_cfg may remove blocks, each with a
+        block: obligation)."""
+
+        def wipe(func, witness=None):
+            keep = next(b for b in func.blocks if ".endif." in b.name)
+            for block in func.blocks:
+                if block is not keep:
+                    witness.add("layout", f"{block.name}@0", "dead", ())
+            func.blocks = [keep]
+            return True
+
+        _rejected_and_reverted(
+            Pass("dce", wipe), ir_of(DCE_SOURCE).functions["f"]
+        )
+
+    def test_entry_block_cannot_move(self):
+        def rotate(func, witness=None):
+            func.blocks = func.blocks[1:] + func.blocks[:1]
+            return True
+
+        _rejected_and_reverted(Pass("dce", rotate), ir_of().functions["f"])
+
+    def test_duplicate_block_name_rejected(self):
+        def shadow(func, witness=None):
+            entry = func.blocks[0]
+            func.blocks.insert(0, Block(entry.name, entry.instrs[-1:]))
+            return True
+
+        # simplify_cfg's claim checker looks only at claimed blocks, so
+        # only the structural check can see the shadow.
+        _rejected_and_reverted(
+            Pass("simplify_cfg", shadow), ir_of().functions["f"]
+        )
+
+    def test_change_reported_as_none_is_still_checked(self):
+        """Whether a run changed anything is read off the IR: a pass
+        that deletes the stores and returns False is checked anyway,
+        and reverted."""
+        def sneaky(func, witness=None):
+            for block in func.blocks:
+                block.instrs = [
+                    i for i in block.instrs if not isinstance(i, Store)
+                ]
+            return False
+
+        _rejected_and_reverted(
+            Pass("dce", sneaky), ir_of(DCE_SOURCE).functions["f"]
+        )
+
+    def test_promote_that_wipes_the_blocks_is_reverted(self):
+        def wipe(func, witness=None):
+            uid = func.slots[0].uid
+            for block in func.blocks:
+                witness.add(
+                    "layout", f"{block.name}@0", "slot-access", uid, 0
+                )
+            func.blocks = []
+            return True
+
+        _rejected_and_reverted(
+            Pass("promote_slots", wipe), ir_of().functions["f"]
+        )
+
+    def test_promote_check_is_total_on_a_blockless_function(self):
+        pre = ir_of().functions["f"]
+        pre.blocks = []
+        post = snapshot_function(pre)
+        slot = post.slots.pop()
+        witness = Witness("promote_slots", pre.name, pre.origin)
+        witness.add(
+            "layout", f"slot:{slot.uid}", "promoted", 0, int(slot.taint)
+        )
+        with pytest.raises(WitnessError):
+            check_witness(witness, pre, post)
+
+    def test_promotion_must_rewrite_every_access(self):
+        """Undoing one rewritten access, and dropping its claim, leaves
+        the promoted slot still accessed: rejected."""
+        f = ir_of().functions["f"]
+        snapshot, witness = emit_witness(PROMOTE_SLOTS, f)
+        access = next(
+            ob for ob in witness.obligations if ob.claim[0] == "slot-access"
+        )
+        block_name, _, index = access.site.rpartition("@")
+        pre_block = next(b for b in snapshot.blocks if b.name == block_name)
+        post_block = next(b for b in f.blocks if b.name == block_name)
+        offset = len(post_block.instrs) - len(pre_block.instrs)
+        post_block.instrs[int(index) + offset] = pre_block.instrs[int(index)]
+        witness.obligations.remove(access)
+        with pytest.raises(WitnessError, match="slot-access claims"):
+            check_witness(witness, snapshot, f)
 
 
 class TestBoundedFixpoint:

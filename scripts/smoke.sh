@@ -165,6 +165,21 @@ python -m repro run --config OurMPX --seed 1 --flamegraph "$FOLDED" "$SRC" \
 test -s "$FOLDED"
 echo "flamegraph OK: $(wc -l < "$FOLDED") frames"
 
+# Multi-thread profiled run: on merklefs at 4 threads the fast engine
+# tallies fused blocks inside every quantum and steps the rest; its
+# folded stacks and block-profile table must be byte-identical to the
+# reference engine's per-instruction attribution.
+python -m repro run --seed 1 --profile-blocks \
+    --flamegraph "$WORK/mt_fast.folded" "$MERKLE" \
+    > /dev/null 2> "$WORK/mt_fast.err"
+python -m repro run --seed 1 --profile-blocks --engine reference \
+    --flamegraph "$WORK/mt_ref.folded" "$MERKLE" \
+    > /dev/null 2> "$WORK/mt_ref.err"
+test -s "$WORK/mt_fast.folded"
+cmp "$WORK/mt_fast.folded" "$WORK/mt_ref.folded"
+cmp "$WORK/mt_fast.err" "$WORK/mt_ref.err"
+echo "multi-thread profile OK: merklefs 4 threads, predecoded == reference"
+
 # Benchmark-trajectory gate: a fresh `bench --store` record must pass
 # `bench diff` against the committed seed, and an injected change of
 # one bounds-check count, cycles unchanged, must make the diff exit 3.

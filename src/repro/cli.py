@@ -189,6 +189,19 @@ def _report_run(args, process, runtime, blockprof=None) -> None:
             ("machine.t_calls", stats.t_calls),
         ]
         print(export.render_kv_table(rows, title="run stats"), file=sys.stderr)
+    _report_profile(args, blockprof)
+    outbox = runtime.channel(1).drain_out()
+    if outbox:
+        print(
+            export.render_kv_table(
+                [("channel.1.out", outbox.hex())], title="channels"
+            ),
+            file=sys.stderr,
+        )
+
+
+def _report_profile(args, blockprof) -> None:
+    """The ``--profile``/``--profile-blocks`` tables, on stderr."""
     if blockprof is not None and getattr(args, "profile", False):
         rows = [
             [row.name, f"{row.cycles:,}", f"{row.cycle_share:.1%}",
@@ -219,14 +232,6 @@ def _report_run(args, process, runtime, blockprof=None) -> None:
             ),
             file=sys.stderr,
         )
-    outbox = runtime.channel(1).drain_out()
-    if outbox:
-        print(
-            export.render_kv_table(
-                [("channel.1.out", outbox.hex())], title="channels"
-            ),
-            file=sys.stderr,
-        )
 
 
 def cmd_run(args) -> int:
@@ -243,11 +248,14 @@ def cmd_run(args) -> int:
             from .obs.blockprof import attach_block_profiler
 
             blockprof = attach_block_profiler(process.machine)
+        fault = None
         try:
             code = process.run()
-        except MachineFault as fault:
-            print(f"FAULT: {fault}", file=sys.stderr)
-            return 2
+        except MachineFault as exc:
+            # The profile of a faulting run still covers every
+            # instruction that retired, so it is emitted too.
+            print(f"FAULT: {exc}", file=sys.stderr)
+            fault = exc
         if registry is not None and (args.profile_blocks or args.flamegraph):
             blockprof.publish(registry)
     finally:
@@ -256,6 +264,9 @@ def cmd_run(args) -> int:
         from .obs.blockprof import write_flamegraph
 
         write_flamegraph(blockprof, args.flamegraph)
+    if fault is not None:
+        _report_profile(args, blockprof)
+        return 2
     for line in process.stdout:
         print(line)
     _report_run(args, process, runtime, blockprof)

@@ -23,10 +23,6 @@ class L1Cache:
         self._sets: list[list[int]] = [[] for _ in range(n_sets)]
         self.hits = 0
         self.misses = 0
-        # Optional callable run after every miss.  The block profiler's
-        # batched path sets it to tell a faulting instruction's own
-        # misses from the ones its fused block took before it.
-        self.on_miss = None
 
     def access(self, addr: int) -> bool:
         """Touch the line containing ``addr``; True on hit."""
@@ -44,8 +40,6 @@ class L1Cache:
             if len(ways) >= self._n_ways:
                 ways.pop(0)
             ways.append(line)
-            if self.on_miss is not None:
-                self.on_miss()
             return False
         self.hits += 1
         ways.append(line)

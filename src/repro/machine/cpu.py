@@ -26,8 +26,9 @@ Two execution engines share these semantics:
   rest through a per-pc table of single-instruction handlers.  A
   single live thread runs blocks back to back across quanta until a
   schedule event (a thread spawn, join or exit) or the budget.
-  Attached block profilers are charged once per fused block; any other
-  step hook sends every instruction through the handlers.  Rare
+  With block profilers attached the same loop runs blocks that tally
+  their own runs for them; any other step hook sends every
+  instruction through the handlers.  Rare
   instructions (jump tables, indirect control flow, shadow-stack ops)
   call the reference ``_i_*`` handler.
 
@@ -204,6 +205,7 @@ class Machine:
         # no whole block fits in and everything under step hooks.
         self._handlers: list | None = None
         self._blocks: list | None = None
+        self._tallied: list | None = None
         self._fuser = None
         if engine == ENGINE_REFERENCE:
             self._step = self._step_reference
@@ -226,27 +228,27 @@ class Machine:
         ``machine.hook_cache_misses`` during the callback.
 
         A hook that is the ``on_step`` method of an object that also has
-        ``on_blocks`` is a *block observer* (the block profiler).  While
-        only block observers are attached, the fast engine keeps running
-        fused blocks -- which never straddle a label -- in every quantum,
-        single- and multi-thread alike, and tallies them instead; any
-        other hook sends every instruction through the handlers.  Each
-        observer gets the tallies in batches, one thread's at a time, as
-        ``on_blocks(thread, tallies, moves, last)``: ``tallies`` maps a
-        fused block's pc to ``[charges, runs, cycles, misses, ...]``
-        (``charges`` as ``BlockFuser.fuse`` reports them, or their
-        prefix for a block that faulted; the cycles and L1 misses its
-        runs added up to); ``moves`` lists ``(pred, pc, runs)``
-        transitions into each block, ``pred`` -1 for the block before
-        the batch; ``last`` is the pc of the batch's final block.  A
-        batch never retires past the instruction after which
-        ``observer.until_sample()`` reaches zero."""
+        ``fold_blocks`` is a *block observer* (the block profiler).
+        While only block observers are attached, the fast engine keeps
+        running fused blocks -- which never straddle a label -- in every
+        quantum, single- and multi-thread alike, and the blocks tally
+        their own runs; any other hook sends every instruction through
+        the handlers.  Each observer gets one thread's tallies at a time
+        as ``fold_blocks(thread, tallies, last)``: ``tallies`` lists the
+        records ``[runs, cycles, misses, preds, pc, charges]`` of the
+        blocks that ran (see ``BlockFuser``), and ``last`` is the label
+        address of the block the thread ran last.  A batch never
+        retires past the instruction after which
+        ``observer.until_sample()`` reaches zero, and nothing is pending
+        once a run returns or raises, so detaching needs no fold."""
         if hook in self._step_hooks:
             raise ValueError("step hook already attached")
         self._step_hooks.append(hook)
         self._refresh_observers()
 
     def remove_step_hook(self, hook) -> None:
+        if hook not in self._step_hooks:
+            raise ValueError("step hook not attached")
         self._step_hooks.remove(hook)
         self._refresh_observers()
 
@@ -255,13 +257,15 @@ class Machine:
         for hook in self._step_hooks:
             owner = getattr(hook, "__self__", None)
             if (
-                not hasattr(owner, "on_blocks")
+                not hasattr(owner, "fold_blocks")
                 or hook != getattr(owner, "on_step", None)
             ):
                 self._block_observers = None
                 return
             owners.append(owner)
         self._block_observers = tuple(owners)
+        if owners and self._blocks is not None and self._tallied is None:
+            self._tallied = [None] * len(self.code)
 
     # ------------------------------------------------------------------
     # Thread management
@@ -422,35 +426,53 @@ class Machine:
         by a :meth:`_schedule_changed` check, which can stop the run.
         A pc outside the code also stops it, so the caller's step
         raises that fault only if the budget lets the instruction
-        start.  With block profilers attached this is
-        :meth:`_run_observed`.
+        start.
+
+        With block observers attached the blocks tally their runs (see
+        ``BlockFuser``), and the next sample point is one more limit:
+        blocks run while they fit before it, and one that would cross
+        it is stepped through ``on_step`` instead (:meth:`_step_block`),
+        so every sample sees exactly the instructions before it.  The
+        tallies are folded into the observers before any step and when
+        the run stops, faults included.
         """
         self._called_back = False
         observers = self._block_observers
-        if observers:
-            return self._run_observed(thread, room, observers)
-        blocks = self._blocks
+        tally = bool(observers)
+        blocks = self._tallied if tally else self._blocks
         fuse = self._fuser.fuse
         n = len(blocks)
         n_threads = len(self.threads)
-        left = room
-        while True:
-            pc = thread.pc
-            if not 0 <= pc < n:
-                break
-            entry = blocks[pc]
-            if entry is None:
-                entry = blocks[pc] = fuse(pc)
-            count = entry[1]
-            if count > left:
-                break
-            entry[0](thread)
-            left -= count
-            if not entry[2] and self._schedule_changed(
-                thread, n_threads, observers
-            ):
-                break
-        return room - left
+        # Blocks run while they fit in ``stop``; ``stop + slack`` is
+        # what is left of ``room``.
+        stop, slack = self._sample_stop(room, observers)
+        try:
+            while True:
+                pc = thread.pc
+                if not 0 <= pc < n:
+                    break
+                entry = blocks[pc]
+                if entry is None:
+                    entry = blocks[pc] = fuse(pc, tally)
+                count = entry[1]
+                if count <= stop:
+                    entry[0](thread)
+                    stop -= count
+                elif count <= stop + slack:
+                    self._step_block(thread, count)
+                    stop, slack = self._sample_stop(
+                        stop + slack - count, observers
+                    )
+                else:
+                    break
+                if not entry[2] and self._schedule_changed(
+                    thread, n_threads, observers
+                ):
+                    break
+        finally:
+            if observers:
+                self._fuser.fold(thread, observers)
+        return room - stop - slack
 
     def _schedule_changed(self, thread: Thread, n_threads: int,
                           observers: tuple) -> bool:
@@ -466,127 +488,23 @@ class Machine:
             or self._called_back
         )
 
-    def _run_observed(self, thread: Thread, room: int,
-                      observers: tuple) -> int:
-        """:meth:`_run_blocks` with block profilers attached; returns
-        how many instructions it retired.
-
-        Each fused block runs as in the unobserved loop and is tallied
-        with its core-cycle and L1-miss deltas; the tallies go to the
-        observers at each sample point and whenever the loop stops.  A
-        block is stepped one instruction at a time through ``on_step``
-        instead when it would cross a sample point or its charges are
-        None (see ``BlockFuser.fuse``).  A fault inside a fused
-        block tallies the retired prefix: static costs from its
-        charges, plus the block's misses less the faulting
-        instruction's own (an L1 ``on_miss`` callback tags each miss
-        with the pc that took it).
-        """
-        blocks = self._blocks
-        fuse = self._fuser.fuse
-        n = len(blocks)
-        n_threads = len(self.threads)
-        step = self._step_predecoded
-        report = self._report_blocks
-        stats = self.stats
-        core_cycles = self.core_cycles
-        core = thread.core
-        cache = self.caches[core]
-        tallies: dict[int, list] = {}
-        moves: list[tuple[int, int, int]] = []
-        prev = -1
-        until = min(o.until_sample() for o in observers)
-        # (pc, run length) of the latest L1 misses.
-        last_miss = [-1, 0]
-
-        def on_miss():
-            if thread.pc == last_miss[0]:
-                last_miss[1] += 1
-            else:
-                last_miss[0] = thread.pc
-                last_miss[1] = 1
-
-        cache.on_miss = on_miss
-        left = room
-        try:
-            while True:
-                pc = thread.pc
-                if not 0 <= pc < n:
-                    break
-                entry = blocks[pc]
-                if entry is None:
-                    entry = blocks[pc] = fuse(pc)
-                count = entry[1]
-                if count > left:
-                    break
-                charges = entry[3]
-                if charges is None or count > until:
-                    prev = report(observers, thread, tallies, moves, prev)
-                    for _ in range(count):
-                        step(thread)
-                    until = min(o.until_sample() for o in observers)
-                else:
-                    cycles0 = core_cycles[core]
-                    misses0 = cache.misses
-                    insns0 = stats.instructions
-                    try:
-                        entry[0](thread)
-                    except MachineFault:
-                        prev = report(observers, thread, tallies, moves, prev)
-                        # The faulting instruction counted itself but
-                        # did not retire.
-                        retired = stats.instructions - insns0 - 1
-                        if retired > 0:
-                            misses = cache.misses - misses0
-                            if last_miss[0] == pc + retired:
-                                misses -= min(last_miss[1], misses)
-                            cycles = (
-                                sum(charges[:retired])
-                                + misses * costs.CACHE_MISS_PENALTY
-                            )
-                            tally = [charges[:retired], 1, cycles, misses,
-                                     -1, 1]
-                            report(observers, thread, {pc: tally}, [], pc)
-                        raise
-                    tally = tallies.get(pc)
-                    if tally is None:
-                        tally = tallies[pc] = [charges, 0, 0, 0, prev, 0]
-                    tally[1] += 1
-                    tally[2] += core_cycles[core] - cycles0
-                    tally[3] += cache.misses - misses0
-                    if tally[4] == prev:
-                        tally[5] += 1
-                    else:
-                        moves.append((tally[4], pc, tally[5]))
-                        tally[4] = prev
-                        tally[5] = 1
-                    prev = pc
-                    until -= count
-                    if not until:
-                        prev = report(observers, thread, tallies, moves, prev)
-                        until = min(o.until_sample() for o in observers)
-                left -= count
-                if not entry[2] and self._schedule_changed(
-                    thread, n_threads, observers
-                ):
-                    break
-        finally:
-            cache.on_miss = None
-            report(observers, thread, tallies, moves, prev)
-        return room - left
-
     @staticmethod
-    def _report_blocks(observers, thread, tallies, moves, last) -> int:
-        """Hand a batch of tallies to every observer and start a new
-        one; returns the new batch's ``prev`` (-1)."""
-        if tallies:
-            for pc, tally in tallies.items():
-                moves.append((tally[4], pc, tally[5]))
-            for observer in observers:
-                observer.on_blocks(thread, tallies, moves, last)
-            tallies.clear()
-            moves.clear()
-        return -1
+    def _sample_stop(left: int, observers: tuple) -> tuple[int, int]:
+        """Split the ``left`` instructions a fused run may retire into
+        ``(stop, slack)``: ``stop`` up to the observers' next sample
+        point, ``slack`` beyond it."""
+        if not observers:
+            return left, 0
+        stop = min(left, *(o.until_sample() for o in observers))
+        return stop, left - stop
+
+    def _step_block(self, thread: Thread, count: int) -> None:
+        """Step ``count`` instructions of ``thread`` through the step
+        hooks, after folding the pending tallies into the observers."""
+        self._fuser.fold(thread, self._block_observers)
+        step = self._step
+        for _ in range(count):
+            step(thread)
 
     def _step_reference(self, thread: Thread) -> None:
         """One instruction via dict dispatch (the reference engine)."""

@@ -16,20 +16,27 @@ semantics are written down.  It emits code in two shapes:
   pays one flush at block exit.  Exactness at faults comes from a
   reconcile table: each fallible statement records its pc first, and
   the ``except`` handler replays the cumulative pre-fault charges for
-  that pc before re-raising.  Single-instruction blocks are simply the
-  handler;
+  that pc before re-raising.  An unprofiled single-instruction block
+  is simply the handler;
 * a **handler** is a single-instruction function.  The table
   ``machine._handlers`` holds one per pc, emitted the first time
   execution steps that pc; it steps what no whole block fits in (the
   end of a quantum or of the budget), the rest of a quantum after a
-  schedule event, and every instruction under step hooks other than
-  a block profiler.
+  schedule event, every instruction under step hooks other than a
+  block profiler, and the blocks a block profiler must see stepped.
   A handler charges ``Stats.instructions`` and the base cycle cost
   before its first fallible statement, exactly like the reference
   engine, so a fault leaves the same counters behind.  Handler sources
   never mention their own pc (fall-through is ``t.pc += 1``, a call's
   return address is computed from ``t.pc``), so one compiled code
   object serves every pc holding the same instruction.
+
+While block profilers are attached the scheduler runs a second table
+of fused blocks, emitted by the same emitter with a tally epilogue: each
+run adds itself, its core-cycle and L1-miss deltas and its predecessor
+into a per-pc record the profilers fold in (see :class:`BlockFuser`),
+and a run that faults pends its retired prefix instead.  Unprofiled
+runs never execute that code, so their generated sources are unchanged.
 
 The common shapes (moves, ALU ops, compares, loads, stores, push/pop,
 bnd/CFI/stack checks, direct calls and branches) are inlined as
@@ -65,7 +72,9 @@ and multi-thread interleavings bit-identical to the reference engine
 
 from __future__ import annotations
 
+import bisect
 import builtins
+import functools
 import operator
 import types
 import weakref
@@ -151,10 +160,11 @@ _CODE_CACHE: weakref.WeakValueDictionary[str, types.CodeType] = (
     weakref.WeakValueDictionary()
 )
 
-#: id(binary) -> (pc -> handler entry, pc -> block entry), dropped when
-#: the binary is collected.  Entries remember the instructions they
-#: were generated from and are regenerated if the code word changed.
-_IMAGES: dict[int, tuple[dict, dict]] = {}
+#: id(binary) -> (pc -> handler entry, pc -> block entry, pc -> tallying
+#: block entry), dropped when the binary is collected.  Entries remember
+#: the instructions they were generated from and are regenerated if the
+#: code word changed.
+_IMAGES: dict[int, tuple[dict, dict, dict]] = {}
 
 
 def _compile(source: str) -> types.CodeType:
@@ -172,11 +182,11 @@ def _compile_shared(source: str) -> types.CodeType:
     return code
 
 
-def _image_entries(binary) -> tuple[dict, dict]:
+def _image_entries(binary) -> tuple[dict, dict, dict]:
     key = id(binary)
     entries = _IMAGES.get(key)
     if entries is None:
-        entries = _IMAGES[key] = ({}, {})
+        entries = _IMAGES[key] = ({}, {}, {})
         weakref.finalize(binary, _IMAGES.pop, key, None)
     return entries
 
@@ -186,18 +196,26 @@ class BlockFuser:
 
     ``handlers`` is the predecoded handler table; every slot starts as
     a stub that emits the real handler on first execution.
-    ``fuse(pc) -> (fn, count, pure, charges)`` builds the scheduler's
-    block at ``pc``: ``fn`` runs the whole block on a thread; ``count``
-    is how many instructions it retires; ``pure`` is True when the block
+    ``fuse(pc) -> (fn, count, pure)`` builds the scheduler's block at
+    ``pc``: ``fn`` runs the whole block on a thread; ``count`` is how
+    many instructions it retires; ``pure`` is True when the block
     cannot change the thread schedule (no ``Halt``, no native gateway),
-    which lets the block loop skip its per-block schedule checks;
-    ``charges`` holds, per instruction, the cycles the generated code
-    charges for it besides cache-miss penalties (a delegated
-    terminator's reference handler may add more), or is None when a
-    block profiler must step the block one instruction at a time: a
-    check site in it has a run-time cost, or it ends in the native
-    gateway, whose trusted callbacks run U instructions that the
-    profiler sees retire before the gateway does.
+    which lets the block loop skip its per-block schedule checks.
+
+    ``fuse(pc, tally=True)`` builds the same block for a run with block
+    observers attached: its ``fn`` also tallies each run into a per-pc
+    record ``[runs, cycles, misses, preds, pc, charges]`` -- the
+    core-cycle and L1-miss deltas its runs added up to, ``preds``
+    counting its runs per predecessor (the label address of the block
+    the thread ran before it, -1 for "before the pending batch") and
+    ``charges`` the cycles each instruction is charged besides
+    cache-miss penalties.  A record is appended to ``pending`` on its
+    first run after a :meth:`fold`; a run that faults pends its retired
+    prefix as a record of its own.  A block whose cost is only known one
+    instruction at a time -- a check site with a run-time cost, or the
+    native gateway, whose trusted callbacks run U instructions that the
+    observers see retire before the gateway does -- gets a ``fn`` that
+    steps it through ``Machine._step_block`` instead.
     """
 
     def __init__(self, machine):
@@ -208,9 +226,14 @@ class BlockFuser:
         core_cycles = machine.core_cycles
         miss = costs.CACHE_MISS_PENALTY
         line_mask = LINE_SIZE - 1
-        self._handler_entries, self._block_entries = _image_entries(
-            machine.binary
+        self._handler_entries, self._block_entries, self._tally_entries = (
+            _image_entries(machine.binary)
         )
+        self._labels = sorted(self.leaders)
+        # The tallied blocks' pending records and the label address of
+        # the block the running thread last ran (-1: none since a fold).
+        self.pending: list[list] = []
+        self.prev = [-1]
 
         def touch(core, addr, size):
             # Same span-aware L1 charge as Machine._touch.
@@ -250,6 +273,9 @@ class BlockFuser:
             "SB": SIGN_BIT,
             "T64": TWO64,
             "EB": eval_bin,
+            "PEND": self.pending,
+            "PV": self.prev,
+            "PFX": self._pend_prefix,
         }
         handler = self.handler
 
@@ -261,7 +287,7 @@ class BlockFuser:
         # Handlers this binary has already emitted (for an earlier
         # machine, or the one a fork's image was taken from) are bound
         # now, so a fork's first request pays nothing for them.
-        for pc, (insn, code, objs, _charges) in self._handler_entries.items():
+        for pc, (insn, code, objs) in self._handler_entries.items():
             if self.code[pc] is insn:
                 self.handlers[pc] = self._bind(code, objs)
 
@@ -280,12 +306,12 @@ class BlockFuser:
         if entry is None or entry[0] is not insn:
             emitter = _Emitter(self, single=True)
             emitter.emit(pc, insn)
-            entry = (insn, *emitter.build(pc, insn), emitter.block_charges())
+            entry = (insn, *emitter.build(pc, insn))
             self._handler_entries[pc] = entry
         handler = self.handlers[pc] = self._bind(entry[1], entry[2])
         return handler
 
-    def fuse(self, pc: int):
+    def fuse(self, pc: int, tally: bool = False):
         code = self.code
         n = len(code)
         leaders = self.leaders
@@ -299,24 +325,61 @@ class BlockFuser:
             if isinstance(insn, TERMINATORS):
                 break
             i += 1
-        if len(insns) < 2:
-            handler = self.handler(pc)
-            return (handler, 1, _schedule_neutral(insns[0]),
-                    self._handler_entries[pc][3])
-        entry = self._block_entries.get(pc)
+        count = len(insns)
+        if count < 2 and not tally:
+            return self.handler(pc), 1, _schedule_neutral(insns[0])
+        entries = self._tally_entries if tally else self._block_entries
+        entry = entries.get(pc)
         if (
             entry is None
-            or len(entry[0]) != len(insns)
+            or len(entry[0]) != count
             or not all(map(operator.is_, entry[0], insns))
         ):
-            emitter = _Emitter(self, single=False)
+            emitter = _Emitter(
+                self, single=False, anchor=self._anchor(pc) if tally else None
+            )
             for p, insn in enumerate(insns, pc):
                 emitter.emit(p, insn)
-            code_obj, objs = emitter.build(pc + len(insns) - 1, insns[-1])
+            code_obj, objs = emitter.build(pc + count - 1, insns[-1])
             entry = (tuple(insns), code_obj, objs, not emitter.impure,
                      emitter.block_charges())
-            self._block_entries[pc] = entry
-        return self._bind(entry[1], entry[2]), len(insns), entry[3], entry[4]
+            entries[pc] = entry
+        if not tally:
+            return self._bind(entry[1], entry[2]), count, entry[3]
+        charges = entry[4]
+        if charges is None:
+            step = functools.partial(self.machine._step_block, count=count)
+            return step, count, entry[3]
+        record = [0, 0, 0, {}, pc, charges]
+        return self._bind(entry[1], (*entry[2], record)), count, entry[3]
+
+    def _anchor(self, pc: int) -> int:
+        """The address of the last label at or before ``pc`` (``pc``
+        itself when there is none): one key per profiler block."""
+        index = bisect.bisect_right(self._labels, pc)
+        return self._labels[index - 1] if index else pc
+
+    def fold(self, thread, observers: tuple) -> None:
+        """Hand the pending records of ``thread``'s runs to every block
+        observer (see ``Machine.add_step_hook``) and start a new batch."""
+        pending = self.pending
+        if pending:
+            for observer in observers:
+                observer.fold_blocks(thread, pending, self.prev[0])
+            for record in pending:
+                record[0] = record[1] = record[2] = 0
+                record[3].clear()
+            pending.clear()
+        self.prev[0] = -1
+
+    def _pend_prefix(self, record: list, retired: int, misses: int) -> None:
+        """Pend the ``retired`` instructions a faulting run of
+        ``record``'s block retired, taking ``misses`` L1 misses."""
+        charges = record[5][:retired]
+        cycles = sum(charges) + misses * costs.CACHE_MISS_PENALTY
+        self.pending.append(
+            [1, cycles, misses, {self.prev[0]: 1}, record[4], charges]
+        )
 
 
 class _Emitter:
@@ -350,9 +413,14 @@ class _Emitter:
         "S.calls += {}",
     )
 
-    def __init__(self, fuser: BlockFuser, single: bool):
+    def __init__(self, fuser: BlockFuser, single: bool,
+                 anchor: int | None = None):
         self.machine = fuser.machine
         self.single = single
+        # The block's label address when it tallies its runs (see
+        # BlockFuser), else None.
+        self.anchor = anchor
+        self.start = 0
         self.lines: list[str] = []
         self.objs: list = []
         self.cum = [0, 0, 0, 0, 0, 0, 0]
@@ -386,37 +454,62 @@ class _Emitter:
 
     def _render(self) -> str:
         params = "".join(f", O{i}" for i in range(len(self.objs)))
-        head = [f"def _superblock(t{params}):"]
+        anchor = self.anchor
+        tally = anchor is not None
+        head = [f"def _superblock(t{params}{', T_' if tally else ''}):"]
         lines = list(self.lines)
         if self.h_pending:
             lines.append("cache_.hits += h_")
         if any("r[" in line for line in lines):
             head.append("    r = t.regs")
         head.append("    c = t.core")
-        if self.needs_cache:
+        if self.needs_cache or tally:
             head.append("    cache_ = CACHES[c]")
+        if self.needs_cache:
             head.append("    acc_ = cache_.access")
             head.append("    sets_ = cache_._sets")
             if self.h_pending:
                 head.append("    h_ = 0")
-        if not self.recon:
+        if tally:
+            head.append("    c0_ = C[c]")
+            head.append("    m0_ = cache_.misses")
+        if not self.recon and not tally:
             body = ["    " + line for line in lines]
-            return "\n".join(head + body) + "\n"
-        body = ["    try:"]
-        body.extend("        " + line for line in lines)
-        body.append("    except MF:")
-        if self.h_pending:
-            body.append("        cache_.hits += h_")
-        body.append(f"        d_ = O{len(self.objs) - 1}.get(t.pc)")
-        body.append("        if d_ is not None:")
-        for index, stmt in enumerate(self._FLUSH_STMTS):
-            body.append("            " + stmt.format(f"d_[{index}]"))
-        body.append("        raise")
+        else:
+            body = ["    try:"]
+            body.extend("        " + line for line in lines)
+            body.append("    except MF:")
+            if self.h_pending:
+                body.append("        cache_.hits += h_")
+            if self.recon:
+                body.append(f"        d_ = O{len(self.objs) - 1}.get(t.pc)")
+                body.append("        if d_ is not None:")
+                for index, stmt in enumerate(self._FLUSH_STMTS):
+                    body.append("            " + stmt.format(f"d_[{index}]"))
+            if tally:
+                # The fault point set mi_: the retired prefix took the
+                # misses before it.
+                start = self.start
+                body.append(f"        if t.pc != {start}:")
+                body.append(f"            PFX(T_, t.pc - {start}, mi_ - m0_)")
+                body.append(f"            PV[0] = {anchor}")
+            body.append("        raise")
+        if tally:
+            body.append("    T_[0] += 1")
+            body.append("    if T_[0] == 1:")
+            body.append("        PEND.append(T_)")
+            body.append("    T_[1] += C[c] - c0_")
+            body.append("    T_[2] += cache_.misses - m0_")
+            body.append("    k_ = PV[0]")
+            body.append(f"    if k_ != {anchor}:")
+            body.append("        p_ = T_[3]")
+            body.append("        p_[k_] = p_.get(k_, 0) + 1")
+            body.append(f"        PV[0] = {anchor}")
         return "\n".join(head + body) + "\n"
 
     def block_charges(self) -> tuple[int, ...] | None:
         """Per-instruction cycles charged besides cache-miss penalties,
-        or None when a block profiler must step the block (see
+        or None when block observers must see the block stepped (see
         ``BlockFuser``)."""
         return None if self.unbatched else tuple(self.charges)
 
@@ -456,7 +549,7 @@ class _Emitter:
             self.flush()
             return
         self.recon[p] = tuple(cum)
-        self.lines.append(f"t.pc = {p}")
+        self._fault_point(p)
 
     def _delegate(self, p: int, insn, cost: int, name: str) -> None:
         """Run the reference handler ``Machine.<name>``, charged as
@@ -471,9 +564,16 @@ class _Emitter:
             self.lines.append("cache_.hits += h_")
             self.lines.append("h_ = 0")
         if not self.single:
-            self.lines.append(f"t.pc = {p}")
+            self._fault_point(p)
         self.lines.append(f"MACH.{name}(t, {self._obj(insn)})")
         self.delegated = True
+
+    def _fault_point(self, p: int) -> None:
+        """Mark a block's instruction at ``p`` as the one that may fault
+        next; a tallying block also notes the L1 misses before it."""
+        self.lines.append(f"t.pc = {p}")
+        if self.anchor is not None:
+            self.lines.append("mi_ = cache_.misses")
 
     def _signed(self, var: str, operand) -> str:
         """A signed view of ``operand``: a literal, or ``var`` after
@@ -557,6 +657,8 @@ class _Emitter:
     # -- dispatch ------------------------------------------------------
 
     def emit(self, p: int, insn) -> None:
+        if not self.charges:
+            self.start = p
         self.delegated = False
         charged = self.flushed_cycles + self.cum[1]
         self._emit(p, insn)

@@ -20,19 +20,19 @@ blocks of the final code.  The profiler attaches through
 ``Machine.add_step_hook`` as a *block observer*.  Wherever a machine
 steps instructions one at a time (the reference engine, what no whole
 fused block fits in at the end of a quantum or of the budget, runs
-with other step hooks, and the few instructions up to each sample
+with other step hooks, and the fused block that would cross a sample
 point) it is charged per instruction by
 :meth:`BlockProfiler.on_step`.  Wherever the fast engine runs fused
 blocks, which never straddle a label -- single- and multi-thread
-schedules alike -- it is charged per fused block by
-:meth:`BlockProfiler.on_blocks`, in per-thread batches the machine
-tallies between sample points.  The per-instruction path is the
-oracle: both paths, and both engines, report identical
+schedules alike -- the blocks tally their own runs, and
+:meth:`BlockProfiler.fold_blocks` folds one thread's tallies in
+whenever the machine's block loop steps or stops.  The per-instruction
+path is the oracle: both paths, and both engines, report identical
 totals, edges, sites, samples and flamegraphs, faulting runs included
 — pinned by a differential test.
 
 Zero-cost when off: nothing here runs unless a profiler is attached,
-and attaching one never changes emitted code or simulated cycles.
+and attaching one never changes the binary or simulated cycles.
 
 Usage::
 
@@ -98,8 +98,8 @@ class CheckSiteRow:
 
 
 class _BlockPlan:
-    """A fused block as :meth:`BlockProfiler.on_blocks` charges it: its
-    profiler block and its check sites as ``(addr, kind, cycles)``."""
+    """A fused block as :meth:`BlockProfiler.fold_blocks` charges it:
+    its profiler block and its check sites as ``(addr, kind, cycles)``."""
 
     __slots__ = ("name", "start", "count", "sites")
 
@@ -191,19 +191,20 @@ class BlockProfiler:
         if self._steps % SAMPLE_STRIDE == 0:
             self._sample(thread)
 
-    # -- the batched path ----------------------------------------------
+    # -- the fused-block path ------------------------------------------
 
     def until_sample(self) -> int:
         """Instructions left up to and including the next sample point."""
         return SAMPLE_STRIDE - self._steps % SAMPLE_STRIDE
 
-    def on_blocks(self, thread, tallies: dict, moves: list,
-                  last: int) -> None:
-        """Charge a batch of fused-block runs by ``thread`` (see
-        ``Machine.add_step_hook`` for the layout).  Each run is charged
-        what ``on_step`` would have summed over its instructions; the
-        batch ends exactly at a sample point or short of one."""
-        for pc, (charges, runs, cycles, misses, _, _) in tallies.items():
+    def fold_blocks(self, thread, tallies: list, last: int) -> None:
+        """Charge the fused-block runs ``thread`` tallied since the last
+        fold (see ``Machine.add_step_hook`` for the layout).  Each run
+        is charged what ``on_step`` would have summed over its
+        instructions; the batch ends exactly at a sample point or short
+        of one."""
+        before = self._last_block.get(thread.tid)
+        for runs, cycles, misses, preds, pc, charges in tallies:
             plan = self._plan(pc, charges)
             name = plan.name
             if name in self.cycles:
@@ -221,14 +222,12 @@ class BlockProfiler:
                 site = self._site(addr, kind)
                 site[1] += runs
                 site[2] += runs * cost
+            for pred, count in preds.items():
+                self._edge(
+                    before if pred < 0 else self.symbolize(pred), name, count
+                )
             self._steps += runs * plan.count
-        plans = self._plans
-        before = self._last_block.get(thread.tid)
-        for pred, pc, runs in moves:
-            self._edge(
-                before if pred < 0 else plans[pred].name, plans[pc].name, runs
-            )
-        self._last_block[thread.tid] = plans[last].name
+        self._last_block[thread.tid] = self.symbolize(last)
         if self._steps % SAMPLE_STRIDE == 0:
             self._sample(thread)
 

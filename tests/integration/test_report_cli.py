@@ -24,6 +24,16 @@ int main() {
 }
 """
 
+#: Loops, then dereferences a null pointer.
+FAULTING_PROGRAM = """
+int main() {
+    int s = 0;
+    for (int i = 0; i < 50; i++) { s += i; }
+    int *p = (int*)0;
+    return *p + s;
+}
+"""
+
 
 @pytest.fixture
 def source_file(tmp_path):
@@ -117,6 +127,27 @@ class TestRunProfileFlags:
         assert any(
             e["name"].startswith("blockprof.check_cycles") for e in counters
         )
+
+    def test_faulting_run_still_emits_profile(self, tmp_path, capsys):
+        source = tmp_path / "fault.mc"
+        source.write_text(FAULTING_PROGRAM)
+        folded = tmp_path / "prof.folded"
+        trace = tmp_path / "trace.json"
+        assert main(
+            ["run", str(source), "--config", "OurMPX", "--seed", "2",
+             "--profile", "--profile-blocks", "--flamegraph", str(folded),
+             "--trace", str(trace)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "FAULT:" in err
+        assert "block profile" in err and "profile" in err
+        lines = folded.read_text().splitlines()
+        assert any(line.startswith("main") for line in lines)
+        counters = [
+            e for e in json.loads(trace.read_text())["traceEvents"]
+            if e["ph"] == "C"
+        ]
+        assert any(e["name"].startswith("blockprof.") for e in counters)
 
 
 class TestBenchStoreAndDiff:

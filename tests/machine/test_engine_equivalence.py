@@ -31,7 +31,7 @@ from repro.link.loader import load
 from repro.machine import costs
 from repro.machine.cpu import ENGINES
 from repro.obs import events, export
-from repro.obs.blockprof import attach_block_profiler
+from repro.obs.blockprof import attach_block_profiler, detach_block_profiler
 from repro.runtime.trusted import T_PROTOTYPES, TrustedRuntime
 
 from tests.integration.test_differential import ProgramGen
@@ -370,15 +370,9 @@ class TestBlockProfilerEquivalence:
         if column == "handlers":
             machine.add_step_hook(lambda thread, pc, insn, cycles: None)
         if batches is not None:
-            on_blocks = profiler.on_blocks
-
-            def counting_on_blocks(*args):
-                batches.append(
-                    {t.tid for t in machine.threads if t.alive}
-                )
-                on_blocks(*args)
-
-            profiler.on_blocks = counting_on_blocks
+            self.count_folds(profiler, lambda: batches.append(
+                {t.tid for t in machine.threads if t.alive}
+            ))
         try:
             outcome = ("exit", machine.run(max_instructions=200_000))
         except MachineFault as fault:
@@ -386,6 +380,23 @@ class TestBlockProfilerEquivalence:
         return {
             "outcome": outcome,
             "machine": machine_signature(machine),
+            **self.profile_signature(profiler),
+        }
+
+    @staticmethod
+    def count_folds(profiler, record):
+        """Call ``record()`` at each fold of fused-block tallies."""
+        fold_blocks = profiler.fold_blocks
+
+        def counting_fold_blocks(*args):
+            record()
+            fold_blocks(*args)
+
+        profiler.fold_blocks = counting_fold_blocks
+
+    @staticmethod
+    def profile_signature(profiler):
+        return {
             "cycles": sorted(profiler.cycles.items()),
             "instructions": sorted(profiler.instructions.items()),
             "cache_misses": sorted(profiler.cache_misses.items()),
@@ -492,6 +503,41 @@ class TestBlockProfilerEquivalence:
         binary = compile_source(CALLBACK, OUR_MPX, seed=5)
         reference = self.assert_columns_agree(loaded(binary))
         assert len(reference["samples"]) >= 4
+
+    def test_attach_and_detach_mid_run_identical(self):
+        # A profiler attached between two budget cuts and detached
+        # before the run finishes sees exactly the instructions retired
+        # while it was attached, however it was charged.
+        binary = compile_source(STRADDLING_LOOP, OUR_MPX, seed=5)
+
+        def cut(machine, budget):
+            with pytest.raises(MachineFault) as info:
+                machine.run(max_instructions=budget)
+            assert info.value.kind == "instruction-budget-exhausted"
+
+        signatures = {}
+        for column in PROFILER_COLUMNS:
+            engine = "reference" if column == "reference" else "predecoded"
+            machine = loaded(binary)(engine)
+            if column == "handlers":
+                machine.add_step_hook(lambda thread, pc, insn, cycles: None)
+            cut(machine, 3001)
+            profiler = attach_block_profiler(machine)
+            folds = []
+            self.count_folds(profiler, lambda: folds.append(column))
+            cut(machine, 4099)
+            detach_block_profiler(machine, profiler)
+            profile = self.profile_signature(profiler)
+            outcome = machine.run()
+            assert self.profile_signature(profiler) == profile
+            assert sum(count for _, count in profile["instructions"]) == 4099
+            assert bool(folds) == (column == "fused")
+            signatures[column] = (
+                outcome, machine_signature(machine), profile
+            )
+        assert signatures["handlers"] == signatures["reference"]
+        assert signatures["fused"] == signatures["reference"]
+        assert len(signatures["reference"][2]["samples"]) == 4
 
     def test_spawn_join_identical(self):
         binary = compile_source(SPAWN_JOIN, OUR_MPX, seed=5)

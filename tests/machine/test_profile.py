@@ -148,3 +148,12 @@ class TestProfiler:
         profiler = attach_block_profiler(process.machine)
         with pytest.raises(ValueError):
             process.machine.add_step_hook(profiler.on_step)
+
+    def test_detach_unattached_profiler_raises(self):
+        process = compile_and_load(SOURCE, BASE)
+        profiler = attach_block_profiler(process.machine)
+        detach_block_profiler(process.machine, profiler)
+        with pytest.raises(ValueError, match="step hook not attached"):
+            detach_block_profiler(process.machine, profiler)
+        with pytest.raises(ValueError, match="step hook not attached"):
+            process.machine.remove_step_hook(print)

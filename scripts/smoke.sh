@@ -4,7 +4,8 @@
 # is valid JSON containing both compile-stage (wall) and machine
 # (cycle) spans; then sanity-check `bench --json` and assert the
 # predecoded and reference execution engines report identical cycles,
-# on the quickstart and on a 4-thread merklefs run.  Later steps gate
+# on the quickstart, on a 4-thread merklefs run and on the libquantum
+# and mcf kernels.  Later steps gate
 # the cache, fuzzers, profiler and serving tier, diff fresh trajectory
 # records against BENCH_seed.json exactly, and regenerate the seed and
 # `cmp` it with the committed file.
@@ -238,6 +239,18 @@ for path, kernel in zip(sys.argv[1:], ("mcf", "libquantum")):
     with open(path, "w") as handle:
         handle.write(kernel_source(kernel))
 PY
+
+# Fig. 5 cross-engine check: libquantum and mcf hold the most blocks
+# that end in a Jmp (the fast engine's traces run through them) and
+# the most L1 LRU shuffles and misses (inlined in its fused code), so
+# their bench output must be byte-identical to the reference engine's.
+for KERNEL in "$LIBQUANTUM" "$MCF"; do
+    python -m repro bench --seed 1 --json "$KERNEL" > "$WORK/bench_k_fast.json"
+    python -m repro bench --seed 1 --json --engine reference "$KERNEL" \
+        > "$WORK/bench_k_ref.json"
+    cmp "$WORK/bench_k_fast.json" "$WORK/bench_k_ref.json"
+done
+echo "fig5 bench OK: libquantum and mcf, predecoded == reference"
 python -m repro verify --config OurMPX --checkopt aggressive --seed 1 \
     --no-prototypes "$MCF" > /dev/null
 python -m repro verify --config OurSeg --checkopt aggressive --seed 1 \

@@ -189,6 +189,15 @@ class SetCC(Insn):
         return f"set{self.op} {regs.name(self.dst)}, {_opnd(self.a)}, {_opnd(self.b)}"
 
 
+#: The byte widths a ``Load`` or ``Store`` moves; the machine faults on
+#: any other.
+ACCESS_SIZES = frozenset((1, 2, 4, 8))
+
+
+def valid_access_size(size) -> bool:
+    return type(size) is int and size in ACCESS_SIZES
+
+
 @dataclass(repr=False)
 class Load(Insn):
     dst: int

@@ -142,3 +142,6 @@ FAULT_PERM = "permission-violation"
 FAULT_EXEC = "bad-execution-target"
 FAULT_DIV = "divide-error"
 FAULT_HALT = "halt"
+#: ``Machine.run`` refused to resume a machine whose last run stopped
+#: inside a trusted callback (see ``TContext.call_u``).
+FAULT_TORN = "torn-callback"

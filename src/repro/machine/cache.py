@@ -25,25 +25,30 @@ class L1Cache:
         self.misses = 0
 
     def access(self, addr: int) -> bool:
-        """Touch the line containing ``addr``; True on hit."""
+        """Touch the line containing ``addr``; True on hit.
+
+        Each set is a list of line tags, least recently used first.  A
+        hit moves its line to the end (nothing to move when it already
+        is the most recent one); a miss evicts the first line of a full
+        set and appends.  The fused blocks of the predecoded engine
+        inline this same update (``superblock._Emitter._cache_lines``),
+        so the two must change together.
+        """
         line = addr >> LINE_BITS
         ways = self._sets[line % self._n_sets]
         if ways and ways[-1] == line:
-            # Re-touching the most-recent line leaves the LRU order
-            # unchanged — skip the remove/append shuffle.
             self.hits += 1
             return True
-        try:
+        if line in ways:
             ways.remove(line)
-        except ValueError:
-            self.misses += 1
-            if len(ways) >= self._n_ways:
-                ways.pop(0)
             ways.append(line)
-            return False
-        self.hits += 1
+            self.hits += 1
+            return True
+        self.misses += 1
+        if len(ways) >= self._n_ways:
+            del ways[0]
         ways.append(line)
-        return True
+        return False
 
     def access_span(self, addr: int, size: int) -> int:
         """Touch every line spanned by ``[addr, addr + size)``; returns

@@ -19,15 +19,16 @@ Two execution engines share these semantics:
   specification;
 * the **predecoded** engine (default) runs code generated by
   :mod:`repro.machine.superblock` the first time execution reaches it.
-  Every quantum runs whole basic blocks fused into one function each
+  Every quantum runs whole traces -- straight-line code through
+  unconditional direct jumps -- fused into one function each
   while a block's count fits in what is left of the quantum and of
   the instruction budget, paying dispatch once per block with
   Stats/cycle accounting batched between fault points, and steps the
   rest through a per-pc table of single-instruction handlers.  A
   single live thread runs blocks back to back across quanta until a
   schedule event (a thread spawn, join or exit) or the budget.
-  With block profilers attached the same loop runs blocks that tally
-  their own runs for them; any other step hook sends every
+  With block profilers attached the same loop runs basic blocks that
+  tally their own runs for them; any other step hook sends every
   instruction through the handlers.  Rare
   instructions (jump tables, indirect control flow, shadow-stack ops)
   call the reference ``_i_*`` handler.
@@ -53,6 +54,7 @@ from ..errors import (
     FAULT_CFI,
     FAULT_CHKSTK,
     FAULT_EXEC,
+    FAULT_TORN,
     FAULT_UNMAPPED,
     MachineFault,
 )
@@ -170,6 +172,9 @@ class Machine:
         # code since the fused loop last started (see ``run``).
         self._budget_end = 0
         self._called_back = False
+        # The trusted function whose callback the last run stopped
+        # inside (see ``TContext.call_u``), else None.
+        self.torn_callback: str | None = None
         self._dispatch = {
             isa.MagicWord: self._i_magic,
             isa.MovRI: self._i_mov_ri,
@@ -325,7 +330,18 @@ class Machine:
         stops a callback where the budget runs out).  A callback counts
         against the scheduler's budget at the end of the quantum it ran
         in, never against the quantum itself.
+
+        A run that stopped inside a trusted callback left its thread in
+        U code the native was running, so the next run raises a
+        ``FAULT_TORN`` fault naming the trusted function instead of
+        resuming; nothing is retired or counted until ``reset()``.
         """
+        if self.torn_callback is not None:
+            raise MachineFault(
+                FAULT_TORN,
+                f"the last run stopped inside a callback of trusted "
+                f"{self.torn_callback}; reset() before running again",
+            )
         self._budget_end = self.stats.instructions + max_instructions
         try:
             return self._run_loop(max_instructions)
@@ -417,9 +433,9 @@ class Machine:
         return self._budget_end - self.stats.instructions
 
     def _run_blocks(self, thread: Thread, room: int) -> int:
-        """Run ``thread`` through lazily fused basic-block functions
-        while the next block's count fits in ``room``; returns how many
-        instructions retired.
+        """Run ``thread`` through lazily fused block functions (see
+        ``BlockFuser.fuse``) while the next block's count fits in
+        ``room``; returns how many instructions retired.
 
         Only blocks that can change the schedule (fuse marks blocks
         containing ``Halt`` or the native gateway impure) are followed
@@ -693,15 +709,24 @@ class Machine:
         )
         t.pc += 1
 
+    @staticmethod
+    def _access_size(insn) -> int:
+        size = insn.size
+        if not isa.valid_access_size(size):
+            raise MachineFault(FAULT_EXEC, f"bad access size {size!r}")
+        return size
+
     def _i_load(self, t, insn):
+        size = self._access_size(insn)
         addr = self.effective_address(t, insn.mem)
-        t.regs[insn.dst] = self.read_data(t, addr, insn.size)
+        t.regs[insn.dst] = self.read_data(t, addr, size)
         self.stats.loads += 1
         t.pc += 1
 
     def _i_store(self, t, insn):
+        size = self._access_size(insn)
         addr = self.effective_address(t, insn.mem)
-        self.write_data(t, addr, insn.size, self._val(t, insn.src))
+        self.write_data(t, addr, size, self._val(t, insn.src))
         self.stats.stores += 1
         t.pc += 1
 

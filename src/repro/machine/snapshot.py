@@ -65,10 +65,12 @@ class MachineState:
     __slots__ = (
         "memory", "core_cycles", "caches", "threads", "stats",
         "exit_code", "fs_base", "gs_base", "bnd", "next_tid",
+        "torn_callback",
     )
 
     def __init__(self, memory: MemoryState, core_cycles, caches, threads,
-                 stats, exit_code, fs_base, gs_base, bnd, next_tid):
+                 stats, exit_code, fs_base, gs_base, bnd, next_tid,
+                 torn_callback):
         self.memory = memory
         self.core_cycles = core_cycles
         self.caches = caches
@@ -79,6 +81,7 @@ class MachineState:
         self.gs_base = gs_base
         self.bnd = bnd
         self.next_tid = next_tid
+        self.torn_callback = torn_callback
 
     @classmethod
     def capture(cls, machine) -> "MachineState":
@@ -98,6 +101,7 @@ class MachineState:
             gs_base=machine.gs_base,
             bnd=tuple(machine.bnd),
             next_tid=machine._next_tid,
+            torn_callback=machine.torn_callback,
         )
 
     def restore(self, machine) -> None:
@@ -125,4 +129,5 @@ class MachineState:
         machine.gs_base = self.gs_base
         machine.bnd[:] = self.bnd
         machine._next_tid = self.next_tid
+        machine.torn_callback = self.torn_callback
         machine.hook_cache_misses = 0

@@ -6,18 +6,21 @@ functions that :class:`BlockFuser` generates from ``machine.code``, and
 this module's :class:`_Emitter` is the one place their per-instruction
 semantics are written down.  It emits code in two shapes:
 
-* a **fused block** is one function for a whole basic block, from a
-  leader to the next control-flow terminator, the next label (every
-  label is a leader, so a fused block never straddles two blocks of
-  the block profiler) or ``MAX_BLOCK`` instructions; the scheduler
-  (:meth:`Machine._run_blocks`) runs these.  Per-instruction
+* a **fused block** is one function for a *trace*: straight-line code
+  from its entry pc through every unconditional direct ``Jmp`` into
+  the jump's target, up to the next other control-flow terminator, a
+  label reached by falling through, a pc already in the trace or
+  ``MAX_BLOCK`` instructions; the scheduler
+  (:meth:`Machine._run_blocks`) runs these.  A trace has one path, so
+  every fault-free run retires exactly its count.  Per-instruction
   dispatch disappears and ``Stats``/cycle accounting is batched: every
   per-instruction charge is known at fuse time, so the fault-free path
   pays one flush at block exit.  Exactness at faults comes from a
-  reconcile table: each fallible statement records its pc first, and
-  the ``except`` handler replays the cumulative pre-fault charges for
-  that pc before re-raising.  An unprofiled single-instruction block
-  is simply the handler;
+  reconcile table keyed by pc (no pc occurs twice in a trace): each
+  fallible statement records its pc first, and the ``except`` handler
+  replays the cumulative pre-fault charges for that pc before
+  re-raising.  An unprofiled single-instruction block is simply the
+  handler;
 * a **handler** is a single-instruction function.  The table
   ``machine._handlers`` holds one per pc, emitted the first time
   execution steps that pc; it steps what no whole block fits in (the
@@ -32,7 +35,10 @@ semantics are written down.  It emits code in two shapes:
   object serves every pc holding the same instruction.
 
 While block profilers are attached the scheduler runs a second table
-of fused blocks, emitted by the same emitter with a tally epilogue: each
+of fused blocks, emitted by the same emitter with a tally epilogue.
+These are basic blocks: a ``Jmp`` ends them and so does every label
+(every label is a leader), so one never straddles two blocks of the
+block profiler.  Each
 run adds itself, its core-cycle and L1-miss deltas and its predecessor
 into a per-pc record the profilers fold in (see :class:`BlockFuser`),
 and a run that faults pends its retired prefix instead.  Unprofiled
@@ -41,7 +47,11 @@ runs never execute that code, so their generated sources are unchanged.
 The common shapes (moves, ALU ops, compares, loads, stores, push/pop,
 bnd/CFI/stack checks, direct calls and branches) are inlined as
 straight-line statements (div/mod through ``arith.eval_bin``, which
-raises the division fault).  What is rare or complex -- jump tables,
+raises the division fault).  Memory accesses inline the whole L1 LRU
+update of ``L1Cache.access`` and move their bytes with page kernels
+(byte indexing, or bound ``struct`` ``unpack_from``/``pack_into``
+for 2, 4 and 8 bytes); an access of any other size faults in the
+reference handler.  What is rare or complex -- jump tables,
 indirect calls, jumps and returns, shadow-stack ops, unknown
 instructions -- calls the reference ``_i_*`` handler after charging
 what ``Machine._step_reference`` charges, and unusual address shapes
@@ -76,6 +86,7 @@ import bisect
 import builtins
 import functools
 import operator
+import struct
 import types
 import weakref
 
@@ -92,7 +103,7 @@ from ..errors import (
 )
 from ..link.layout import CODE_BASE, THREAD_STACK_SIZE
 from . import costs
-from .cache import DEFAULT_SETS, LINE_BITS, LINE_SIZE
+from .cache import DEFAULT_SETS, DEFAULT_WAYS, LINE_BITS, LINE_SIZE
 from .memory import PAGE_MASK, PAGE_SIZE
 
 MASK32 = 0xFFFFFFFF
@@ -146,6 +157,16 @@ _NEUTRAL_DELEGATES = frozenset(
 )
 
 
+#: Little-endian page kernels for the multi-byte access sizes:
+#: ``U{n}(page, offset)`` reads and ``P{n}(page, offset, value)`` writes
+#: ``n`` bytes (byte accesses index the page directly).
+_PAGE_KERNELS = {
+    f"{prefix}{size}": getattr(struct.Struct(fmt), method)
+    for size, fmt in ((2, "<H"), (4, "<I"), (8, "<Q"))
+    for prefix, method in (("U", "unpack_from"), ("P", "pack_into"))
+}
+
+
 def _schedule_neutral(insn) -> bool:
     kind = type(insn)
     if kind is isa.Halt or kind is isa.JmpInd:
@@ -197,13 +218,16 @@ class BlockFuser:
     ``handlers`` is the predecoded handler table; every slot starts as
     a stub that emits the real handler on first execution.
     ``fuse(pc) -> (fn, count, pure)`` builds the scheduler's block at
-    ``pc``: ``fn`` runs the whole block on a thread; ``count`` is how
-    many instructions it retires; ``pure`` is True when the block
-    cannot change the thread schedule (no ``Halt``, no native gateway),
-    which lets the block loop skip its per-block schedule checks.
+    ``pc``, a trace through direct jumps (see :meth:`_trace`): ``fn``
+    runs the whole trace on a thread; ``count`` is how many
+    instructions it retires; ``pure`` is True when the block cannot
+    change the thread schedule (no ``Halt``, no native gateway), which
+    lets the block loop skip its per-block schedule checks.
 
-    ``fuse(pc, tally=True)`` builds the same block for a run with block
-    observers attached: its ``fn`` also tallies each run into a per-pc
+    ``fuse(pc, tally=True)`` builds the basic block at ``pc`` for a run
+    with block observers attached -- it ends at a ``Jmp`` and at every
+    label, so each run belongs to one profiler block: its ``fn`` also
+    tallies each run into a per-pc
     record ``[runs, cycles, misses, preds, pc, charges]`` -- the
     core-cycle and L1-miss deltas its runs added up to, ``preds``
     counting its runs per predecessor (the label address of the block
@@ -259,7 +283,6 @@ class BlockFuser:
             "RO": machine.mem._ro_pages,
             "MREAD": machine.mem.read_int,
             "MWRITE": machine.mem.write_int,
-            "FB": int.from_bytes,
             "RCW": machine.read_code_word,
             "TOUCH": touch,
             "MACH": machine,
@@ -276,6 +299,7 @@ class BlockFuser:
             "PEND": self.pending,
             "PV": self.prev,
             "PFX": self._pend_prefix,
+            **_PAGE_KERNELS,
         }
         handler = self.handler
 
@@ -312,19 +336,10 @@ class BlockFuser:
         return handler
 
     def fuse(self, pc: int, tally: bool = False):
-        code = self.code
-        n = len(code)
-        leaders = self.leaders
-        insns = []
-        i = pc
-        while i < n and len(insns) < MAX_BLOCK:
-            if i in leaders and i != pc:
-                break
-            insn = code[i]
-            insns.append(insn)
-            if isinstance(insn, TERMINATORS):
-                break
-            i += 1
+        """The scheduler's entry ``(fn, count, pure)`` for ``pc``: a
+        trace through direct jumps, or with ``tally`` the basic block
+        (see the class docstring)."""
+        pcs, insns = self._trace(pc, follow=not tally)
         count = len(insns)
         if count < 2 and not tally:
             return self.handler(pc), 1, _schedule_neutral(insns[0])
@@ -338,9 +353,10 @@ class BlockFuser:
             emitter = _Emitter(
                 self, single=False, anchor=self._anchor(pc) if tally else None
             )
-            for p, insn in enumerate(insns, pc):
-                emitter.emit(p, insn)
-            code_obj, objs = emitter.build(pc + count - 1, insns[-1])
+            for index, (p, insn) in enumerate(zip(pcs, insns), 1):
+                # Every Jmp but a last one is run through.
+                emitter.emit(p, insn, through=index < count)
+            code_obj, objs = emitter.build(pcs[-1], insns[-1])
             entry = (tuple(insns), code_obj, objs, not emitter.impure,
                      emitter.block_charges())
             entries[pc] = entry
@@ -352,6 +368,35 @@ class BlockFuser:
             return step, count, entry[3]
         record = [0, 0, 0, {}, pc, charges]
         return self._bind(entry[1], (*entry[2], record)), count, entry[3]
+
+    def _trace(self, pc: int, follow: bool) -> tuple[list, list]:
+        """The pcs and instructions of the block at ``pc``: straight-line
+        code up to a terminator, a label other than where the block (or,
+        with ``follow``, the stretch after its last ``Jmp``) began, a pc
+        already in it or outside the code, or ``MAX_BLOCK``
+        instructions.  With ``follow`` an unconditional ``Jmp`` does not
+        end the block: it continues at the jump's target."""
+        code = self.code
+        n = len(code)
+        leaders = self.leaders
+        pcs: list[int] = []
+        insns: list = []
+        seen: set[int] = set()
+        start = i = pc
+        while 0 <= i < n and i not in seen and len(insns) < MAX_BLOCK:
+            if i in leaders and i != start:
+                break
+            insn = code[i]
+            pcs.append(i)
+            insns.append(insn)
+            seen.add(i)
+            if type(insn) is isa.Jmp and follow:
+                start = i = insn.addr
+            elif isinstance(insn, TERMINATORS):
+                break
+            else:
+                i += 1
+        return pcs, insns
 
     def _anchor(self, pc: int) -> int:
         """The address of the last label at or before ``pc`` (``pc``
@@ -429,6 +474,7 @@ class _Emitter:
         self.h_pending = False
         self.impure = False
         self.delegated = False
+        self.through = False
         # Static cycles per emitted instruction (see block_charges), the
         # running total already flushed, and whether a block profiler
         # must step the block.
@@ -466,7 +512,6 @@ class _Emitter:
         if self.needs_cache or tally:
             head.append("    cache_ = CACHES[c]")
         if self.needs_cache:
-            head.append("    acc_ = cache_.access")
             head.append("    sets_ = cache_._sets")
             if self.h_pending:
                 head.append("    h_ = 0")
@@ -587,24 +632,39 @@ class _Emitter:
         return var
 
     def _cache_lines(self, var: str, size: int) -> list[str]:
+        """The L1 charge of a ``size``-byte access at ``var``: the update
+        of ``L1Cache.access`` inlined for the default geometry (the only
+        one Machine builds) -- a most-recently-used hit, a hit that moves
+        its line last, or a miss that evicts the oldest line of a full
+        set -- and ``TOUCH`` for an access spanning two lines, which a
+        byte never does.  A block batches its hit count into ``h_``."""
         self.needs_cache = True
-        # Replicates L1Cache.access's most-recently-used branch inline
-        # (a block batches the hit count into h_); everything else — LRU
-        # shuffles, misses — still goes through access().  The literal
-        # set mask is the default geometry, the only one Machine builds.
         if self.single:
             hit = "cache_.hits += 1"
         else:
             self.h_pending = True
             hit = "h_ += 1"
+        lines = [
+            f"ln_ = {var} >> {LINE_BITS}",
+            f"w_ = sets_[ln_ & {DEFAULT_SETS - 1}]",
+            "if w_ and w_[-1] == ln_:",
+            f"    {hit}",
+            "elif ln_ in w_:",
+            "    w_.remove(ln_)",
+            "    w_.append(ln_)",
+            f"    {hit}",
+            "else:",
+            f"    if len(w_) >= {DEFAULT_WAYS}:",
+            "        del w_[0]",
+            "    w_.append(ln_)",
+            "    cache_.misses += 1",
+            f"    C[c] += {costs.CACHE_MISS_PENALTY}",
+        ]
+        if size == 1:
+            return lines
         return [
             f"if ({var} & {LINE_SIZE - 1}) + {size} <= {LINE_SIZE}:",
-            f"    ln_ = {var} >> {LINE_BITS}",
-            f"    w_ = sets_[ln_ & {DEFAULT_SETS - 1}]",
-            "    if w_ and w_[-1] == ln_:",
-            f"        {hit}",
-            f"    elif not acc_({var}):",
-            f"        C[c] += {costs.CACHE_MISS_PENALTY}",
+            *("    " + line for line in lines),
             "else:",
             f"    TOUCH(c, {var}, {size})",
         ]
@@ -656,10 +716,13 @@ class _Emitter:
 
     # -- dispatch ------------------------------------------------------
 
-    def emit(self, p: int, insn) -> None:
+    def emit(self, p: int, insn, through: bool = False) -> None:
+        """Emit ``insn`` at ``p``; ``through`` says a ``Jmp`` is not the
+        block's last instruction, so the block runs on at its target."""
         if not self.charges:
             self.start = p
         self.delegated = False
+        self.through = through
         charged = self.flushed_cycles + self.cum[1]
         self._emit(p, insn)
         self.charges.append(self.flushed_cycles + self.cum[1] - charged)
@@ -771,30 +834,49 @@ class _Emitter:
 
     # -- fallible inlined instructions ---------------------------------
 
+    @staticmethod
+    def _page_read(var: str, size: int) -> list[str]:
+        """``v_`` = the ``size`` bytes at ``var``, through the page
+        kernel when they lie in one materialized page."""
+        if size == 1:  # a byte never crosses a page
+            fits, read = "", "v_ = pg_[o_]"
+        else:
+            fits = f" and o_ <= {PAGE_SIZE - size}"
+            read = f"v_, = U{size}(pg_, o_)"
+        return [
+            f"o_ = {var} & {PAGE_MASK}",
+            f"pg_ = PAGES.get({var} - o_)",
+            f"if pg_ is not None{fits}:",
+            f"    {read}",
+            "else:",
+            f"    v_ = MREAD({var}, {size})",
+        ]
+
     def _e_load(self, p, insn, cost):
         size = insn.size
+        if not isa.valid_access_size(size):
+            self._delegate(p, insn, cost, "_i_load")
+            return
         expr = self._addr_expr(insn.mem)
         self._pre(p, cost)
         lines = self.lines
         lines.append(f"a_ = {expr}")
         lines.append(f"if a_ >= {CODE_BASE}:")
-        if size >= 8:
+        if size == 8:
             lines.append("    v_ = RCW(a_)")
         else:
             lines.append(f"    v_ = RCW(a_) & {(1 << (8 * size)) - 1}")
         lines.append("else:")
         lines.extend("    " + line for line in self._cache_lines("a_", size))
-        lines.append(f"    o_ = a_ & {PAGE_MASK}")
-        lines.append("    pg_ = PAGES.get(a_ - o_)")
-        lines.append(f"    if pg_ is not None and o_ + {size} <= {PAGE_SIZE}:")
-        lines.append(f'        v_ = FB(pg_[o_:o_ + {size}], "little")')
-        lines.append("    else:")
-        lines.append(f"        v_ = MREAD(a_, {size})")
+        lines.extend("    " + line for line in self._page_read("a_", size))
         lines.append(f"r[{insn.dst}] = v_")
         self.cum[2] += 1
 
     def _e_store(self, p, insn, cost):
         size = insn.size
+        if not isa.valid_access_size(size):
+            self._delegate(p, insn, cost, "_i_store")
+            return
         expr = self._addr_expr(insn.mem)
         self._pre(p, cost)
         lines = self.lines
@@ -802,28 +884,35 @@ class _Emitter:
         lines.append(f"if a_ >= {CODE_BASE}:")
         lines.append('    raise MF(FU, "write to code space", addr=a_)')
         lines.extend(self._cache_lines("a_", size))
-        lines.append(f"v_ = {self._operand(insn.src)}")
+        # Register values and emitted immediates are already 64-bit.
+        value = self._operand(insn.src)
+        if size == 1:
+            write = f"pg_[o_] = {value} & 255"
+        elif size == 8:
+            write = f"P8(pg_, o_, {value})"
+        else:
+            write = f"P{size}(pg_, o_, {value} & {(1 << (8 * size)) - 1})"
+        body = [
+            "b_ = a_ - o_",
+            "rg_ = RO.get(b_)",
+            "if rg_ is not None:",
+            "    for lo_, hi_ in rg_:",
+            f"        if a_ < hi_ and a_ + {size} > lo_:",
+            '            raise MF(FP, "write to read-only memory", addr=a_)',
+            "pg_ = PAGES.get(b_)",
+            "if pg_ is not None:",
+            f"    {write}",
+            "else:",
+            f"    MWRITE(a_, {size}, {value})",
+        ]
         lines.append(f"o_ = a_ & {PAGE_MASK}")
-        lines.append(f"if o_ + {size} <= {PAGE_SIZE}:")
-        lines.append("    b_ = a_ - o_")
-        lines.append("    rg_ = RO.get(b_)")
-        lines.append("    if rg_ is not None:")
-        lines.append("        for lo_, hi_ in rg_:")
-        lines.append(f"            if a_ < hi_ and a_ + {size} > lo_:")
-        lines.append(
-            "                raise MF(FP, "
-            '"write to read-only memory", addr=a_)'
-        )
-        lines.append("    pg_ = PAGES.get(b_)")
-        lines.append("    if pg_ is not None:")
-        lines.append(
-            f"        pg_[o_:o_ + {size}] = "
-            f'(v_ & {(1 << (8 * size)) - 1}).to_bytes({size}, "little")'
-        )
-        lines.append("    else:")
-        lines.append(f"        MWRITE(a_, {size}, v_)")
-        lines.append("else:")
-        lines.append(f"    MWRITE(a_, {size}, v_)")
+        if size == 1:  # a byte never crosses a page
+            lines.extend(body)
+        else:
+            lines.append(f"if o_ <= {PAGE_SIZE - size}:")
+            lines.extend("    " + line for line in body)
+            lines.append("else:")
+            lines.append(f"    MWRITE(a_, {size}, {value})")
         self.cum[3] += 1
 
     def _e_push(self, p, insn, cost):
@@ -838,11 +927,11 @@ class _Emitter:
         lines.append(f"o_ = rsp_ & {PAGE_MASK}")
         lines.append("pg_ = None")
         lines.append(
-            f"if o_ + 8 <= {PAGE_SIZE} and not RO.get(rsp_ - o_):"
+            f"if o_ <= {PAGE_SIZE - 8} and not RO.get(rsp_ - o_):"
         )
         lines.append("    pg_ = PAGES.get(rsp_ - o_)")
         lines.append("if pg_ is not None:")
-        lines.append('    pg_[o_:o_ + 8] = v_.to_bytes(8, "little")')
+        lines.append("    P8(pg_, o_, v_)")
         lines.append("else:")
         lines.append("    MWRITE(rsp_, 8, v_)")
 
@@ -856,12 +945,7 @@ class _Emitter:
         lines.extend(
             "    " + line for line in self._cache_lines("rsp_", 8)
         )
-        lines.append(f"    o_ = rsp_ & {PAGE_MASK}")
-        lines.append("    pg_ = PAGES.get(rsp_ - o_)")
-        lines.append(f"    if pg_ is not None and o_ + 8 <= {PAGE_SIZE}:")
-        lines.append('        v_ = FB(pg_[o_:o_ + 8], "little")')
-        lines.append("    else:")
-        lines.append("        v_ = MREAD(rsp_, 8)")
+        lines.extend("    " + line for line in self._page_read("rsp_", 8))
         lines.append(f"r[{insn.dst}] = v_")
         lines.append(f"r[{regs.RSP}] = (rsp_ + 8) & M")
 
@@ -903,7 +987,10 @@ class _Emitter:
     # -- terminators ---------------------------------------------------
 
     def _e_jmp(self, p, insn, cost):
-        self._simple(cost, f"t.pc = {insn.addr}")
+        if self.through:
+            self._e_magic(p, insn, cost)
+        else:
+            self._simple(cost, f"t.pc = {insn.addr}")
 
     def _e_br(self, p, insn, cost):
         if insn.op not in isa.COND_OPS:

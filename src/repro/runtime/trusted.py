@@ -212,7 +212,9 @@ class TContext:
         the fixed return thunk ``__tret0`` as the return address, and
         runs U until its CFI return lands there.  The U instructions
         count against the run's instruction budget (see
-        ``Machine.run``), which gates starting each one.
+        ``Machine.run``), which gates starting each one.  A fault or
+        budget cut inside the callback leaves the machine unable to
+        resume until it is reset.
         """
         machine = self.machine
         thread = self.thread
@@ -245,14 +247,20 @@ class TContext:
         self.charge(costs.T_SWITCH_COST if config.separate_tu
                     else costs.T_PLAIN_CALL_COST)
         stats = machine.stats
-        while thread.pc != thunk:
-            if stats.instructions >= machine._budget_end:
-                raise MachineFault(
-                    "instruction-budget-exhausted",
-                    f"{self.sig.name}: callback exceeded the instruction "
-                    "budget",
-                )
-            machine._step(thread)
+        try:
+            while thread.pc != thunk:
+                if stats.instructions >= machine._budget_end:
+                    raise MachineFault(
+                        "instruction-budget-exhausted",
+                        f"{self.sig.name}: callback exceeded the "
+                        "instruction budget",
+                    )
+                machine._step(thread)
+        except MachineFault:
+            # The thread stops inside U code with no T frame left to
+            # return to, so the machine cannot resume (see Machine.run).
+            machine.torn_callback = self.sig.name
+            raise
         machine._called_back = True
         result = thread.regs[regs.RAX]
         thread.regs = saved_regs

@@ -10,9 +10,12 @@ reference interpreter.  This suite pins that contract with the random
 programs (run both through fused blocks and, under a no-op step hook,
 through the single-instruction handlers), multi-thread programs
 (merklefs at 2-6 threads, a thread spawn at every residue of the
-quantum grid, budget cuts through a spawn/join schedule), and
+quantum grid, budget cuts through a spawn/join schedule),
 budget-boundary cases where a single thread's fused blocks have to
-stop at the budget and finish the quantum by stepping.
+stop at the budget and finish the quantum by stepping, traces that
+run through direct jumps (faults past a jump, a budget cut at every
+instruction of a jump-chained loop, jump cycles), and budget cuts
+inside a trusted callback, which leave the machine unable to resume.
 """
 
 from __future__ import annotations
@@ -25,11 +28,12 @@ from repro import BASE, OUR_MPX, OUR_SEG
 from repro.apps.merklefs import merklefs_source
 from repro.backend import isa, regs
 from repro.compiler import compile_source
-from repro.errors import MachineFault
-from repro.link.layout import CODE_BASE
+from repro.errors import FAULT_EXEC, FAULT_TORN, MachineFault
+from repro.link.layout import CODE_BASE, MPX_PUB_BASE
 from repro.link.loader import load
 from repro.machine import costs
 from repro.machine.cpu import ENGINES
+from repro.machine.superblock import MAX_BLOCK
 from repro.obs import events, export
 from repro.obs.blockprof import attach_block_profiler, detach_block_profiler
 from repro.runtime.trusted import T_PROTOTYPES, TrustedRuntime
@@ -195,7 +199,49 @@ FAULT_PROGRAMS = {
     ],
     "debugbreak": [isa.Fail()],
     "budget": [isa.MovRI(regs.RAX, 0x10000100), isa.Jmp("loop", addr=0)],
+    # A fused block runs through a Jmp; the fault comes after it.
+    "trace-div-zero": [
+        isa.MovRI(regs.RAX, 3),
+        isa.MovRI(regs.RBX, MPX_PUB_BASE + 0x100),
+        isa.Store(isa.Mem(base=regs.RBX), regs.RAX, 8),
+        isa.Jmp("on", addr=5),
+        isa.Halt(),
+        isa.MovRI(regs.RCX, 0),
+        isa.Load(regs.RDX, isa.Mem(base=regs.RBX), 8),
+        isa.Alu("div", regs.RAX, regs.RAX, regs.RCX),
+        isa.Halt(),
+    ],
+    "trace-unmapped": [
+        isa.MovRI(regs.RBX, 0x500),
+        isa.Jmp("on", addr=3),
+        isa.Halt(),
+        isa.Alu("add", regs.RAX, regs.RAX, isa.Imm(1)),
+        isa.Load(regs.RAX, isa.Mem(base=regs.RBX), 8),
+        isa.Halt(),
+    ],
+    # Jump cycles: trace formation stops before a pc already in the
+    # trace, and the budget cuts the spin.
+    "self-jump": [isa.Jmp("self", addr=0)],
+    "jump-cycle": [
+        isa.MovRI(regs.RAX, 1),
+        isa.Jmp("b", addr=2),
+        isa.Jmp("a", addr=1),
+    ],
 }
+
+#: Access sizes no Load or Store may have.
+BAD_SIZES = (-1, 0, 3, 16)
+for _size in BAD_SIZES:
+    FAULT_PROGRAMS[f"load-size-{_size}"] = [
+        isa.MovRI(regs.RBX, MPX_PUB_BASE + 0x100),
+        isa.Load(regs.RAX, isa.Mem(base=regs.RBX), _size),
+        isa.Halt(),
+    ]
+    FAULT_PROGRAMS[f"store-size-{_size}"] = [
+        isa.MovRI(regs.RBX, MPX_PUB_BASE + 0x100),
+        isa.Store(isa.Mem(base=regs.RBX), isa.Imm(7), _size),
+        isa.Halt(),
+    ]
 
 
 class TestFaultEquivalence:
@@ -221,6 +267,18 @@ class TestFaultEquivalence:
         assert reference[0][0] == "fault"
         assert self.run_fault(name, "predecoded") == reference
         assert self.run_fault(name, "predecoded", hooked=True) == reference
+
+    @pytest.mark.parametrize("size", BAD_SIZES)
+    @pytest.mark.parametrize("kind", ("load", "store"))
+    def test_bad_access_size_is_one_typed_fault(self, kind, size):
+        outcome, signature = self.run_fault(f"{kind}-size-{size}", "reference")
+        assert outcome == (
+            "fault", FAULT_EXEC, f"bad access size {size}", None
+        )
+        # Both instructions were charged; the access never happened.
+        assert signature["instructions"] == 2
+        assert signature["loads"] == signature["stores"] == 0
+        assert signature["cache"][0] == (0, 0)
 
 
 class TestStepHookEquivalence:
@@ -594,6 +652,194 @@ class TestMultiThreadBudget:
         assert fast[0][:2] == ("fault", "instruction-budget-exhausted")
         assert fast[1]["instructions"] == cut
         assert fast == run_engine(binary, "reference", max_instructions=cut)
+
+
+class TestInlineMemory:
+    """The fused code's page kernels and inlined L1 LRU update agree
+    with ``Memory`` and ``L1Cache.access``: every access size, page-
+    and line-crossing accesses, most-recently-used and older hits, and
+    misses that evict from a full set."""
+
+    @staticmethod
+    def program():
+        base = MPX_PUB_BASE + 0x2000
+        code = [isa.MovRI(regs.RBX, base), isa.MovRI(regs.RAX, 0)]
+        for n, (disp, size) in enumerate(
+            [(0, 1), (8, 2), (16, 4), (24, 8), (4092, 8), (60, 8), (61, 4)]
+        ):
+            code.append(
+                isa.Store(isa.Mem(base=regs.RBX, disp=disp),
+                          isa.Imm(0x1122334455667788 * (n + 1)), size)
+            )
+            # Reading it back at every width pins the byte order.
+            for width in (1, 2, 4, 8):
+                code.append(isa.Load(
+                    regs.RCX, isa.Mem(base=regs.RBX, disp=disp), width
+                ))
+                code.append(isa.Alu("add", regs.RAX, regs.RAX, regs.RCX))
+        # Lines 4 KiB apart share an L1 set; ten of them overflow its
+        # eight ways, and revisits hit older ways.
+        for k in (0, 1, 1, 2, 3, 0, 4, 5, 6, 7, 8, 1, 0, 9, 2, 2, 5):
+            code.append(
+                isa.Load(regs.RCX, isa.Mem(base=regs.RBX, disp=4096 * k), 8)
+            )
+            code.append(isa.Alu("xor", regs.RAX, regs.RAX, regs.RCX))
+        code.append(isa.Halt())
+        return code
+
+    def test_identical_across_paths(self):
+        signatures = {}
+        for column in PROFILER_COLUMNS:
+            engine = "reference" if column == "reference" else "predecoded"
+            machine = make_machine(self.program(), engine=engine)
+            if column == "handlers":
+                machine.add_step_hook(lambda thread, pc, insn, cycles: None)
+            machine.run()
+            signatures[column] = machine_signature(machine)
+        assert signatures["fused"] == signatures["reference"]
+        assert signatures["handlers"] == signatures["reference"]
+        hits, misses = signatures["reference"]["cache"][0]
+        assert hits > 8 and misses > 10
+
+
+class TestTraces:
+    """On the unprofiled path a fused block is a trace that runs
+    through direct jumps; budget cuts anywhere in one must agree with
+    the reference engine."""
+
+    #: A loop whose body is three blocks chained by Jmps:
+    #: a (5-7) -> b (3-4) -> c (8-9) -> a while rax < 100.
+    CHAINED = [
+        isa.MovRI(regs.RAX, 0),
+        isa.MovRI(regs.RBX, MPX_PUB_BASE + 0x100),
+        isa.Jmp("a", addr=5),
+        isa.Alu("add", regs.RAX, regs.RAX, isa.Imm(1)),
+        isa.Jmp("c", addr=8),
+        isa.Store(isa.Mem(base=regs.RBX), regs.RAX, 8),
+        isa.Alu("add", regs.RAX, regs.RAX, isa.Imm(2)),
+        isa.Jmp("b", addr=3),
+        isa.Load(regs.RCX, isa.Mem(base=regs.RBX), 4),
+        isa.Br("lt", regs.RAX, isa.Imm(100), "a", addr=5),
+        isa.MovRR(regs.RAX, regs.RCX),
+        isa.Halt(),
+    ]
+    LABELS = {"b": 3, "a": 5, "c": 8}
+
+    def make(self, engine):
+        return make_machine(self.CHAINED, engine=engine, labels=self.LABELS)
+
+    @pytest.mark.parametrize(
+        "name, pc, count",
+        [
+            ("trace-div-zero", 0, 8),
+            ("trace-unmapped", 0, 5),
+            ("self-jump", 0, 1),
+            ("jump-cycle", 0, 3),
+            ("jump-cycle", 1, 2),
+        ],
+    )
+    def test_trace_shapes(self, name, pc, count):
+        # The fault programs' traces: faults after a followed Jmp, and
+        # jump cycles that stop formation before a repeated pc.
+        machine = make_machine(FAULT_PROGRAMS[name])
+        assert machine._fuser.fuse(pc)[1] == count
+
+    def test_chained_loop_forms_traces(self):
+        fuse = self.make("predecoded")._fuser.fuse
+        assert fuse(0)[1] == 10  # 0-2, a, b, c
+        assert fuse(5)[1] == 7  # a, b, c
+        # Tallying blocks still end at the Jmp.
+        assert fuse(5, tally=True)[1] == 3
+
+    def test_budget_cut_at_every_instruction(self):
+        reference = self.make("reference")
+        assert reference.run() == 99
+        total = reference.stats.instructions
+        for cut in range(1, total):
+            signatures = {}
+            for engine in ENGINES:
+                machine = self.make(engine)
+                with pytest.raises(MachineFault) as info:
+                    machine.run(max_instructions=cut)
+                assert info.value.kind == "instruction-budget-exhausted"
+                signatures[engine] = machine_signature(machine)
+            assert signatures["predecoded"] == signatures["reference"], cut
+            assert signatures["reference"]["instructions"] == cut
+
+    @pytest.mark.parametrize("budget", (999, 1000, 1001))
+    @pytest.mark.parametrize("name", ("self-jump", "jump-cycle"))
+    def test_jump_cycle_budget_fault_identical(self, name, budget):
+        signatures = {}
+        for engine in ENGINES:
+            machine = make_machine(FAULT_PROGRAMS[name], engine=engine)
+            with pytest.raises(MachineFault) as info:
+                machine.run(max_instructions=budget)
+            assert info.value.kind == "instruction-budget-exhausted"
+            signatures[engine] = machine_signature(machine)
+        assert signatures["predecoded"] == signatures["reference"]
+
+    def test_jmp_ended_blocks_of_a_program_become_traces(self):
+        # Guards the optimisation itself: every block a run entered
+        # whose basic block ends in a Jmp out of it runs on into the
+        # target, unless the basic block is already MAX_BLOCK long.
+        binary = compile_source(STRADDLING_LOOP, OUR_MPX, seed=5)
+        machine = loaded(binary)("predecoded")
+        assert machine.run() == 52
+        fuse = machine._fuser.fuse
+        traced = 0
+        for pc, entry in enumerate(machine._blocks):
+            if entry is None:
+                continue
+            block = fuse(pc, tally=True)[1]
+            last = machine.code[pc + block - 1]
+            if (
+                type(last) is isa.Jmp
+                and not pc <= last.addr < pc + block
+                and block < MAX_BLOCK
+            ):
+                assert entry[1] > block, pc
+                traced += 1
+        assert traced >= 3
+
+
+class TestCallbackCut:
+    """A budget cut inside a trusted callback leaves the thread in U
+    code the native was running: the machine refuses to resume rather
+    than run that code as if no native frame were pending."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("cut", (500, 1500, 3000))
+    def test_resume_after_cut(self, engine, cut):
+        binary = compile_source(CALLBACK, OUR_MPX, seed=5)
+        machine = loaded(binary)(engine)
+        with pytest.raises(MachineFault) as info:
+            machine.run(max_instructions=cut)
+        assert info.value.kind == "instruction-budget-exhausted"
+        if cut == 500:
+            # Before the callback: an ordinary resumable cut.
+            assert machine.torn_callback is None
+            assert machine.run() == 128
+            return
+        assert "u_qsort" in info.value.detail
+        before = machine_signature(machine)
+        with pytest.raises(MachineFault) as info:
+            machine.run()
+        assert info.value.kind == FAULT_TORN
+        assert "u_qsort" in info.value.detail
+        assert machine_signature(machine) == before
+        machine.reset()
+        assert machine.run() == 128
+
+    @pytest.mark.parametrize("cut", (1500, 3000))
+    def test_cut_state_identical_across_engines(self, cut):
+        binary = compile_source(CALLBACK, OUR_MPX, seed=5)
+        signatures = {}
+        for engine in ENGINES:
+            machine = loaded(binary)(engine)
+            with pytest.raises(MachineFault):
+                machine.run(max_instructions=cut)
+            signatures[engine] = machine_signature(machine)
+        assert signatures["predecoded"] == signatures["reference"]
 
 
 class TestBudgetBoundary:

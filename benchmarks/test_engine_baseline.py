@@ -14,12 +14,13 @@ Five claims are pinned here:
 * the predecoded engine's fused-block hot loop actually earns its keep:
   ≥3× cycles per wall-second over the reference engine on the mcf
   kernel, measured interleaved so host noise hits both engines alike.
-  Stepping the single-instruction handlers instead of fused blocks
-  reaches only ~2.3×, so a silent fall back to it fails the gate;
+  Stepping its one-instruction blocks instead of traces (under a
+  no-op step hook) reads only ~1.7×, so a silent fall back to it
+  fails the gate;
 * multi-thread schedules run those fused blocks too: ≥2.5× over the
   reference engine on merklefs (the Figure 8 workload) at 4 threads
-  under OurMPX.  Stepping every multi-thread quantum through the
-  handlers reaches only ~2.0×, so a fall back to it fails the gate;
+  under OurMPX.  Stepping every instruction (under a no-op step hook)
+  reads only ~2.0×, so a fall back to it fails the gate;
 * the block profiler rides that hot loop: a profiled mcf run costs at
   most 2× an unprofiled one.  Per-instruction ``on_step`` accounting
   costs ~5×, so a silent fall back to it fails the gate.

@@ -181,6 +181,39 @@ cmp "$WORK/mt_fast.folded" "$WORK/mt_ref.folded"
 cmp "$WORK/mt_fast.err" "$WORK/mt_ref.err"
 echo "multi-thread profile OK: merklefs 4 threads, predecoded == reference"
 
+# Callback profile: u_qsort's trusted code steps the U comparator, and
+# the native gateway is charged only its own cost, so on both engines
+# the folded stacks add up to the run's wall cycles (the comparator is
+# not counted twice), and the engines' outputs are byte-identical.
+CALLBACKS="$WORK/callbacks.mc"
+python - "$CALLBACKS" <<'PY'
+import sys
+
+from examples.extensions_tour import CALLBACKS
+
+with open(sys.argv[1], "w") as handle:
+    handle.write(CALLBACKS)
+PY
+for ENGINE in predecoded reference; do
+    python -m repro run --seed 1 --stats --profile-blocks --engine "$ENGINE" \
+        --flamegraph "$WORK/cb_$ENGINE.folded" "$CALLBACKS" \
+        > /dev/null 2> "$WORK/cb_$ENGINE.err"
+done
+cmp "$WORK/cb_predecoded.folded" "$WORK/cb_reference.folded"
+cmp "$WORK/cb_predecoded.err" "$WORK/cb_reference.err"
+python - "$WORK/cb_predecoded.folded" "$WORK/cb_predecoded.err" <<'PY'
+import re
+import sys
+
+with open(sys.argv[1]) as handle:
+    folded = sum(int(line.rsplit(" ", 1)[1]) for line in handle)
+with open(sys.argv[2]) as handle:
+    row = re.search(r"^machine\.cycles\.wall\s+([\d,]+)$", handle.read(), re.M)
+wall = int(row.group(1).replace(",", ""))
+assert folded == wall, f"folded stacks sum to {folded}, wall cycles {wall}"
+print(f"callback profile OK: folded stacks sum to {wall} wall cycles")
+PY
+
 # Benchmark-trajectory gate: a fresh `bench --store` record must pass
 # `bench diff` against the committed seed, and an injected change of
 # one bounds-check count, cycles unchanged, must make the diff exit 3.

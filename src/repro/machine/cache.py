@@ -84,8 +84,8 @@ class L1Cache:
         )
 
     def restore_state(self, state: tuple) -> None:
-        """Rewind to a snapshot in place (the machine's handler
-        closures hold references to this cache object)."""
+        """Rewind to a snapshot in place (the machine's generated code
+        holds references to this cache object)."""
         hits, misses, sets = state
         if len(sets) != self._n_sets:
             raise ValueError("cache geometry mismatch in snapshot")

@@ -12,11 +12,13 @@ The machine implements ConfISA exactly as the instrumentation expects:
   (re-negated) expected magic value (Section 4);
 * unmapped accesses fault — guard areas are simply unmapped.
 
-Two execution engines share these semantics:
+Both execution engines step one instruction at a time through one
+:meth:`Machine._step` over a per-pc step table, which also measures
+each instruction for the step hooks:
 
-* the **reference** engine is the one-``_step``-at-a-time dict-dispatch
-  interpreter over the ``_i_*`` handlers below: the executable
-  specification;
+* the **reference** engine's table entries interpret ``code[pc]``
+  through the dict dispatch over the ``_i_*`` handlers below
+  (:meth:`Machine._execute`): the executable specification;
 * the **predecoded** engine (default) runs code generated by
   :mod:`repro.machine.superblock` the first time execution reaches it.
   Every quantum runs whole traces -- straight-line code through
@@ -24,14 +26,13 @@ Two execution engines share these semantics:
   while a block's count fits in what is left of the quantum and of
   the instruction budget, paying dispatch once per block with
   Stats/cycle accounting batched between fault points, and steps the
-  rest through a per-pc table of single-instruction handlers.  A
-  single live thread runs blocks back to back across quanta until a
-  schedule event (a thread spawn, join or exit) or the budget.
-  With block profilers attached the same loop runs basic blocks that
-  tally their own runs for them; any other step hook sends every
-  instruction through the handlers.  Rare
-  instructions (jump tables, indirect control flow, shadow-stack ops)
-  call the reference ``_i_*`` handler.
+  rest through its table of one-instruction blocks.  A single live
+  thread runs blocks back to back across quanta until a schedule
+  event (a thread spawn, join or exit) or the budget.  With block
+  profilers attached the same loop runs basic blocks that tally their
+  own runs for them; any other step hook sends every instruction
+  through the step table.  Rare instructions (jump tables, indirect
+  control flow, shadow-stack ops) call the reference ``_i_*`` handler.
 
 The engines are observably identical — simulated cycles, ``Stats``
 counters, fault kinds/addresses, and the ``add_step_hook`` API agree
@@ -167,6 +168,9 @@ class Machine:
         # per block without changing the hook signature.  Never updated
         # on the hook-free fast path.
         self.hook_cache_misses = 0
+        # The cycles and cache misses the step hooks were handed so far
+        # (running totals; see _step).
+        self._hooked = [0, 0]
         # The ``stats.instructions`` count at which the current run's
         # budget is spent, and whether a trusted callback stepped U
         # code since the fused loop last started (see ``run``).
@@ -205,20 +209,17 @@ class Machine:
             isa.Fail: self._i_fail,
         }
         self.engine = engine
-        # Fast-engine state, emitted lazily by the fuser: code[pc] ->
-        # fused block entry, and code[pc] -> handler for stepping what
-        # no whole block fits in and everything under step hooks.
-        self._handlers: list | None = None
+        # code[pc] -> what _step runs for it; on the fast engine, also
+        # code[pc] -> fused block entry, emitted lazily by the fuser.
         self._blocks: list | None = None
         self._tallied: list | None = None
         self._fuser = None
         if engine == ENGINE_REFERENCE:
-            self._step = self._step_reference
+            self._steps = [self._execute] * len(self.code)
         else:
             self._fuser = BlockFuser(self)
-            self._handlers = self._fuser.handlers
+            self._steps = self._fuser.steps
             self._blocks = [None] * len(self.code)
-            self._step = self._step_predecoded
 
     # ------------------------------------------------------------------
     # Step hooks (the supported way to observe execution; replaces the
@@ -230,7 +231,10 @@ class Machine:
         retired instruction.  ``cycles`` is the simulated cost the
         instruction added to its core, cache penalties included; the
         instruction's cache-miss count is readable from
-        ``machine.hook_cache_misses`` during the callback.
+        ``machine.hook_cache_misses`` during the callback.  The U
+        instructions a trusted callback steps inside a native gateway
+        reach the hooks first, so the gateway is handed only its own
+        cycles and misses.
 
         A hook that is the ``on_step`` method of an object that also has
         ``fold_blocks`` is a *block observer* (the block profiler).
@@ -238,7 +242,7 @@ class Machine:
         running fused blocks -- which never straddle a label -- in every
         quantum, single- and multi-thread alike, and the blocks tally
         their own runs; any other hook sends every instruction through
-        the handlers.  Each observer gets one thread's tallies at a time
+        the step table.  Each observer gets one thread's tallies at a time
         as ``fold_blocks(thread, tallies, last)``: ``tallies`` lists the
         records ``[runs, cycles, misses, preds, pc, charges]`` of the
         blocks that ran (see ``BlockFuser``), and ``last`` is the label
@@ -411,11 +415,10 @@ class Machine:
 
         The quantum runs this thread alone, so fused blocks whose
         counts fit in what is left of the quantum and of the budget
-        run whole, and the handlers (or, on the reference engine,
-        ``_step``) step the rest.  The budget gates *starting* an
-        instruction, so a program whose final budgeted instruction
-        halts it still returns its exit code instead of being
-        misreported as evicted.
+        run whole, and ``_step`` steps the rest.  The budget gates
+        *starting* an instruction, so a program whose final budgeted
+        instruction halts it still returns its exit code instead of
+        being misreported as evicted.
         """
         limit = min(room, budget)
         executed = 0
@@ -522,30 +525,42 @@ class Machine:
         for _ in range(count):
             step(thread)
 
-    def _step_reference(self, thread: Thread) -> None:
-        """One instruction via dict dispatch (the reference engine)."""
+    def _step(self, thread: Thread) -> None:
+        """One instruction through the step table, measured for the
+        step hooks when any are attached."""
+        steps = self._steps
         pc = thread.pc
-        if not 0 <= pc < len(self.code):
+        if not 0 <= pc < len(steps):
             # An explicit bounds check: Python's negative indexing would
             # otherwise let a negative PC silently wrap around and
             # execute the wrong instruction instead of faulting.
             raise MachineFault(FAULT_EXEC, f"pc out of code: {pc}")
-        insn = self.code[pc]
         hooks = self._step_hooks
         if not hooks:
-            self._execute(thread, insn)
+            steps[pc](thread)
             return
-        cache = self.caches[thread.core]
-        before = self.core_cycles[thread.core]
-        misses_before = cache.misses
-        self._execute(thread, insn)
-        cycles = self.core_cycles[thread.core] - before
-        self.hook_cache_misses = cache.misses - misses_before
+        # A native gateway's trusted callbacks step U instructions
+        # (TContext.call_u) that the hooks see retire first; the
+        # gateway is handed only its own cost, the rest of the rise.
+        core = thread.core
+        cache = self.caches[core]
+        hooked = self._hooked
+        start_cycles = self.core_cycles[core] - hooked[0]
+        start_misses = cache.misses - hooked[1]
+        steps[pc](thread)
+        cycles = self.core_cycles[core] - hooked[0] - start_cycles
+        misses = cache.misses - hooked[1] - start_misses
+        hooked[0] += cycles
+        hooked[1] += misses
+        self.hook_cache_misses = misses
+        insn = self.code[pc]
         for hook in hooks:
             hook(thread, pc, insn, cycles)
 
-    def _execute(self, thread: Thread, insn) -> None:
-        """Retire ``insn``: count it, charge its base cost, run it."""
+    def _execute(self, thread: Thread) -> None:
+        """The reference engine's step: retire ``code[pc]`` -- count
+        it, charge its base cost, run its ``_i_*`` handler."""
+        insn = self.code[thread.pc]
         self.stats.instructions += 1
         try:
             cost = costs.BASE_COST[insn.cost_class]
@@ -554,26 +569,6 @@ class Machine:
             cost, handler = 0, self._i_unknown
         self.core_cycles[thread.core] += cost
         handler(thread, insn)
-
-    def _step_predecoded(self, thread: Thread) -> None:
-        """One instruction via the predecoded handler table."""
-        handlers = self._handlers
-        pc = thread.pc
-        if not 0 <= pc < len(handlers):
-            raise MachineFault(FAULT_EXEC, f"pc out of code: {pc}")
-        hooks = self._step_hooks
-        if not hooks:
-            handlers[pc](thread)
-            return
-        cache = self.caches[thread.core]
-        before = self.core_cycles[thread.core]
-        misses_before = cache.misses
-        handlers[pc](thread)
-        cycles = self.core_cycles[thread.core] - before
-        self.hook_cache_misses = cache.misses - misses_before
-        insn = self.code[pc]
-        for hook in hooks:
-            hook(thread, pc, insn, cycles)
 
     def charge(self, thread: Thread, cycles: int) -> None:
         self.core_cycles[thread.core] += cycles

@@ -26,13 +26,11 @@ class MemoryState:
     are bytes and only ever copied into fresh bytearrays on first
     touch after a restore."""
 
-    __slots__ = ("pages", "mapped", "read_only", "ro_pages",
-                 "prot_version")
+    __slots__ = ("pages", "mapped", "ro_pages", "prot_version")
 
-    def __init__(self, pages, mapped, read_only, ro_pages, prot_version):
+    def __init__(self, pages, mapped, ro_pages, prot_version):
         self.pages: dict[int, bytes] = pages
         self.mapped: frozenset[int] = mapped
-        self.read_only: tuple[tuple[int, int], ...] = read_only
         self.ro_pages: dict[int, tuple[tuple[int, int], ...]] = ro_pages
         self.prot_version = prot_version
 
@@ -45,12 +43,10 @@ class Memory:
         # mostly untouched), so _pages holds only the materialized
         # subset of _mapped.
         self._mapped: set[int] = set()
-        self._read_only: list[tuple[int, int]] = []
-        # Per-page permission cache: page base -> read-only ranges that
-        # can affect a write touching that page.  Stores consult this
-        # instead of scanning the full _read_only list, so the common
-        # case (a store to a page with no read-only data) is a single
-        # dict probe rather than an O(n) range walk.
+        # Read-only ranges by page: page base -> the ranges that can
+        # affect a write touching that page, so the common case (a
+        # store to a page with no read-only data) is a single dict
+        # probe.
         self._ro_pages: dict[int, list[tuple[int, int]]] = {}
         # Copy-on-write backing store for snapshot/restore: page base ->
         # immutable bytes.  After a restore, _pages is empty and pages
@@ -89,7 +85,6 @@ class Memory:
         return page
 
     def protect_read_only(self, lo: int, hi: int) -> None:
-        self._read_only.append((lo, hi))
         # Index the range on every page where a write could overlap it.
         # (`max(hi - 1, lo)` keeps degenerate empty ranges indexed on
         # lo's page, preserving the historical overlap test exactly.)
@@ -180,7 +175,6 @@ class Memory:
         return MemoryState(
             pages,
             frozenset(self._mapped),
-            tuple(self._read_only),
             {base: tuple(rs) for base, rs in self._ro_pages.items()},
             self._prot_version,
         )
@@ -190,8 +184,8 @@ class Memory:
         pages are dropped and re-filled lazily from the snapshot).
 
         Mutates the existing _pages/_mapped/_ro_pages containers rather
-        than rebinding them — predecoded instruction handlers close
-        over these objects."""
+        than rebinding them — the predecoded engine's generated code
+        closes over these objects."""
         self._pages.clear()
         self._snapshot_pages = state.pages
         if self._prot_version != state.prot_version:
@@ -203,7 +197,6 @@ class Memory:
             # cheap path.
             self._mapped.clear()
             self._mapped.update(state.mapped)
-            self._read_only[:] = state.read_only
             self._ro_pages.clear()
             for base, ranges in state.ro_pages.items():
                 self._ro_pages[base] = list(ranges)

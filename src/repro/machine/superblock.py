@@ -4,45 +4,38 @@ The reference engine interprets one instruction at a time through
 ``Machine._dispatch``.  The predecoded engine instead runs Python
 functions that :class:`BlockFuser` generates from ``machine.code``, and
 this module's :class:`_Emitter` is the one place their per-instruction
-semantics are written down.  It emits code in two shapes:
+semantics are written down.  It emits one shape, the **fused block**:
+one function for straight-line code, with per-instruction dispatch gone
+and ``Stats``/cycle accounting batched -- every per-instruction charge
+is known at fuse time, so the fault-free path pays one flush at block
+exit.  Exactness at faults comes from a reconcile table keyed by pc (no
+pc occurs twice in a block): each fallible statement records its pc
+first, and the ``except`` handler replays the cumulative pre-fault
+charges for that pc before re-raising.  Three per-pc tables hold blocks
+of three extents:
 
-* a **fused block** is one function for a *trace*: straight-line code
-  from its entry pc through every unconditional direct ``Jmp`` into
-  the jump's target, up to the next other control-flow terminator, a
-  label reached by falling through, a pc already in the trace or
-  ``MAX_BLOCK`` instructions; the scheduler
-  (:meth:`Machine._run_blocks`) runs these.  A trace has one path, so
-  every fault-free run retires exactly its count.  Per-instruction
-  dispatch disappears and ``Stats``/cycle accounting is batched: every
-  per-instruction charge is known at fuse time, so the fault-free path
-  pays one flush at block exit.  Exactness at faults comes from a
-  reconcile table keyed by pc (no pc occurs twice in a trace): each
-  fallible statement records its pc first, and the ``except`` handler
-  replays the cumulative pre-fault charges for that pc before
-  re-raising.  An unprofiled single-instruction block is simply the
-  handler;
-* a **handler** is a single-instruction function.  The table
-  ``machine._handlers`` holds one per pc, emitted the first time
-  execution steps that pc; it steps what no whole block fits in (the
-  end of a quantum or of the budget), the rest of a quantum after a
-  schedule event, every instruction under step hooks other than a
-  block profiler, and the blocks a block profiler must see stepped.
-  A handler charges ``Stats.instructions`` and the base cycle cost
-  before its first fallible statement, exactly like the reference
-  engine, so a fault leaves the same counters behind.  Handler sources
-  never mention their own pc (fall-through is ``t.pc += 1``, a call's
-  return address is computed from ``t.pc``), so one compiled code
-  object serves every pc holding the same instruction.
-
-While block profilers are attached the scheduler runs a second table
-of fused blocks, emitted by the same emitter with a tally epilogue.
-These are basic blocks: a ``Jmp`` ends them and so does every label
-(every label is a leader), so one never straddles two blocks of the
-block profiler.  Each
-run adds itself, its core-cycle and L1-miss deltas and its predecessor
-into a per-pc record the profilers fold in (see :class:`BlockFuser`),
-and a run that faults pends its retired prefix instead.  Unprofiled
-runs never execute that code, so their generated sources are unchanged.
+* a **trace** is what the scheduler (:meth:`Machine._run_blocks`) runs:
+  straight-line code from its entry pc through every unconditional
+  direct ``Jmp`` into the jump's target, up to the next other
+  control-flow terminator, a label reached by falling through, a pc
+  already in the trace or ``MAX_BLOCK`` instructions.  A trace has one
+  path, so every fault-free run retires exactly its count;
+* a **stepping entry** is the one-instruction block at a pc.  The table
+  ``machine._steps`` holds one per pc, emitted the first time execution
+  steps that pc; it steps what no whole trace fits in (the end of a
+  quantum or of the budget), the rest of a quantum after a schedule
+  event, every instruction under step hooks other than a block
+  profiler, and the blocks a block profiler must see stepped.  A trace
+  of one instruction is its stepping entry;
+* while block profilers are attached the scheduler runs **tallying
+  blocks** instead of traces, emitted with a tally epilogue.  These are
+  basic blocks: a ``Jmp`` ends them and so does every label (every
+  label is a leader), so one never straddles two blocks of the block
+  profiler.  Each run adds itself, its core-cycle and L1-miss deltas
+  and its predecessor into a per-pc record the profilers fold in (see
+  :class:`BlockFuser`), and a run that faults pends its retired prefix
+  instead.  Unprofiled runs never execute that code, so their
+  generated sources are unchanged.
 
 The common shapes (moves, ALU ops, compares, loads, stores, push/pop,
 bnd/CFI/stack checks, direct calls and branches) are inlined as
@@ -54,19 +47,18 @@ for 2, 4 and 8 bytes); an access of any other size faults in the
 reference handler.  What is rare or complex -- jump tables,
 indirect calls, jumps and returns, shadow-stack ops, unknown
 instructions -- calls the reference ``_i_*`` handler after charging
-what ``Machine._step_reference`` charges, and unusual address shapes
+what ``Machine._execute`` charges, and unusual address shapes
 call ``Machine.effective_address``.
 
 Generated sources embed only literals and positional ``O{n}``
 parameters for the objects they need (instructions, operands,
 reconcile tables).  Compiled code objects are cached per binary, by pc,
-so every machine built from the same binary -- a serving fork, a
-re-load -- only binds already-compiled code to its own globals
-(:meth:`BlockFuser._bind`; known handlers when the machine is built,
-blocks when first entered), with the objects passed as parameter
-defaults rather than through a namespace copy.  Handler code is also
-shared across binaries by source text, but only while some binary
-still uses it; fused blocks embed their pcs, so they are not shared.
+and die with it, so every machine built from the same binary -- a
+serving fork, a re-load -- only binds already-compiled code to its own
+globals (:meth:`BlockFuser._bind`; known stepping entries when the
+machine is built, traces and tallying blocks when first entered), with
+the objects passed as parameter defaults rather than through a
+namespace copy.
 
 Blocks are capped at the scheduler ``QUANTUM`` (64 instructions).  A
 quantum runs one thread alone and runs a fused block only when its
@@ -173,18 +165,11 @@ def _schedule_neutral(insn) -> bool:
         return False
     return kind in _EMITTERS or kind in _NEUTRAL_DELEGATES
 
-#: Handler source -> compiled function code, shared across binaries.
-#: Handler sources embed no machine state and no pc, so every machine
-#: running the same instruction shares one compile.  Weak values: an
-#: entry lives only while some binary's handler entry holds its code.
-_CODE_CACHE: weakref.WeakValueDictionary[str, types.CodeType] = (
-    weakref.WeakValueDictionary()
-)
 
-#: id(binary) -> (pc -> handler entry, pc -> block entry, pc -> tallying
-#: block entry), dropped when the binary is collected.  Entries remember
-#: the instructions they were generated from and are regenerated if the
-#: code word changed.
+#: id(binary) -> (pc -> stepping entry, pc -> trace entry, pc ->
+#: tallying block entry), dropped when the binary is collected.  Entries
+#: remember the instructions they were generated from and are
+#: regenerated if the code word changed.
 _IMAGES: dict[int, tuple[dict, dict, dict]] = {}
 
 
@@ -194,13 +179,6 @@ def _compile(source: str) -> types.CodeType:
         const for const in module.co_consts
         if isinstance(const, types.CodeType)
     )
-
-
-def _compile_shared(source: str) -> types.CodeType:
-    code = _CODE_CACHE.get(source)
-    if code is None:
-        code = _CODE_CACHE[source] = _compile(source)
-    return code
 
 
 def _image_entries(binary) -> tuple[dict, dict, dict]:
@@ -215,8 +193,8 @@ def _image_entries(binary) -> tuple[dict, dict, dict]:
 class BlockFuser:
     """Per-machine code generator.
 
-    ``handlers`` is the predecoded handler table; every slot starts as
-    a stub that emits the real handler on first execution.
+    ``steps`` is the predecoded step table; every slot starts as a
+    stub that emits the pc's stepping entry on first execution.
     ``fuse(pc) -> (fn, count, pure)`` builds the scheduler's block at
     ``pc``, a trace through direct jumps (see :meth:`_trace`): ``fn``
     runs the whole trace on a thread; ``count`` is how many
@@ -246,11 +224,7 @@ class BlockFuser:
         self.machine = machine
         self.code = machine.code
         self.leaders = frozenset(machine.binary.label_addrs.values())
-        caches = machine.caches
-        core_cycles = machine.core_cycles
-        miss = costs.CACHE_MISS_PENALTY
-        line_mask = LINE_SIZE - 1
-        self._handler_entries, self._block_entries, self._tally_entries = (
+        self._step_entries, self._trace_entries, self._tally_entries = (
             _image_entries(machine.binary)
         )
         self._labels = sorted(self.leaders)
@@ -258,17 +232,6 @@ class BlockFuser:
         # the block the running thread last ran (-1: none since a fold).
         self.pending: list[list] = []
         self.prev = [-1]
-
-        def touch(core, addr, size):
-            # Same span-aware L1 charge as Machine._touch.
-            if (addr & line_mask) + size <= LINE_SIZE:
-                if not caches[core].access(addr):
-                    core_cycles[core] += miss
-            else:
-                misses = caches[core].access_span(addr, size)
-                if misses:
-                    core_cycles[core] += misses * miss
-
         # Globals of every generated function.  All of these are
         # captured by reference; the loader and MachineState.restore
         # mutate them in place (never rebind), so generated code stays
@@ -276,15 +239,15 @@ class BlockFuser:
         self.globals = {
             "__builtins__": builtins,
             "S": machine.stats,
-            "C": core_cycles,
-            "CACHES": caches,
+            "C": machine.core_cycles,
+            "CACHES": machine.caches,
             "BND": machine.bnd,
             "PAGES": machine.mem._pages,
             "RO": machine.mem._ro_pages,
             "MREAD": machine.mem.read_int,
             "MWRITE": machine.mem.write_int,
             "RCW": machine.read_code_word,
-            "TOUCH": touch,
+            "TOUCH": machine._touch,
             "MACH": machine,
             "MF": MachineFault,
             "FU": FAULT_UNMAPPED,
@@ -301,39 +264,33 @@ class BlockFuser:
             "PFX": self._pend_prefix,
             **_PAGE_KERNELS,
         }
-        handler = self.handler
+        step = self.step
 
         def emit_on_first_use(t):
-            handler(t.pc)(t)
+            step(t.pc)(t)
 
         self._stub = emit_on_first_use
-        self.handlers = [emit_on_first_use] * len(self.code)
-        # Handlers this binary has already emitted (for an earlier
-        # machine, or the one a fork's image was taken from) are bound
-        # now, so a fork's first request pays nothing for them.
-        for pc, (insn, code, objs) in self._handler_entries.items():
-            if self.code[pc] is insn:
-                self.handlers[pc] = self._bind(code, objs)
+        self.steps = [emit_on_first_use] * len(self.code)
+        # Stepping entries this binary has already emitted (for an
+        # earlier machine, or the one a fork's image was taken from) are
+        # bound now, so a fork's first request pays nothing for them.
+        for pc, (insns, code, objs, *_) in self._step_entries.items():
+            if self.code[pc] is insns[0]:
+                self.steps[pc] = self._bind(code, objs)
 
     def _bind(self, code: types.CodeType, objs: tuple):
         return types.FunctionType(
             code, self.globals, code.co_name, objs or None
         )
 
-    def handler(self, pc: int):
-        """The handler for ``code[pc]``, emitting it on first use."""
-        handler = self.handlers[pc]
-        if handler is not self._stub:
-            return handler
-        insn = self.code[pc]
-        entry = self._handler_entries.get(pc)
-        if entry is None or entry[0] is not insn:
-            emitter = _Emitter(self, single=True)
-            emitter.emit(pc, insn)
-            entry = (insn, *emitter.build(pc, insn))
-            self._handler_entries[pc] = entry
-        handler = self.handlers[pc] = self._bind(entry[1], entry[2])
-        return handler
+    def step(self, pc: int):
+        """The stepping entry for ``code[pc]``, emitting it on first
+        use."""
+        fn = self.steps[pc]
+        if fn is self._stub:
+            entry = self._entry(self._step_entries, [pc], [self.code[pc]])
+            fn = self.steps[pc] = self._bind(entry[1], entry[2])
+        return fn
 
     def fuse(self, pc: int, tally: bool = False):
         """The scheduler's entry ``(fn, count, pure)`` for ``pc``: a
@@ -341,33 +298,41 @@ class BlockFuser:
         (see the class docstring)."""
         pcs, insns = self._trace(pc, follow=not tally)
         count = len(insns)
-        if count < 2 and not tally:
-            return self.handler(pc), 1, _schedule_neutral(insns[0])
-        entries = self._tally_entries if tally else self._block_entries
-        entry = entries.get(pc)
-        if (
-            entry is None
-            or len(entry[0]) != count
-            or not all(map(operator.is_, entry[0], insns))
-        ):
-            emitter = _Emitter(
-                self, single=False, anchor=self._anchor(pc) if tally else None
-            )
-            for index, (p, insn) in enumerate(zip(pcs, insns), 1):
-                # Every Jmp but a last one is run through.
-                emitter.emit(p, insn, through=index < count)
-            code_obj, objs = emitter.build(pcs[-1], insns[-1])
-            entry = (tuple(insns), code_obj, objs, not emitter.impure,
-                     emitter.block_charges())
-            entries[pc] = entry
         if not tally:
+            if count < 2:
+                return self.step(pc), 1, _schedule_neutral(insns[0])
+            entry = self._entry(self._trace_entries, pcs, insns)
             return self._bind(entry[1], entry[2]), count, entry[3]
+        entry = self._entry(self._tally_entries, pcs, insns, self._anchor(pc))
         charges = entry[4]
         if charges is None:
             step = functools.partial(self.machine._step_block, count=count)
             return step, count, entry[3]
         record = [0, 0, 0, {}, pc, charges]
         return self._bind(entry[1], (*entry[2], record)), count, entry[3]
+
+    def _entry(self, entries: dict, pcs: list, insns: list,
+               anchor: int | None = None) -> tuple:
+        """The entry ``(insns, code, objs, pure, charges)`` in
+        ``entries`` for the block of ``insns`` at ``pcs``, emitted (with
+        a tally epilogue keyed by ``anchor``, if given) unless the
+        cached one was generated from the same instructions."""
+        entry = entries.get(pcs[0])
+        if (
+            entry is None
+            or len(entry[0]) != len(insns)
+            or not all(map(operator.is_, entry[0], insns))
+        ):
+            emitter = _Emitter(self, anchor)
+            for index, (p, insn) in enumerate(zip(pcs, insns), 1):
+                # Every Jmp but a last one is run through.
+                emitter.emit(p, insn, through=index < len(insns))
+            code_obj, objs = emitter.build(pcs[-1], insns[-1])
+            entry = entries[pcs[0]] = (
+                tuple(insns), code_obj, objs, not emitter.impure,
+                emitter.block_charges(),
+            )
+        return entry
 
     def _trace(self, pc: int, follow: bool) -> tuple[list, list]:
         """The pcs and instructions of the block at ``pc``: straight-line
@@ -428,11 +393,10 @@ class BlockFuser:
 
 
 class _Emitter:
-    """Generates the body of one handler (``single``) or fused block.
+    """Generates the body of one fused block.
 
     Accounting discipline: per-instruction charges accumulate at *fuse
-    time* in ``cum``.  A handler flushes them before its fallible
-    statement and at exit.  A block emits one flush at exit (or before a
+    time* in ``cum``.  A block emits one flush at exit (or before a
     delegated reference call, which must observe exact state); every
     fallible inlined instruction first writes ``t.pc`` and registers the
     cumulative charges pending at that point — including its own
@@ -458,10 +422,8 @@ class _Emitter:
         "S.calls += {}",
     )
 
-    def __init__(self, fuser: BlockFuser, single: bool,
-                 anchor: int | None = None):
+    def __init__(self, fuser: BlockFuser, anchor: int | None = None):
         self.machine = fuser.machine
-        self.single = single
         # The block's label address when it tallies its runs (see
         # BlockFuser), else None.
         self.anchor = anchor
@@ -471,7 +433,6 @@ class _Emitter:
         self.cum = [0, 0, 0, 0, 0, 0, 0]
         self.recon: dict[int, tuple] = {}
         self.needs_cache = False
-        self.h_pending = False
         self.impure = False
         self.delegated = False
         self.through = False
@@ -492,11 +453,10 @@ class _Emitter:
             # A block split at MAX_BLOCK or at the end of the code space
             # falls through too (an out-of-range pc faults in the
             # driver, exactly like the per-instruction engines).
-            self.lines.append(self._next_pc(last_p, assign=True))
+            self.lines.append(f"t.pc = {last_p + 1}")
         if self.recon:
             self._obj(self.recon)
-        compile_ = _compile_shared if self.single else _compile
-        return compile_(self._render()), tuple(self.objs)
+        return _compile(self._render()), tuple(self.objs)
 
     def _render(self) -> str:
         params = "".join(f", O{i}" for i in range(len(self.objs)))
@@ -504,7 +464,7 @@ class _Emitter:
         tally = anchor is not None
         head = [f"def _superblock(t{params}{', T_' if tally else ''}):"]
         lines = list(self.lines)
-        if self.h_pending:
+        if self.needs_cache:
             lines.append("cache_.hits += h_")
         if any("r[" in line for line in lines):
             head.append("    r = t.regs")
@@ -513,8 +473,7 @@ class _Emitter:
             head.append("    cache_ = CACHES[c]")
         if self.needs_cache:
             head.append("    sets_ = cache_._sets")
-            if self.h_pending:
-                head.append("    h_ = 0")
+            head.append("    h_ = 0")
         if tally:
             head.append("    c0_ = C[c]")
             head.append("    m0_ = cache_.misses")
@@ -524,7 +483,7 @@ class _Emitter:
             body = ["    try:"]
             body.extend("        " + line for line in lines)
             body.append("    except MF:")
-            if self.h_pending:
+            if self.needs_cache:
                 body.append("        cache_.hits += h_")
             if self.recon:
                 body.append(f"        d_ = O{len(self.objs) - 1}.get(t.pc)")
@@ -566,11 +525,6 @@ class _Emitter:
                 self.lines.append(self._FLUSH_STMTS[index].format(value))
                 cum[index] = 0
 
-    def _next_pc(self, p: int, assign: bool = False) -> str:
-        if self.single:
-            return "t.pc += 1" if assign else "t.pc + 1"
-        return f"t.pc = {p + 1}" if assign else str(p + 1)
-
     def _obj(self, obj) -> str:
         self.objs.append(obj)
         return f"O{len(self.objs) - 1}"
@@ -581,41 +535,36 @@ class _Emitter:
         self.lines.append(stmt)
 
     def _pre(self, p: int, cost: int, *, cfi=0, bnd=0, calls=0) -> None:
-        """Charge an inlined fallible instruction's pre-fault costs: a
-        handler pays them now, a block snapshots the pending state its
-        fault point must observe."""
+        """Charge an inlined fallible instruction's pre-fault costs:
+        snapshot the pending state its fault point must observe."""
         cum = self.cum
         cum[0] += 1
         cum[1] += cost
         cum[4] += cfi
         cum[5] += bnd
         cum[6] += calls
-        if self.single:
-            self.flush()
-            return
         self.recon[p] = tuple(cum)
         self._fault_point(p)
 
     def _delegate(self, p: int, insn, cost: int, name: str) -> None:
         """Run the reference handler ``Machine.<name>``, charged as
-        ``_step_reference`` charges it.  The handler (and anything it
+        ``Machine._execute`` charges it.  The handler (and anything it
         reaches — natives can observe counters, or raise right through
         us) must see exact state: flush static charges and any batched
         cache hits first."""
         self.cum[0] += 1
         self.cum[1] += cost
         self.flush()
-        if self.h_pending:
+        if self.needs_cache:
             self.lines.append("cache_.hits += h_")
             self.lines.append("h_ = 0")
-        if not self.single:
-            self._fault_point(p)
+        self._fault_point(p)
         self.lines.append(f"MACH.{name}(t, {self._obj(insn)})")
         self.delegated = True
 
     def _fault_point(self, p: int) -> None:
-        """Mark a block's instruction at ``p`` as the one that may fault
-        next; a tallying block also notes the L1 misses before it."""
+        """Mark the instruction at ``p`` as the one that may fault next;
+        a tallying block also notes the L1 misses before it."""
         self.lines.append(f"t.pc = {p}")
         if self.anchor is not None:
             self.lines.append("mi_ = cache_.misses")
@@ -639,20 +588,15 @@ class _Emitter:
         set -- and ``TOUCH`` for an access spanning two lines, which a
         byte never does.  A block batches its hit count into ``h_``."""
         self.needs_cache = True
-        if self.single:
-            hit = "cache_.hits += 1"
-        else:
-            self.h_pending = True
-            hit = "h_ += 1"
         lines = [
             f"ln_ = {var} >> {LINE_BITS}",
             f"w_ = sets_[ln_ & {DEFAULT_SETS - 1}]",
             "if w_ and w_[-1] == ln_:",
-            f"    {hit}",
+            "    h_ += 1",
             "elif ln_ in w_:",
             "    w_.remove(ln_)",
             "    w_.append(ln_)",
-            f"    {hit}",
+            "    h_ += 1",
             "else:",
             f"    if len(w_) >= {DEFAULT_WAYS}:",
             "        del w_[0]",
@@ -666,7 +610,7 @@ class _Emitter:
             f"if ({var} & {LINE_SIZE - 1}) + {size} <= {LINE_SIZE}:",
             *("    " + line for line in lines),
             "else:",
-            f"    TOUCH(c, {var}, {size})",
+            f"    TOUCH(t, {var}, {size})",
         ]
 
     def _addr_expr(self, mem_op: isa.Mem) -> str:
@@ -917,10 +861,14 @@ class _Emitter:
 
     def _e_push(self, p, insn, cost):
         self._pre(p, cost)
+        self._push(self._operand(insn.src))
+
+    def _push(self, value: str) -> None:
+        """Move ``rsp`` down a word and store ``value`` there."""
         lines = self.lines
         lines.append(f"rsp_ = (r[{regs.RSP}] - 8) & M")
         lines.append(f"r[{regs.RSP}] = rsp_")
-        lines.append(f"v_ = {self._operand(insn.src)}")
+        lines.append(f"v_ = {value}")
         lines.append(f"if rsp_ >= {CODE_BASE}:")
         lines.append('    raise MF(FU, "write to code space", addr=rsp_)')
         lines.extend(self._cache_lines("rsp_", 8))
@@ -998,23 +946,13 @@ class _Emitter:
             return
         self._simple(
             cost,
-            f"t.pc = {insn.addr} if {self._condition(insn)} "
-            f"else {self._next_pc(p)}",
+            f"t.pc = {insn.addr} if {self._condition(insn)} else {p + 1}",
         )
 
     def _e_call_d(self, p, insn, cost):
         self._pre(p, cost, calls=1)
-        lines = self.lines
-        lines.append(f"rsp_ = (r[{regs.RSP}] - 8) & M")
-        lines.append(f"r[{regs.RSP}] = rsp_")
-        lines.append(f"if rsp_ >= {CODE_BASE}:")
-        lines.append('    raise MF(FU, "write to code space", addr=rsp_)')
-        lines.append("TOUCH(c, rsp_, 8)")
-        if self.single:
-            lines.append(f"MWRITE(rsp_, 8, t.pc + {CODE_BASE + 1})")
-        else:
-            lines.append(f"MWRITE(rsp_, 8, {CODE_BASE + p + 1})")
-        lines.append(f"t.pc = {insn.addr}")
+        self._push(str(CODE_BASE + p + 1))
+        self.lines.append(f"t.pc = {insn.addr}")
 
     def _e_halt(self, p, insn, cost):
         self.cum[0] += 1
@@ -1023,8 +961,7 @@ class _Emitter:
         # must land first.
         self.flush()
         lines = self.lines
-        if not self.single:
-            lines.append(f"t.pc = {p}")
+        lines.append(f"t.pc = {p}")
         lines.append("t.alive = False")
         lines.append("t.finish_time = C[c]")
         lines.append("if t.tid == 0:")

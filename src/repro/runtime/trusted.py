@@ -212,7 +212,9 @@ class TContext:
         the fixed return thunk ``__tret0`` as the return address, and
         runs U until its CFI return lands there.  The U instructions
         count against the run's instruction budget (see
-        ``Machine.run``), which gates starting each one.  A fault or
+        ``Machine.run``), which gates starting each one, and step
+        hooks see them retire before the native gateway, which they
+        are handed without them (see ``Machine._step``).  A fault or
         budget cut inside the callback leaves the machine unable to
         resume until it is reset.
         """

@@ -84,8 +84,8 @@ class MachineImage:
     def fork(self, engine: str | None = None) -> Process:
         """A fresh, independent Process restored to the image point.
 
-        Builds a new Machine (its handlers bind code the image's
-        binary has already generated, as execution reaches each pc —
+        Builds a new Machine (it binds code the image's binary has
+        already generated, as execution reaches each pc —
         pool slots amortize that over thousands of requests) and a new
         TrustedRuntime, then restores both from the image.  The
         fork's sealed image is this image, so ``Process.reset()``

@@ -8,7 +8,7 @@ callbacks must all agree bit-for-bit with the one-step-at-a-time
 reference interpreter.  This suite pins that contract with the random
 ``ProgramGen`` corpus across BASE/OUR_MPX/OUR_SEG plus hand-built fault
 programs (run both through fused blocks and, under a no-op step hook,
-through the single-instruction handlers), multi-thread programs
+through the one-instruction stepping entries), multi-thread programs
 (merklefs at 2-6 threads, a thread spawn at every residue of the
 quantum grid, budget cuts through a spawn/join schedule),
 budget-boundary cases where a single thread's fused blocks have to
@@ -38,6 +38,7 @@ from repro.obs import events, export
 from repro.obs.blockprof import attach_block_profiler, detach_block_profiler
 from repro.runtime.trusted import T_PROTOTYPES, TrustedRuntime
 
+from examples.extensions_tour import CALLBACKS
 from tests.integration.test_differential import ProgramGen
 from tests.machine.test_semantics_fixes import make_machine
 
@@ -247,8 +248,8 @@ for _size in BAD_SIZES:
 class TestFaultEquivalence:
     """Fault kind, detail, address, and pre-fault accounting agree.
     Each program also runs on the fast engine under a no-op step hook,
-    which forces the single-instruction handlers instead of fused
-    blocks, so both fast paths' pre-fault charges stay pinned."""
+    which forces the one-instruction stepping entries instead of
+    traces, so both fast paths' pre-fault charges stay pinned."""
 
     def run_fault(self, name, engine, hooked=False):
         machine = make_machine(FAULT_PROGRAMS[name], engine=engine)
@@ -350,9 +351,9 @@ int main() {
 
 
 #: The three ways a block profiler is charged: per fused block on the
-#: predecoded hot loop; per instruction by the predecoded handlers (a
-#: no-op step hook forces them -- the ``on_step`` oracle); and per
-#: instruction by the reference engine.
+#: predecoded hot loop; per instruction by the predecoded stepping
+#: entries (a no-op step hook forces them -- the ``on_step`` oracle);
+#: and per instruction by the reference engine.
 PROFILER_COLUMNS = ("fused", "handlers", "reference")
 
 #: A heap loop long enough that fused blocks straddle several sample
@@ -421,12 +422,19 @@ class TestBlockProfilerEquivalence:
     the acceptance contract for the profiling tier, faulting runs and
     multi-thread schedules included."""
 
-    def blockprof_signature(self, make, column, batches=None):
+    @staticmethod
+    def profiled(make, column):
+        """``make``'s machine with a block profiler attached, charged
+        the ``column`` way; returns (machine, profiler)."""
         engine = "reference" if column == "reference" else "predecoded"
         machine = make(engine)
         profiler = attach_block_profiler(machine)
         if column == "handlers":
             machine.add_step_hook(lambda thread, pc, insn, cycles: None)
+        return machine, profiler
+
+    def blockprof_signature(self, make, column, batches=None):
+        machine, profiler = self.profiled(make, column)
         if batches is not None:
             self.count_folds(profiler, lambda: batches.append(
                 {t.tid for t in machine.threads if t.alive}
@@ -561,6 +569,26 @@ class TestBlockProfilerEquivalence:
         binary = compile_source(CALLBACK, OUR_MPX, seed=5)
         reference = self.assert_columns_agree(loaded(binary))
         assert len(reference["samples"]) >= 4
+
+    @pytest.mark.parametrize("column", PROFILER_COLUMNS)
+    @pytest.mark.parametrize(
+        "source, seed, stub_cycles",
+        ((CALLBACK, 5, 180_122), (CALLBACKS, 1, 430)),
+        ids=("CALLBACK", "CALLBACKS"),
+    )
+    def test_callback_profile_adds_up(self, source, seed, stub_cycles,
+                                      column):
+        # The native gateway is charged its own cost and the U
+        # instructions its trusted callback steps are charged theirs,
+        # each once, so the blocks add up to the machine's totals.
+        binary = compile_source(source, OUR_MPX, seed=seed)
+        machine, profiler = self.profiled(loaded(binary), column)
+        machine.run()
+        assert sum(profiler.cycles.values()) == machine.wall_cycles
+        assert sum(profiler.cache_misses.values()) == sum(
+            cache.misses for cache in machine.caches
+        )
+        assert profiler.cycles["stub.u_qsort"] == stub_cycles
 
     def test_attach_and_detach_mid_run_identical(self):
         # A profiler attached between two budget cuts and detached

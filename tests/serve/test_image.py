@@ -133,7 +133,7 @@ def test_fork_reuses_generated_code(monkeypatch):
     second = ServeInstance(image.fork())
 
     def no_emission(*args, **kwargs):
-        raise AssertionError("a fork regenerated a handler or block")
+        raise AssertionError("a fork regenerated a block")
 
     monkeypatch.setattr(superblock._Emitter, "__init__", no_emission)
     assert second.handle_request(echo_request(2)) == expected
@@ -162,22 +162,28 @@ def test_run_to_request_rejects_exiting_program():
         run_to_request(process)
 
 
-def test_shared_code_cache_drops_code_of_dead_binaries():
-    """Handler code shared across binaries lives only as long as some
-    binary uses it: N distinct binaries (each seed picks new CFI magic
-    values, so new handler sources) leave nothing behind once dropped."""
+def test_generated_code_dies_with_its_binary():
+    """Generated code is cached per binary and only there: N binaries,
+    each run to its request wait unprofiled and profiled, leave none of
+    their stepping, trace or tally entries in ``superblock._IMAGES``
+    once dropped."""
     import gc
 
     from repro.machine import superblock
+    from repro.obs.blockprof import attach_block_profiler
 
-    gc.collect()
-    before = set(superblock._CODE_CACHE.keys())
-    grown = 0
+    dead = []
     for seed in range(4):
         binary = compile_source(ECHO.source, OUR_MPX, seed=seed)
         run_to_request(load(binary, runtime=TrustedRuntime()))
-        grown = max(grown, len(set(superblock._CODE_CACHE.keys()) - before))
-        del binary
+        profiled = load(binary, runtime=TrustedRuntime())
+        attach_block_profiler(profiled.machine)
+        run_to_request(profiled)
+        entries = superblock._IMAGES[id(binary)]
+        assert all(entries), [len(table) for table in entries]
+        dead.extend(entries)
+        del binary, profiled
     gc.collect()
-    assert grown > 0
-    assert set(superblock._CODE_CACHE.keys()) <= before
+    live = {id(table) for tables in superblock._IMAGES.values()
+            for table in tables}
+    assert not live & {id(table) for table in dead}

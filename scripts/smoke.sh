@@ -5,8 +5,8 @@
 # (cycle) spans; then sanity-check `bench --json` and assert the
 # predecoded and reference execution engines report identical cycles,
 # on the quickstart, on a 4-thread merklefs run and on the libquantum
-# and mcf kernels.  Later steps gate
-# the cache, fuzzers, profiler and serving tier, diff fresh trajectory
+# and mcf kernels.  Later steps gate the cache, a `build --link` binary
+# file, the fuzzers, profiler and serving tier, diff fresh trajectory
 # records against BENCH_seed.json exactly, and regenerate the seed and
 # `cmp` it with the committed file.
 # Run from the repo root: sh scripts/smoke.sh
@@ -114,6 +114,56 @@ grep -q "build.cache.hit" "$WARM_METRICS"
 # close would surface as a broken-pipe error from the CLI)
 REPRO_CACHE_DIR="$CACHE" python -m repro cache stats | grep "entries" > /dev/null
 echo "cache OK: cold == warm == uncached bench output, warm run hit the cache"
+
+# Linked-binary smoke: `repro build --link` writes a serialized binary;
+# read back, it must pass ConfVerify, load and run to the same stdout,
+# channel-1 output and exit code as `repro run` on the same source.
+# The loader builds the externals table itself, so the same binary with
+# an initializer added over the table must be refused with a LoadError.
+LINKED="$WORK/quickstart.bin"
+python -m repro build --config OurMPX --seed 1 --link "$LINKED" "$SRC" \
+    > /dev/null
+RUN_STATUS=0
+python -m repro run --config OurMPX --seed 1 "$SRC" > "$WORK/run.out" \
+    2> "$WORK/run.err" || RUN_STATUS=$?
+python - "$LINKED" "$WORK/run.out" "$WORK/run.err" "$RUN_STATUS" <<'PY'
+import re
+import sys
+
+from repro.build import load_binary
+from repro.errors import LoadError
+from repro.link.layout import externals_table
+from repro.link.loader import load
+from repro.verifier import verify_binary
+
+path, run_out, run_err, run_status = sys.argv[1:]
+with open(path, "rb") as handle:
+    data = handle.read()
+binary = load_binary(data)
+verify_binary(binary)
+process = load(binary)
+code = process.run() & 0xFF
+with open(run_out) as handle:
+    assert process.stdout == handle.read().splitlines(), process.stdout
+with open(run_err) as handle:
+    channel = re.search(r"^channel\.1\.out\s+(\w+)$", handle.read(), re.M)
+outbox = process.runtime.channel(1).drain_out().hex()
+assert outbox == (channel.group(1) if channel else ""), outbox
+assert code == int(run_status), (code, run_status)
+
+hostile = load_binary(data)
+lo, hi = externals_table(hostile.layout, len(hostile.imports))
+hostile.global_inits.append((lo, bytes(hi - lo)))
+try:
+    load(hostile)
+except LoadError:
+    pass
+else:
+    raise AssertionError("initializer over the externals table loaded")
+print(f"linked binary OK: {len(data)} bytes verify, load and run like "
+      f"`repro run` (exit {code}, channel 1 {outbox or 'empty'}); "
+      "table overwrite refused")
+PY
 
 # Fuzzing smoke: replay the frozen corpus (every checked-in mutant must
 # still be killed), then a strided live mutation pass — both must

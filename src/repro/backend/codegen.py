@@ -22,16 +22,21 @@ This stage implements the run-time half of the paper's scheme:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..config import BuildConfig
 from ..errors import CodegenError
 from ..ir import core as ir
 from ..link.layout import MPX_STACK_OFFSET
+from ..minic.types import VoidType
 from ..obs import events
 from ..taint.lattice import PRIVATE, PUBLIC, Taint
 from . import isa, regs
 from .isa import Imm, Mem
 from .regalloc import Assignment, allocate
+
+if TYPE_CHECKING:
+    from ..link.objfile import CompiledFunction
 
 WORD = 8
 ELIDE_LIMIT = 1 << 20  # guard-zone size: displacements below this may be elided
@@ -52,9 +57,16 @@ class _FrameLayout:
 
 class FunctionCodegen:
     def __init__(
-        self, func: ir.IRFunction, module: ir.IRModule, config: BuildConfig
+        self,
+        func: ir.IRFunction,
+        module: ir.IRModule,
+        config: BuildConfig,
+        compiled: CompiledFunction,
     ):
         self._func = func
+        # The function's output record: its signature taints give the
+        # entry and return magic bits.
+        self._compiled = compiled
         self._module = module
         self._config = config
         self._out: list[isa.Insn] = []
@@ -340,12 +352,7 @@ class FunctionCodegen:
         cfg = self._config
         fn = self._func
         if cfg.cfi and not cfg.shadow_stack:
-            bits = isa.mcall_bits(
-                [int(v.taint) for v in _sig_arg_taints(fn)],
-                _sig_ret_bit(fn),
-                len(fn.sig.params),
-            )
-            self._emit(isa.MagicWord("call", bits))
+            self._emit(isa.MagicWord("call", self._compiled.entry_bits))
         self._label(fn.name)
         if cfg.shadow_stack:
             self._emit(isa.ShadowPush())
@@ -650,12 +657,12 @@ class FunctionCodegen:
             self._emit(isa.RetPlain())
             return
         if cfg.cfi:
-            ret_bit = _sig_ret_bit(self._func)
+            ret_bits = isa.mret_bits(self._compiled.ret_taint)
             self._emit(isa.Pop(regs.R11))
             events.counter(
                 "codegen.checks", kind="cfi", outcome="emitted"
             ).inc()
-            self._emit(isa.CheckMagic(regs.R11, "ret", isa.mret_bits(ret_bit)))
+            self._emit(isa.CheckMagic(regs.R11, "ret", ret_bits))
             self._emit(isa.JmpReg(regs.R11, skip=1))
         else:
             self._emit(isa.RetPlain())
@@ -666,44 +673,22 @@ def _blk(fn_name: str, block_name: str) -> str:
     return block_name if block_name.startswith(fn_name) else f"{fn_name}.{block_name}"
 
 
-def _sig_arg_taints(fn: ir.IRFunction):
-    return [p for p in fn.sig.params]
-
-
-def _sig_ret_bit(fn: ir.IRFunction) -> int:
-    from ..minic.types import VoidType
-
-    if isinstance(fn.sig.ret, VoidType):
-        return 0
-    taint = fn.sig.ret.taint
-    return int(taint)
-
-
 def compile_function(
     func: ir.IRFunction, module: ir.IRModule, config: BuildConfig
-):
+) -> CompiledFunction:
     """Compile one IR function to instructions + CFI metadata."""
     from ..link.objfile import CompiledFunction
-    from ..minic.types import VoidType
 
-    with events.span("codegen.function", function=func.name):
-        gen = FunctionCodegen(func, module, config)
-        insns = gen.run()
-    arg_taints = [p.taint for p in func.sig.params]
-    ret_taint = (
-        PUBLIC if isinstance(func.sig.ret, VoidType) else func.sig.ret.taint
-    )
-    entry_bits = isa.mcall_bits(
-        [int(t) for t in arg_taints], int(ret_taint), len(arg_taints)
-    )
-    return CompiledFunction(
+    ret = func.sig.ret
+    compiled = CompiledFunction(
         name=func.name,
-        insns=insns,
-        entry_bits=entry_bits,
-        arg_taints=list(arg_taints),
-        ret_taint=ret_taint,
-        n_args=len(arg_taints),
+        insns=[],
+        arg_taints=[p.taint for p in func.sig.params],
+        ret_taint=PUBLIC if isinstance(ret, VoidType) else ret.taint,
     )
+    with events.span("codegen.function", function=func.name):
+        compiled.insns = FunctionCodegen(func, module, config, compiled).run()
+    return compiled
 
 
 def compile_module(module: ir.IRModule, config: BuildConfig):

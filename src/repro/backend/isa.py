@@ -493,9 +493,10 @@ def mret_bits(ret_taint) -> int:
 # Check-site classification.
 #
 # Every instruction the instrumentation passes insert to *enforce*
-# confidentiality falls into one of these categories; the linker records
-# the classification of every code address in ``Binary.check_sites`` so
-# profilers and the verifier agree on what counts as a check.  The
+# confidentiality falls into one of these categories.  A binary stores
+# no check-site map: the profiler, ``repro report`` and the linker's
+# counters all classify the code itself with ``check_kind``, so they
+# cannot disagree on what counts as a check.  The
 # categories line up with the paper's Fig. 5-8 overhead decomposition:
 # MPX bound checks, magic-sequence CFI checks, the magic words
 # themselves (zero-cost landing pads), stack probes, and the
@@ -514,5 +515,6 @@ _CHECK_KINDS = {
 
 
 def check_kind(insn: Insn) -> str | None:
-    """The check category of ``insn``, or None for ordinary code."""
+    """The check category of ``insn``, or None for ordinary code.  The
+    one source of check sites: ``check_kind(binary.code[addr])``."""
     return _CHECK_KINDS.get(type(insn))

@@ -54,7 +54,11 @@ from ..taint.lattice import Taint
 #: v3: BuildConfig gained the ``checkopt`` level (part of the config
 #: fingerprint, so differently-checkopted units never share a cache
 #: entry).
-FORMAT_VERSION = 3
+#: v4: artifacts drop every field a reader can compute: binaries lose
+#: ``check_sites``, ``function_order`` and the externals table (its
+#: address, contents and read-only range; the loader builds it), and
+#: compiled functions lose ``entry_bits`` and ``n_args``.
+FORMAT_VERSION = 4
 
 
 class SerializeError(ReproError):
@@ -283,11 +287,9 @@ def dump_binary(binary: Binary) -> bytes:
             [addr, _enc(init)] for addr, init in binary.global_inits
         ],
         "imports": [_enc_sig(s) for s in binary.imports],
-        "externals_table_addr": binary.externals_table_addr,
         "entry": binary.entry,
         "mcall_prefix": binary.mcall_prefix,
         "mret_prefix": binary.mret_prefix,
-        "function_order": list(binary.function_order),
         "layout": {
             "scheme": layout.scheme,
             "split_memory": layout.split_memory,
@@ -295,16 +297,30 @@ def dump_binary(binary: Binary) -> bytes:
             "priv_globals_size": layout.priv_globals_size,
         },
         "read_only_ranges": [[lo, hi] for lo, hi in binary.read_only_ranges],
-        "check_sites": [
-            [addr, kind] for addr, kind in sorted(binary.check_sites.items())
-        ],
     }
     return _canon(doc)
 
 
 def load_binary(data: bytes) -> Binary:
-    """Reconstruct a linked, loadable binary from :func:`dump_binary`."""
+    """Reconstruct a linked, loadable binary from :func:`dump_binary`.
+
+    The header values ConfVerify and the loader start from are checked
+    here: each magic prefix must be an ``int`` (not a ``bool``) of at
+    most 59 bits, and ``entry`` a ``str``."""
     doc = _open_envelope(data, "binary")
+    for key in ("mcall_prefix", "mret_prefix"):
+        prefix = doc.get(key)
+        if (
+            not isinstance(prefix, int)
+            or isinstance(prefix, bool)
+            or not 0 <= prefix < 1 << 59
+        ):
+            raise SerializeError(
+                f"binary {key} is not a 59-bit int: {prefix!r}"
+            )
+    entry = doc.get("entry")
+    if not isinstance(entry, str):
+        raise SerializeError(f"binary entry is not a str: {entry!r}")
     binary = Binary(
         code=[_dec(insn) for insn in doc["code"]],
         label_addrs=dict(doc["label_addrs"]),
@@ -312,12 +328,10 @@ def load_binary(data: bytes) -> Binary:
         global_addrs=dict(doc["global_addrs"]),
         global_inits=[(addr, _dec(init)) for addr, init in doc["global_inits"]],
         imports=[_dec_sig(s) for s in doc["imports"]],
-        externals_table_addr=doc["externals_table_addr"],
-        entry=doc["entry"],
+        entry=entry,
         config=_dec_config(doc["config"]),
         mcall_prefix=doc["mcall_prefix"],
         mret_prefix=doc["mret_prefix"],
-        function_order=list(doc["function_order"]),
     )
     lay = doc["layout"]
     binary.layout = make_layout(
@@ -327,7 +341,6 @@ def load_binary(data: bytes) -> Binary:
         lay["priv_globals_size"],
     )
     binary.read_only_ranges = [(lo, hi) for lo, hi in doc["read_only_ranges"]]
-    binary.check_sites = {addr: kind for addr, kind in doc["check_sites"]}
     return binary
 
 

@@ -481,8 +481,11 @@ def cmd_report(args) -> int:
     alignment) decompose the cycle delta over Base *exactly*:
     ``sum(categories) + other == cycles(config) - cycles(Base)``.
     """
+    from .backend.isa import check_kind
     from .obs.blockprof import attach_block_profiler
-    from .verifier import verify_check_sites
+
+    def bnd_sites(binary) -> int:
+        return sum(1 for insn in binary.code if check_kind(insn) == "bnd")
 
     source = _read_source(args.source, not args.no_prototypes)
     if args.configs:
@@ -517,7 +520,6 @@ def cmd_report(args) -> int:
             for name, config in config_map.items()
         }
         for name, binary in binaries.items():
-            verify_check_sites(binary)
             process = load(binary, runtime=_make_runtime(args),
                            engine=args.engine)
             blockprof = attach_block_profiler(process.machine)
@@ -525,10 +527,7 @@ def cmd_report(args) -> int:
             results[name] = {
                 "cycles": process.wall_cycles,
                 "summary": blockprof.check_summary(),
-                "bnd_sites": sum(
-                    1 for kind in binary.check_sites.values()
-                    if kind == "bnd"
-                ),
+                "bnd_sites": bnd_sites(binary),
             }
         # Check-elision attribution: at --checkopt aggressive, rebuild
         # every bounds-checked config with the optimizer off and charge
@@ -549,10 +548,7 @@ def cmd_report(args) -> int:
                 _run_config(name, process)
                 off_summary = blockprof.check_summary()
                 entry = results[name]
-                sites_off = sum(
-                    1 for kind in binary.check_sites.values()
-                    if kind == "bnd"
-                )
+                sites_off = bnd_sites(binary)
                 entry["checkopt"] = {
                     "level": "aggressive",
                     "bnd_sites": entry["bnd_sites"],

@@ -568,6 +568,16 @@ class ExternSig:
     arg_taints: list[Taint] = field(default_factory=list)
     ret_taint: Taint = PUBLIC
 
+    @property
+    def entry_bits(self) -> int:
+        """Taint bits a direct call to this function must match: the
+        T import stub's (or a cross-object definition's) entry bits."""
+        from ..backend.isa import mcall_bits
+
+        return mcall_bits(
+            self.arg_taints, self.ret_taint, len(self.arg_taints)
+        )
+
 
 class IRModule:
     def __init__(self, name: str = "U"):

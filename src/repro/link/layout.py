@@ -15,8 +15,9 @@ of the paper's layouts:
   operands unable to escape.
 
 Code lives in a distinct word-addressed space starting at
-``CODE_BASE``; the externals table holds ``NATIVE_BASE``-range values
-that the machine dispatches to trusted (T) wrappers.
+``CODE_BASE``; the externals table (:func:`externals_table`) holds
+``NATIVE_BASE``-range values that the machine dispatches to trusted (T)
+wrappers.
 """
 
 from __future__ import annotations
@@ -115,6 +116,17 @@ class MemoryLayout:
 
 def _page_round(n: int, page: int = 4096) -> int:
     return (n + page - 1) // page * page
+
+
+def externals_table(layout: MemoryLayout, n_imports: int) -> tuple[int, int]:
+    """The T externals table's range ``[lo, hi)``: it opens the public
+    region, one 8-byte slot per trusted import (at least one slot).
+
+    Nothing about the table is stored in a binary.  The linker places
+    it here, ConfVerify confines the import stubs to it, and the loader
+    fills slot ``i`` with ``NATIVE_BASE + i`` and maps it read-only."""
+    lo = layout.public.base
+    return lo, lo + 8 * max(n_imports, 1)
 
 
 def make_layout(

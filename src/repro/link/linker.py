@@ -4,9 +4,10 @@ chooses the magic-sequence prefixes post-link, and patches everything.
 Mirrors Section 6 of the paper:
 
 * U functions are linked into one code space; each T import gets a stub
-  that indirect-jumps through the ``externals`` table (a read-only
-  public global the loader populates with T-wrapper addresses — here,
-  NATIVE_BASE-range dispatch ids);
+  that indirect-jumps through the ``externals`` table, whose range
+  ``layout.externals_table`` fixes and which the loader fills with
+  T-wrapper addresses (here, NATIVE_BASE-range dispatch ids) and maps
+  read-only;
 * globals are assigned to the public or private region according to
   their inferred taint; references are patched to absolute addresses;
 * the 59-bit MCall/MRet prefixes are chosen *after* linking by drawing
@@ -20,14 +21,15 @@ Mirrors Section 6 of the paper:
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from ..arith import MASK64
 from ..backend import isa
 from ..errors import LinkError
 from ..ir.core import IRGlobal
 from ..obs import events
-from ..taint.lattice import PRIVATE, PUBLIC
-from .layout import CODE_BASE, NATIVE_BASE, MemoryLayout, make_layout
+from ..taint.lattice import PRIVATE
+from .layout import CODE_BASE, externals_table, make_layout
 from .objfile import Binary, UObject
 
 EXTERNALS_SYMBOL = "__externals"
@@ -132,11 +134,7 @@ def merge_objects(objs: list[UObject]) -> UObject:
                     f"unresolved external {ext.name!r} "
                     f"(declared in {obj.name!r}, defined in no linked object)"
                 )
-            declared_bits = isa.mcall_bits(
-                [int(t) for t in ext.arg_taints],
-                int(ext.ret_taint),
-                len(ext.arg_taints),
-            )
+            declared_bits = ext.entry_bits
             if declared_bits != callee_bits:
                 raise LinkError(
                     f"external {ext.name!r}: declaration in {obj.name!r} "
@@ -166,7 +164,6 @@ def _link(obj: UObject, entry: str, seed: int | None) -> Binary:
     split_memory = config.split_stacks or config.scheme is not None
     pub_offsets: dict[str, int] = {}
     priv_offsets: dict[str, int] = {}
-    pub_size = 0
     priv_size = 0
 
     def place(offsets: dict[str, int], size: int, g: IRGlobal) -> int:
@@ -175,33 +172,27 @@ def _link(obj: UObject, entry: str, seed: int | None) -> Binary:
         offsets[g.name] = size
         return size + g.size
 
-    # The externals table comes first in the public region so its
-    # address is a link-time constant.
+    # The externals table opens the public region, so its address is a
+    # link-time constant; the loader fills and protects it.
     n_imports = len(obj.imports)
-    externals_global = IRGlobal(
-        name=EXTERNALS_SYMBOL,
-        size=max(8 * n_imports, 8),
-        align=8,
-        taint=PUBLIC,
-        read_only=True,
-    )
-
-    all_globals = {EXTERNALS_SYMBOL: externals_global}
-    all_globals.update(obj.globals)
-    for g in all_globals.values():
+    layout = make_layout(config.scheme, split_memory, 0, 0)
+    table_lo, table_hi = externals_table(layout, n_imports)
+    pub_size = table_hi - table_lo
+    for g in obj.globals.values():
         if split_memory and g.taint is PRIVATE:
             priv_size = place(priv_offsets, priv_size, g)
         else:
             pub_size = place(pub_offsets, pub_size, g)
 
-    layout = make_layout(config.scheme, split_memory, pub_size, priv_size)
-    global_addrs: dict[str, int] = {}
+    layout = replace(
+        layout, pub_globals_size=pub_size, priv_globals_size=priv_size
+    )
+    global_addrs: dict[str, int] = {EXTERNALS_SYMBOL: table_lo}
     for name, off in pub_offsets.items():
         global_addrs[name] = layout.public.base + off
     for name, off in priv_offsets.items():
         assert layout.private is not None
         global_addrs[name] = layout.private.base + off
-    externals_addr = global_addrs[EXTERNALS_SYMBOL]
 
     # ------------------------------------------------------------------
     # 2. Code layout.
@@ -271,7 +262,7 @@ def _link(obj: UObject, entry: str, seed: int | None) -> Binary:
         append_stream(
             [
                 isa.Label(f"stub.{ext.name}"),
-                isa.JmpInd(isa.Mem(abs=externals_addr + 8 * index)),
+                isa.JmpInd(isa.Mem(abs=table_lo + 8 * index)),
             ]
         )
 
@@ -279,11 +270,7 @@ def _link(obj: UObject, entry: str, seed: int | None) -> Binary:
     # 3. Resolve references.
     entry_bits_of: dict[str, int] = {f.name: f.entry_bits for f in obj.functions}
     for ext in obj.imports:
-        entry_bits_of[f"stub.{ext.name}"] = isa.mcall_bits(
-            [int(t) for t in ext.arg_taints],
-            int(ext.ret_taint),
-            len(ext.arg_taints),
-        )
+        entry_bits_of[f"stub.{ext.name}"] = ext.entry_bits
 
     for insn in code:
         if isinstance(insn, isa.JmpTable):
@@ -332,44 +319,36 @@ def _link(obj: UObject, entry: str, seed: int | None) -> Binary:
             insn.inv_value = ~expected & MASK64
 
     # ------------------------------------------------------------------
-    # 5. Global initializers.
-    global_inits: list[tuple[int, bytes]] = []
-    for name, g in all_globals.items():
-        if g.init_bytes is not None:
-            global_inits.append((global_addrs[name], g.init_bytes))
-    table_bytes = b"".join(
-        (NATIVE_BASE + i).to_bytes(8, "little") for i in range(n_imports)
-    )
-    if table_bytes:
-        global_inits.append((externals_addr, table_bytes))
-
+    # 5. Global initializers and read-only data.
     binary = Binary(
         code=code,
         label_addrs=label_addrs,
         func_magic_addrs=func_magic_addrs,
         global_addrs=global_addrs,
-        global_inits=global_inits,
+        global_inits=[
+            (global_addrs[name], g.init_bytes)
+            for name, g in obj.globals.items()
+            if g.init_bytes is not None
+        ],
         imports=list(obj.imports),
-        externals_table_addr=externals_addr,
         entry="__start",
         config=config,
         mcall_prefix=mcall_prefix,
         mret_prefix=mret_prefix,
-        function_order=[f.name for f in obj.functions],
     )
     binary.layout = layout
-    binary.read_only_ranges = _read_only_ranges(all_globals, global_addrs)
-    # Classify every instrumentation check site into the binary's
-    # symbol info (after magic patching, so the map covers final code).
-    binary.check_sites = {
-        addr: kind
-        for addr, insn in enumerate(code)
-        if (kind := isa.check_kind(insn)) is not None
-    }
+    binary.read_only_ranges = [
+        (global_addrs[name], global_addrs[name] + g.size)
+        for name, g in obj.globals.items()
+        if g.read_only
+    ]
     events.counter("linker.code_words").inc(len(code))
-    events.counter("linker.check_sites").inc(len(binary.check_sites))
+    events.counter("linker.check_sites").inc(
+        sum(1 for insn in code if isa.check_kind(insn) is not None)
+    )
     events.counter("linker.stubs").inc(n_imports)
-    events.counter("linker.globals", region="pub").inc(len(pub_offsets))
+    # The externals table counts as a public global.
+    events.counter("linker.globals", region="pub").inc(len(pub_offsets) + 1)
     events.counter("linker.globals", region="priv").inc(len(priv_offsets))
     return binary
 
@@ -404,11 +383,3 @@ def _choose_prefixes(code, rng) -> tuple[int, int]:
             continue
         return mcall, mret
     raise LinkError("could not find unique magic prefixes")  # pragma: no cover
-
-
-def _read_only_ranges(all_globals, global_addrs):
-    ranges = []
-    for name, g in all_globals.items():
-        if g.read_only:
-            ranges.append((global_addrs[name], global_addrs[name] + g.size))
-    return ranges

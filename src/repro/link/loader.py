@@ -1,6 +1,12 @@
-"""The loader (Section 6): maps regions, installs the externals table,
-relocates and initializes globals, sets the MPX bound registers or
-segment registers, creates heaps and stacks, and starts the process.
+"""The loader (Section 6): maps regions, initializes globals, installs
+the externals table, sets the MPX bound registers or segment registers,
+creates heaps and stacks, and starts the process.
+
+The externals table is the loader's own: the binary says only which T
+functions it imports.  The loader writes slot ``i`` (``NATIVE_BASE +
+i``) itself and maps the table read-only, and it refuses a binary whose
+initializers would write into it, so no binary can point a T call at U
+code.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from ..machine.cpu import Machine
 from ..obs import events
 from ..runtime.alloc import NativeAllocator, RegionAllocator
 from ..runtime.trusted import TrustedRuntime
+from .layout import NATIVE_BASE, externals_table
 from .objfile import Binary
 
 
@@ -84,7 +91,17 @@ def load(
     layout = binary.layout
     if layout is None:
         raise LoadError("binary has no layout (not linked?)")
+    entry = binary.entry
+    if not isinstance(entry, str) or entry not in binary.label_addrs:
+        raise LoadError(f"entry {entry!r} names no label")
     config = binary.config
+    table_lo, table_hi = externals_table(layout, len(binary.imports))
+    for addr, data in binary.global_inits:
+        if addr < table_hi and addr + len(data) > table_lo:
+            raise LoadError(
+                f"initializer at {addr:#x} overlaps the externals table "
+                f"[{table_lo:#x}, {table_hi:#x})"
+            )
 
     natives = runtime.natives_for(binary)
     machine = Machine(binary, natives, n_cores=n_cores, engine=engine)
@@ -95,10 +112,18 @@ def load(
         machine.mem.map_range(layout.private.base, layout.private.end)
     machine.mem.map_range(layout.t_region.base, layout.t_region.end)
 
-    # 2. Globals: write initializers, then drop write permission on
-    #    read-only data (strings, the externals table).
+    # 2. Globals: write initializers and the externals table, then drop
+    #    write permission on the table and read-only data (strings).
     for addr, data in binary.global_inits:
         machine.mem.write_bytes_unprotected(addr, data)
+    machine.mem.write_bytes_unprotected(
+        table_lo,
+        b"".join(
+            (NATIVE_BASE + i).to_bytes(8, "little")
+            for i in range(len(binary.imports))
+        ),
+    )
+    machine.mem.protect_read_only(table_lo, table_hi)
     for lo, hi in binary.read_only_ranges:
         machine.mem.protect_read_only(lo, hi)
 
@@ -133,7 +158,7 @@ def load(
     runtime.machine = machine
 
     # 5. Main thread.
-    thread = machine.spawn(binary.label_addrs[binary.entry], stack_slot=0)
+    thread = machine.spawn(binary.label_addrs[entry], stack_slot=0)
     assert thread.tid == 0
 
     # 6. Seal the post-load image so Process.reset()/Machine.reset()

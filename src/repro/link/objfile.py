@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..backend.isa import Insn
+from ..backend.isa import Insn, mcall_bits
 from ..config import BuildConfig
 from ..ir.core import ExternSig, IRGlobal
 from ..taint.lattice import Taint
@@ -16,11 +16,15 @@ class CompiledFunction:
 
     name: str
     insns: list[Insn]
-    # Taint bits for the entry magic word (4 args + return).
-    entry_bits: int
     arg_taints: list[Taint]
     ret_taint: Taint
-    n_args: int
+
+    @property
+    def entry_bits(self) -> int:
+        """Taint bits of the entry magic word (4 args + return)."""
+        return mcall_bits(
+            self.arg_taints, self.ret_taint, len(self.arg_taints)
+        )
 
 
 @dataclass
@@ -54,11 +58,13 @@ class Binary:
     ``code`` is the word-addressed code space.  ``label_addrs`` maps
     every label (functions and basic blocks) to its word address;
     ``func_magic_addrs`` maps function names to the address of their
-    MCall magic word (what function pointers hold under CFI).
-    ``check_sites`` maps the address of every instrumentation check
-    (bnd / cfi / magic / chkstk / shadow, see ``isa.check_kind``) to its
-    category — symbol-side metadata the profiler and overhead reports
-    consume without rescanning the code.
+    MCall magic word (what function pointers hold under CFI).  Those
+    maps and ``global_addrs`` are the symbol table.
+
+    A binary stores nothing a reader can compute from it: check sites
+    come from ``isa.check_kind`` over ``code``, entry bits from the
+    magic words and ``imports``, and the externals table's range from
+    ``layout.externals_table`` (the loader, not the binary, fills it).
     """
 
     code: list[Insn]
@@ -67,16 +73,11 @@ class Binary:
     global_addrs: dict[str, int]
     global_inits: list[tuple[int, bytes]]
     imports: list[ExternSig]
-    externals_table_addr: int
     entry: str
     config: BuildConfig
     mcall_prefix: int = 0
     mret_prefix: int = 0
-    # Populated by the linker for diagnostics / the verifier.
-    function_order: list[str] = field(default_factory=list)
-    # Resolved memory layout (set by the linker) and the address ranges
-    # the loader must map read-only (rodata + the externals table).
+    # Resolved memory layout (set by the linker) and the read-only data
+    # (string literals) the loader maps read-only besides the table.
     layout: object = None
     read_only_ranges: list[tuple[int, int]] = field(default_factory=list)
-    # Address -> check category (populated by the linker; see class doc).
-    check_sites: dict[int, str] = field(default_factory=dict)

@@ -4,8 +4,8 @@ Runs between codegen and linking, on each function's pre-link ISA
 stream.  Three transforms, each *verifier-legal by construction* — they
 only rewrite within the extended basic block (no Label / branch / call
 in between), mirroring exactly the evidence rules ConfVerify's
-``_flow_block`` applies, so ``verify_binary`` and
-``verify_check_sites`` accept the optimized binary unchanged:
+``_flow_block`` applies, so ``verify_binary`` accepts the optimized
+binary unchanged:
 
 * **redundant-check elision** — delete a ``BndChk`` whose key is
   already available: an earlier surviving check in the same extended

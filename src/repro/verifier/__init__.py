@@ -1,15 +1,5 @@
 """ConfVerify: the static binary verifier."""
 
-from .verify import (
-    BinaryVerifier,
-    expected_check_sites,
-    verify_binary,
-    verify_check_sites,
-)
+from .verify import BinaryVerifier, verify_binary
 
-__all__ = [
-    "verify_binary",
-    "BinaryVerifier",
-    "expected_check_sites",
-    "verify_check_sites",
-]
+__all__ = ["verify_binary", "BinaryVerifier"]

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from ..arith import MASK64
 from ..backend import isa, regs
 from ..errors import VerifyError
-from ..link.layout import MPX_STACK_OFFSET
+from ..link.layout import MPX_STACK_OFFSET, externals_table
 from ..link.objfile import Binary
 from ..obs import events
 
@@ -80,9 +80,8 @@ class BinaryVerifier:
             for name, addr in binary.label_addrs.items()
             if name.startswith("stub.")
         }
-        self._externals_range = (
-            binary.externals_table_addr,
-            binary.externals_table_addr + 8 * max(len(binary.imports), 1),
+        self._externals_range = externals_table(
+            binary.layout, len(binary.imports)
         )
 
     # ------------------------------------------------------------------
@@ -179,6 +178,11 @@ class BinaryVerifier:
         return procs
 
     def _check_stubs(self) -> None:
+        """Each T-import stub is one ``jmp [abs]`` through a slot of the
+        externals table.  The table's range comes from the layout
+        (``layout.externals_table``), not from the binary, and the
+        loader writes and write-protects every slot itself, so a stub
+        can only reach a T wrapper."""
         lo, hi = self._externals_range
         for addr in self._stub_addrs:
             insn = self.code[addr]
@@ -488,13 +492,9 @@ class BinaryVerifier:
                 for n, a in self.binary.label_addrs.items()
                 if a == target_addr and n.startswith("stub.")
             )
-            for i, ext in enumerate(self.binary.imports):
+            for ext in self.binary.imports:
                 if ext.name == name:
-                    return isa.mcall_bits(
-                        [int(t) for t in ext.arg_taints],
-                        int(ext.ret_taint),
-                        len(ext.arg_taints),
-                    )
+                    return ext.entry_bits
             raise VerifyError("unknown-import", name)  # pragma: no cover
         magic = self.code[target_addr - 1] if target_addr > 0 else None
         if not (isinstance(magic, isa.MagicWord) and magic.kind == "call"):
@@ -600,44 +600,3 @@ def verify_binary(binary: Binary) -> None:
     """Run ConfVerify on a linked binary; raises VerifyError on reject."""
     with events.span("compile.verify", cat="verify", config=binary.config.name):
         BinaryVerifier(binary).verify()
-
-
-def expected_check_sites(binary: Binary) -> dict[int, str]:
-    """Re-derive the check-site map from the instruction stream alone.
-
-    This is the ground truth the linker's recorded ``check_sites``
-    metadata must agree with; profilers classify executed instructions
-    with the same ``isa.check_kind`` predicate, so agreement here means
-    the symbol-side metadata and the dynamic attribution can never
-    drift apart.
-    """
-    return {
-        addr: kind
-        for addr, insn in enumerate(binary.code)
-        if (kind := isa.check_kind(insn)) is not None
-    }
-
-
-def verify_check_sites(binary: Binary) -> None:
-    """Cross-check the recorded check-site metadata against the code.
-
-    Kept outside the :meth:`BinaryVerifier.verify` gauntlet on purpose:
-    the mutation-kill corpus rewrites instructions in place, and a
-    stale-metadata rejection there would mask the *semantic* reason a
-    mutant must be killed.  Overhead reports call this before trusting
-    ``binary.check_sites``.
-    """
-    expected = expected_check_sites(binary)
-    recorded = binary.check_sites
-    if recorded == expected:
-        return
-    missing = sorted(set(expected) - set(recorded))
-    stale = sorted(
-        addr for addr, kind in recorded.items()
-        if expected.get(addr) != kind
-    )
-    raise VerifyError(
-        "check-sites-stale",
-        f"{len(missing)} unrecorded and {len(stale)} stale check sites "
-        f"(first: {(missing + stale)[:4]})",
-    )

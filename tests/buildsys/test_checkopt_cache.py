@@ -6,6 +6,7 @@ off build, or vice versa)."""
 from __future__ import annotations
 
 from repro import OUR_MPX
+from repro.backend.isa import check_kind
 from repro.build import (
     BuildSession,
     ObjectCache,
@@ -34,7 +35,7 @@ int main() {
 
 
 def bnd_sites(binary):
-    return sum(1 for kind in binary.check_sites.values() if kind == "bnd")
+    return sum(1 for insn in binary.code if check_kind(insn) == "bnd")
 
 
 class TestCheckoptKeying:

@@ -170,3 +170,27 @@ class TestFormatVersioning:
             load_uobject(b"\x00\x01not json")
         with pytest.raises(SerializeError):
             load_binary(b"[]")
+
+
+class TestHeaderValidation:
+    """ConfVerify and the loader start from the magic prefixes and the
+    entry; ``load_binary`` admits only values of the linker's types."""
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("mcall_prefix", "7"),
+            ("mret_prefix", None),
+            ("mcall_prefix", True),
+            ("mret_prefix", 1 << 59),
+            ("mcall_prefix", -1),
+            ("entry", 5),
+            ("entry", None),
+        ],
+    )
+    def test_untyped_header_rejected(self, key, value):
+        binary = compile_source(GLOBALS_APP, OUR_MPX, seed=SEED)
+        doc = json.loads(dump_binary(binary).decode())
+        doc[key] = value
+        with pytest.raises(SerializeError, match=key.split("_")[0]):
+            load_binary(json.dumps(doc).encode())

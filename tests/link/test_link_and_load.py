@@ -4,15 +4,18 @@ import pytest
 
 from repro import BASE, OUR_MPX, OUR_SEG, compile_and_load, compile_source
 from repro.backend import isa
-from repro.errors import LinkError, MachineFault
+from repro.errors import LinkError, LoadError, MachineFault
 from repro.link.layout import (
     CODE_BASE,
     MPX_STACK_OFFSET,
     NATIVE_BASE,
     REGION_SIZE,
+    externals_table,
     make_layout,
 )
-from repro.runtime.trusted import T_PROTOTYPES
+from repro.link.loader import load
+from repro.runtime.trusted import T_PROTOTYPES, TrustedRuntime
+from repro.verifier import verify_binary
 
 SIMPLE = T_PROTOTYPES + """
 private int g_priv;
@@ -91,7 +94,18 @@ class TestLinker:
 
     def test_externals_table_first_in_public_globals(self):
         binary = compile_source(SIMPLE, OUR_MPX)
-        assert binary.externals_table_addr == binary.layout.public.base
+        lo, hi = externals_table(binary.layout, len(binary.imports))
+        assert lo == binary.layout.public.base
+        assert hi == lo + 8 * len(binary.imports)
+        assert binary.global_addrs["__externals"] == lo
+        others = [
+            addr for name, addr in binary.global_addrs.items()
+            if name != "__externals"
+        ]
+        assert not [a for a in others if lo <= a < hi]
+        for insn in binary.code:
+            if isinstance(insn, isa.JmpInd):
+                assert lo <= insn.mem.abs < hi
 
     def test_stub_per_import(self):
         binary = compile_source(SIMPLE, OUR_MPX)
@@ -149,18 +163,80 @@ class TestLoader:
 
     def test_externals_table_read_only(self):
         process = compile_and_load(SIMPLE, OUR_MPX)
-        table = process.machine.binary.externals_table_addr
-        with pytest.raises(MachineFault):
-            process.machine.mem.write_int(table, 8, 0xBAD)
+        binary = process.machine.binary
+        lo, hi = externals_table(binary.layout, len(binary.imports))
+        for addr in range(lo, hi):
+            with pytest.raises(MachineFault, match="read-only"):
+                process.machine.mem.write_int(addr, 1, 0xBA)
 
     def test_externals_table_holds_native_ids(self):
         process = compile_and_load(SIMPLE, OUR_MPX)
-        table = process.machine.binary.externals_table_addr
-        first = process.machine.mem.read_int(table, 8)
-        assert first == NATIVE_BASE
+        binary = process.machine.binary
+        lo, hi = externals_table(binary.layout, len(binary.imports))
+        slots = [
+            process.machine.mem.read_int(addr, 8) for addr in range(lo, hi, 8)
+        ]
+        assert slots == [NATIVE_BASE + i for i in range(len(binary.imports))]
+
+    @pytest.mark.parametrize("entry", ["nosuch", 5])
+    def test_unknown_entry_rejected(self, entry):
+        binary = compile_source(SIMPLE, OUR_MPX)
+        binary.entry = entry
+        with pytest.raises(LoadError, match=repr(entry)):
+            load(binary)
 
     def test_guard_between_regions_unmapped(self):
         process = compile_and_load(SIMPLE, OUR_MPX)
         layout = process.machine.layout
         gap = layout.public.end + 100
         assert not process.machine.mem.is_mapped(gap)
+
+
+# U code that plants a U function pointer in print_int's externals-
+# table slot, then calls print_int.  SLOT is filled in per binary.
+HIJACK = T_PROTOTYPES + """
+void evil(int x) { send(1, "pwned", 5); }
+int main() {
+    void (*f)(int) = evil;
+    int *slot = (int*)SLOT;
+    *slot = (int)f;
+    print_int(7);
+    return 0;
+}
+"""
+
+
+class TestHostileBinaries:
+    """ConfVerify accepts both binaries.  The externals table is the
+    loader's, so nothing the binary's data says can point a T call at
+    U code."""
+
+    def test_initializer_over_externals_table_refused(self):
+        binary = compile_source(T_PROTOTYPES + """
+        void evil(int x) { send(1, "pwned", 5); }
+        int main() { print_int(7); return 0; }
+        """, OUR_MPX)
+        lo, _ = externals_table(binary.layout, len(binary.imports))
+        u_func = CODE_BASE + binary.func_magic_addrs["evil"]
+        binary.global_inits.append(
+            (lo, u_func.to_bytes(8, "little") * len(binary.imports))
+        )
+        verify_binary(binary)
+        with pytest.raises(LoadError, match="externals table"):
+            load(binary)
+
+    def test_table_stays_read_only_without_read_only_ranges(self):
+        probe = compile_source(HIJACK.replace("SLOT", "0"), OUR_MPX)
+        lo, _ = externals_table(probe.layout, len(probe.imports))
+        index = [ext.name for ext in probe.imports].index("print_int")
+        slot = lo + 8 * index
+        binary = compile_source(HIJACK.replace("SLOT", str(slot)), OUR_MPX)
+        verify_binary(binary)
+        binary.read_only_ranges = []
+        runtime = TrustedRuntime()
+        process = load(binary, runtime=runtime)
+        with pytest.raises(MachineFault) as fault:
+            process.run()
+        assert fault.value.kind == "permission-violation"
+        assert fault.value.addr == slot
+        assert bytes(runtime.channel(1).outbox) == b""

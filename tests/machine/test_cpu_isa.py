@@ -31,7 +31,6 @@ def make_machine(code, config=BASE, bnd_private=None):
         global_addrs={},
         global_inits=[],
         imports=[],
-        externals_table_addr=layout.public.base,
         entry="__start",
         config=config,
     )

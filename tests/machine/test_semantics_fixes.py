@@ -35,7 +35,6 @@ def make_machine(code, config=BASE, engine="predecoded", labels=None):
         global_addrs={},
         global_inits=[],
         imports=[],
-        externals_table_addr=layout.public.base,
         entry="__start",
         config=config,
     )

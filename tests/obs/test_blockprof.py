@@ -1,5 +1,5 @@
-"""Block profiler: attribution totals, edges, check sites, exporters,
-check-site metadata, and zero-cost-when-off."""
+"""Block profiler: attribution totals, edges, check sites (classified
+from the code), exporters, and zero-cost-when-off."""
 
 from __future__ import annotations
 
@@ -16,11 +16,6 @@ from repro.obs.blockprof import (
     write_flamegraph,
 )
 from repro.runtime.trusted import T_PROTOTYPES, TrustedRuntime
-from repro.verifier import expected_check_sites, verify_check_sites
-
-import pytest
-
-from repro.errors import VerifyError
 
 SOURCE = T_PROTOTYPES + """
 int sum_heap(int *buf, int n) {
@@ -129,7 +124,7 @@ class TestCheckAttribution:
         prof = attach_block_profiler(process.machine)
         process.run()
         for row in prof.check_sites():
-            assert binary.check_sites.get(row.addr) == row.category
+            assert check_kind(binary.code[row.addr]) == row.category
             assert row.count > 0
             assert row.cycles >= 0
 
@@ -153,29 +148,22 @@ class TestCheckAttribution:
 
 
 class TestCheckSiteMetadata:
-    def test_linker_records_every_check(self):
-        binary = compile_source(SOURCE, OUR_MPX, seed=7)
-        assert binary.check_sites == expected_check_sites(binary)
-        assert set(binary.check_sites.values()) <= set(CHECK_CATEGORIES)
-        kinds = set(binary.check_sites.values())
-        assert {"bnd", "cfi", "magic", "chkstk"} <= kinds
-        for addr, kind in binary.check_sites.items():
-            assert check_kind(binary.code[addr]) == kind
-
-    def test_serialize_round_trips_check_sites(self):
+    def test_categories_are_check_kind_of_the_code(self):
+        """A binary carries no check-site map: the profiler classifies
+        each address with ``check_kind``, also after a serialize round
+        trip."""
         binary = compile_source(SOURCE, OUR_MPX, seed=7)
         clone = load_binary(dump_binary(binary))
-        assert clone.check_sites == binary.check_sites
-        verify_check_sites(clone)
-
-    def test_stale_metadata_rejected(self):
-        binary = compile_source(SOURCE, OUR_MPX, seed=7)
-        verify_check_sites(binary)
-        addr = next(iter(binary.check_sites))
-        del binary.check_sites[addr]
-        with pytest.raises(VerifyError) as err:
-            verify_check_sites(binary)
-        assert "check-sites-stale" in str(err.value)
+        sites = []
+        for linked in (binary, clone):
+            process = load(linked, runtime=TrustedRuntime())
+            prof = attach_block_profiler(process.machine)
+            process.run()
+            sites.append({row.addr: row.category for row in prof.check_sites()})
+            for addr, category in sites[-1].items():
+                assert check_kind(linked.code[addr]) == category
+        assert sites[0] == sites[1]
+        assert {"bnd", "cfi", "chkstk"} <= set(sites[0].values())
 
 
 class TestZeroCostOff:

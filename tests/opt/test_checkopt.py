@@ -13,7 +13,6 @@ from repro.opt import (
 )
 from repro.runtime.trusted import T_PROTOTYPES, TrustedRuntime
 from repro.link.loader import load
-from repro.verifier import verify_check_sites
 from repro.verifier.verify import verify_binary
 
 R0, R1 = 0, 1
@@ -224,9 +223,8 @@ class TestEndToEnd:
             config = OUR_MPX.variant(checkopt=level)
             binary = compile_source(SOURCE, config)
             verify_binary(binary)
-            verify_check_sites(binary)
             sites[level] = sum(
-                1 for k in binary.check_sites.values() if k == "bnd"
+                1 for insn in binary.code if isa.check_kind(insn) == "bnd"
             )
             seen[level] = observe(binary)
         assert seen["off"] == seen["safe"] == seen["aggressive"]
@@ -246,5 +244,4 @@ class TestEndToEnd:
         config = OUR_SEG.variant(checkopt="aggressive")
         binary = compile_source(SOURCE, config)
         verify_binary(binary)
-        verify_check_sites(binary)
         assert observe(binary) == observe(compile_source(SOURCE, OUR_SEG))

@@ -21,9 +21,10 @@ Five claims are pinned here:
   reference engine on merklefs (the Figure 8 workload) at 4 threads
   under OurMPX.  Stepping every instruction (under a no-op step hook)
   reads only ~2.0×, so a fall back to it fails the gate;
-* the block profiler rides that hot loop: a profiled mcf run costs at
-  most 2× an unprofiled one.  Per-instruction ``on_step`` accounting
-  costs ~5×, so a silent fall back to it fails the gate.
+* the block profiler rides that hot loop: a profiled run costs at most
+  1.9× an unprofiled one on mcf and 2.1× on libquantum.
+  Per-instruction ``on_step`` accounting costs ~5×, so a silent fall
+  back to it fails the gate.
 """
 
 from __future__ import annotations
@@ -120,11 +121,10 @@ def test_multithread_speedup_over_reference():
     assert_speedup(best_rates(merklefs_source(4)), 2.5)
 
 
-def test_profiled_run_stays_on_fused_path():
-    """A block-profiled run must take ≤2× the wall time of an
-    unprofiled one on mcf/OurMPX, measured interleaved best-of-N like
-    the speedup gate above."""
-    source = kernel_source("mcf", scale=1)
+def profiled_ratio(kernel: str) -> float:
+    """Best-of-N profiled/unprofiled wall-time ratio on ``kernel``
+    under OurMPX, measured interleaved like the speedup gates above."""
+    source = kernel_source(kernel, scale=1)
     binary = compile_source(source, ALL_CONFIGS["OurMPX"], seed=SEED)
 
     def run(profiled):
@@ -142,11 +142,21 @@ def test_profiled_run_stays_on_fused_path():
     for _ in range(4):
         for profiled in best:
             best[profiled] = min(best[profiled], run(profiled))
-    ratio = best[True] / best[False]
-    assert ratio <= 2.0, (
-        f"profiled {best[True] * 1e3:.0f} ms vs unprofiled "
-        f"{best[False] * 1e3:.0f} ms — {ratio:.2f}x"
-    )
+    return best[True] / best[False]
+
+
+@pytest.mark.parametrize(
+    "kernel, bound", [("mcf", 1.9), ("libquantum", 2.1)]
+)
+def test_profiled_run_stays_on_fused_path(kernel, bound):
+    """A block-profiled run walks the unprofiled run's traces, so it
+    must stay within ``bound`` times the wall time of an unprofiled
+    one.  Three runs of this measurement on a 2-vCPU host read mcf
+    1.33-1.49x and libquantum 1.63-1.68x (tallying basic blocks, before
+    profiled runs walked traces, read 1.74x and 2.07-2.25x); the bounds
+    leave 25% over the highest reading for shared runners."""
+    ratio = profiled_ratio(kernel)
+    assert ratio <= bound, f"profiled/unprofiled {ratio:.2f}x > {bound}x"
 
 
 def test_cycles_match_stored_baseline():

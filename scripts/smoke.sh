@@ -334,6 +334,16 @@ for KERNEL in "$LIBQUANTUM" "$MCF"; do
     cmp "$WORK/bench_k_fast.json" "$WORK/bench_k_ref.json"
 done
 echo "fig5 bench OK: libquantum and mcf, predecoded == reference"
+# libquantum's traces cross the most labels: its block profile, tallied
+# per trace on the fast engine and per instruction on the reference
+# engine, must give the same report.
+for ENGINE in predecoded reference; do
+    python -m repro report --seed 1 --json --configs OurMPX \
+        --engine "$ENGINE" "$LIBQUANTUM" | sed '/"engine":/d' \
+        > "$WORK/report_lq_$ENGINE.json"
+done
+cmp "$WORK/report_lq_predecoded.json" "$WORK/report_lq_reference.json"
+echo "libquantum report OK: predecoded == reference"
 python -m repro verify --config OurMPX --checkopt aggressive --seed 1 \
     --no-prototypes "$MCF" > /dev/null
 python -m repro verify --config OurSeg --checkopt aggressive --seed 1 \

@@ -95,8 +95,28 @@ def load(
     if not isinstance(entry, str) or entry not in binary.label_addrs:
         raise LoadError(f"entry {entry!r} names no label")
     config = binary.config
+    regions = [layout.public, layout.private, layout.t_region]
+
+    def unmapped(lo: int, hi: int) -> bool:
+        return hi < lo or not any(
+            region.contains(lo, hi - lo) for region in regions if region
+        )
+
+    # Every address the binary's data names must lie in a region the
+    # loader maps, so writing or protecting it stays bounded.
+    for lo, hi in binary.read_only_ranges:
+        if unmapped(lo, hi):
+            raise LoadError(
+                f"read-only range [{lo:#x}, {hi:#x}) is outside the "
+                "mapped regions"
+            )
     table_lo, table_hi = externals_table(layout, len(binary.imports))
     for addr, data in binary.global_inits:
+        if unmapped(addr, addr + len(data)):
+            raise LoadError(
+                f"initializer at {addr:#x} ({len(data)} bytes) is outside "
+                "the mapped regions"
+            )
         if addr < table_hi and addr + len(data) > table_lo:
             raise LoadError(
                 f"initializer at {addr:#x} overlaps the externals table "

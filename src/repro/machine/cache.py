@@ -60,14 +60,8 @@ class L1Cache:
         the first line would understate exactly the number the paper's
         OurMPX vs OurMPX-Sep comparison is built on.
         """
-        line = addr >> LINE_BITS
-        last = (addr + size - 1) >> LINE_BITS
-        misses = 0
-        while line <= last:
-            if not self.access(line << LINE_BITS):
-                misses += 1
-            line += 1
-        return misses
+        lines = range(addr >> LINE_BITS, ((addr + size - 1) >> LINE_BITS) + 1)
+        return sum(not self.access(line << LINE_BITS) for line in lines)
 
     def flush(self) -> None:
         for ways in self._sets:

@@ -29,10 +29,11 @@ each instruction for the step hooks:
   rest through its table of one-instruction blocks.  A single live
   thread runs blocks back to back across quanta until a schedule
   event (a thread spawn, join or exit) or the budget.  With block
-  profilers attached the same loop runs basic blocks that tally their
-  own runs for them; any other step hook sends every instruction
-  through the step table.  Rare instructions (jump tables, indirect
-  control flow, shadow-stack ops) call the reference ``_i_*`` handler.
+  profilers attached the same loop runs the same traces, emitted to
+  tally their own runs for them; any other step hook sends every
+  instruction through the step table.  Rare instructions (jump tables,
+  indirect control flow, shadow-stack ops) call the reference ``_i_*``
+  handler.
 
 The engines are observably identical — simulated cycles, ``Stats``
 counters, fault kinds/addresses, and the ``add_step_hook`` API agree
@@ -119,13 +120,8 @@ class Stats:
     )
 
     def __init__(self):
-        self.instructions = 0
-        self.bnd_checks = 0
-        self.cfi_checks = 0
-        self.calls = 0
-        self.t_calls = 0
-        self.loads = 0
-        self.stores = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
         # Fault kind -> occurrence count (a fault normally ends the run,
         # but callers that catch-and-restart keep accumulating here).
         self.faults: dict[str, int] = {}
@@ -213,6 +209,11 @@ class Machine:
         # code[pc] -> fused block entry, emitted lazily by the fuser.
         self._blocks: list | None = None
         self._tallied: list | None = None
+        # The tallying traces' pending records and the label address of
+        # the profiler block the running thread last ran (-1: none since
+        # a fold); see BlockFuser.
+        self._pending: list[list] = []
+        self._prev = [-1]
         self._fuser = None
         if engine == ENGINE_REFERENCE:
             self._steps = [self._execute] * len(self.code)
@@ -239,15 +240,16 @@ class Machine:
         A hook that is the ``on_step`` method of an object that also has
         ``fold_blocks`` is a *block observer* (the block profiler).
         While only block observers are attached, the fast engine keeps
-        running fused blocks -- which never straddle a label -- in every
-        quantum, single- and multi-thread alike, and the blocks tally
-        their own runs; any other hook sends every instruction through
-        the step table.  Each observer gets one thread's tallies at a time
-        as ``fold_blocks(thread, tallies, last)``: ``tallies`` lists the
-        records ``[runs, cycles, misses, preds, pc, charges]`` of the
-        blocks that ran (see ``BlockFuser``), and ``last`` is the label
-        address of the block the thread ran last.  A batch never
-        retires past the instruction after which
+        running the traces of unprofiled runs in every quantum, single-
+        and multi-thread alike, and the traces tally their own runs;
+        any other hook sends every instruction through the step table.
+        Each observer gets one thread's tallies at a time as
+        ``fold_blocks(thread, tallies, last)``: ``tallies`` lists the
+        records ``[runs, extra, preds, segments, *misses]`` of the
+        traces that ran, each segment ``(pc, charges)`` inside one
+        profiler block (see ``BlockFuser``), and ``last`` is the label
+        address of the profiler block the thread ran last.  A batch
+        never retires past the instruction after which
         ``observer.until_sample()`` reaches zero, and nothing is pending
         once a run returns or raises, so detaching needs no fold."""
         if hook in self._step_hooks:
@@ -447,13 +449,18 @@ class Machine:
         raises that fault only if the budget lets the instruction
         start.
 
-        With block observers attached the blocks tally their runs (see
-        ``BlockFuser``), and the next sample point is one more limit:
-        blocks run while they fit before it, and one that would cross
-        it is stepped through ``on_step`` instead (:meth:`_step_block`),
-        so every sample sees exactly the instructions before it.  The
-        tallies are folded into the observers before any step and when
-        the run stops, faults included.
+        With block observers attached the same traces tally their runs
+        (see ``BlockFuser``), and the next sample point is one more
+        limit: traces run while they fit before it, and one that would
+        cross it is stepped through the stepping entries to the point,
+        folded so the sample fires, and stepped on to the end of the
+        segment the point falls in (:meth:`_cross`); the loop goes on
+        from the next segment.  So every sample sees exactly the
+        instructions before it.  A trace
+        whose cost only stepping can attribute goes through ``on_step``
+        (:meth:`_step_block`).  The tallies are folded into the
+        observers before any step through the hooks and when the run
+        stops, faults included.
         """
         self._called_back = False
         observers = self._block_observers
@@ -478,9 +485,14 @@ class Machine:
                     entry[0](thread)
                     stop -= count
                 elif count <= stop + slack:
-                    self._step_block(thread, count)
+                    retired = count
+                    if entry[3] is None:
+                        entry[0](thread)
+                    else:
+                        # The loop goes on from the next segment.
+                        retired = self._cross(thread, entry[3][3], stop)
                     stop, slack = self._sample_stop(
-                        stop + slack - count, observers
+                        stop + slack - retired, observers
                     )
                 else:
                     break
@@ -490,7 +502,7 @@ class Machine:
                     break
         finally:
             if observers:
-                self._fuser.fold(thread, observers)
+                self._fold(thread, observers)
         return room - stop - slack
 
     def _schedule_changed(self, thread: Thread, n_threads: int,
@@ -517,13 +529,85 @@ class Machine:
         stop = min(left, *(o.until_sample() for o in observers))
         return stop, left - stop
 
+    def _fold(self, thread: Thread, observers: tuple) -> None:
+        """Hand the pending records of ``thread``'s runs to every block
+        observer (see ``add_step_hook``) and start a new batch."""
+        pending = self._pending
+        if pending:
+            for observer in observers:
+                observer.fold_blocks(thread, pending, self._prev[0])
+            for record in pending:
+                record[0] = record[1] = 0
+                record[2].clear()
+                record[4:] = [0] * (len(record) - 4)
+            pending.clear()
+        self._prev[0] = -1
+
+    def _pend_prefix(self, segments: tuple, pc: int, misses: int,
+                     notes, cycles: int = 0) -> None:
+        """Pend the instructions a run of ``segments`` retired before
+        the one at ``pc`` (a fault or a sample point; all of them for a
+        pc in none): ``notes`` are the L1 misses where each segment
+        began, ``misses`` where that instruction began, and ``cycles``,
+        if given, what the run cost in all."""
+        parts, prev, pending = [], self._prev, self._pending
+        for start, charges in segments:
+            if start <= pc < start + len(charges):
+                if pc > start:
+                    parts.append((start, charges[:pc - start]))
+                break
+            parts.append((start, charges))
+        if parts:
+            marks = (*notes[:len(parts)], misses)
+            missed = [b - a for a, b in zip(marks, marks[1:])]
+            if cycles:  # what delegated handlers added
+                cycles -= sum(sum(charges) for _, charges in parts)
+                cycles -= sum(missed) * costs.CACHE_MISS_PENALTY
+            pending.append([1, cycles, {prev[0]: 1}, tuple(parts), *missed])
+            prev[0] = self._fuser._anchor(parts[-1][0])
+
     def _step_block(self, thread: Thread, count: int) -> None:
         """Step ``count`` instructions of ``thread`` through the step
-        hooks, after folding the pending tallies into the observers."""
-        self._fuser.fold(thread, self._block_observers)
+        hooks, after folding the pending tallies into the observers: a
+        tallying trace whose cost only stepping can attribute."""
+        self._fold(thread, self._block_observers)
         step = self._step
         for _ in range(count):
             step(thread)
+
+    def _cross(self, thread: Thread, segments: tuple, stop: int) -> int:
+        """Run the tallying trace of ``segments`` (see ``BlockFuser``)
+        to the sample point ``stop`` instructions in and on to the end
+        of the segment the point falls in, through the stepping entries
+        and without the step hooks: pend the part before the point as a
+        run and fold, so the sample fires, then the rest of the segment.
+        A fault pends what retired before it.  Returns how many
+        instructions retired."""
+        head, tail = [], []
+        for pc, charges in segments:
+            if stop <= 0:
+                break
+            head.append((pc, charges[:stop]))
+            if stop < len(charges):
+                tail.append((pc + stop, charges[stop:]))
+            stop -= len(charges)
+        cache, core = self.caches[thread.core], thread.core
+        for parts in (head, tail):
+            notes, start = [], self.core_cycles[core]
+            try:
+                for _pc, charges in parts:
+                    notes.append(cache.misses)
+                    for _ in charges:
+                        misses = cache.misses
+                        self._steps[thread.pc](thread)
+            except MachineFault:
+                self._pend_prefix(parts, thread.pc, misses, notes)
+                raise
+            # No pc is -1: pend every part.
+            cycles = self.core_cycles[core] - start
+            self._pend_prefix(parts, -1, cache.misses, notes, cycles)
+            self._fold(thread, self._block_observers)
+        return sum(len(charges) for _, charges in head + tail)
 
     def _step(self, thread: Thread) -> None:
         """One instruction through the step table, measured for the

@@ -123,17 +123,8 @@ class Memory:
 
     def read_bytes(self, addr: int, size: int) -> bytes:
         out = bytearray()
-        remaining = size
-        cursor = addr
-        while remaining > 0:
-            page = self._page(cursor & ~PAGE_MASK)
-            if page is None:
-                raise MachineFault(FAULT_UNMAPPED, f"read {size}B", addr=cursor)
-            offset = cursor & PAGE_MASK
-            chunk = min(remaining, PAGE_SIZE - offset)
+        for page, offset, _, chunk in self._chunks(addr, size, "read"):
             out += page[offset : offset + chunk]
-            cursor += chunk
-            remaining -= chunk
         return bytes(out)
 
     def write_bytes(self, addr: int, data: bytes) -> None:
@@ -145,21 +136,26 @@ class Memory:
         self._write_bytes_unchecked(addr, data)
 
     def _write_bytes_unchecked(self, addr: int, data: bytes) -> None:
-        remaining = len(data)
-        cursor = addr
-        index = 0
-        while remaining > 0:
+        size = len(data)
+        for page, offset, done, chunk in self._chunks(addr, size, "write"):
+            page[offset : offset + chunk] = data[done : done + chunk]
+
+    def _chunks(self, addr: int, size: int, verb: str):
+        """``(page, offset, done, chunk)`` for each page ``[addr, addr +
+        size)`` spans, in order: ``chunk`` bytes at ``offset`` of
+        ``page`` hold bytes ``done`` onward.  An unmapped page faults
+        when it is reached."""
+        done = 0
+        while done < size:
+            cursor = addr + done
             page = self._page(cursor & ~PAGE_MASK)
             if page is None:
-                raise MachineFault(
-                    FAULT_UNMAPPED, f"write {len(data)}B", addr=cursor
-                )
+                detail = f"{verb} {size}B"
+                raise MachineFault(FAULT_UNMAPPED, detail, addr=cursor)
             offset = cursor & PAGE_MASK
-            chunk = min(remaining, PAGE_SIZE - offset)
-            page[offset : offset + chunk] = data[index : index + chunk]
-            cursor += chunk
-            index += chunk
-            remaining -= chunk
+            chunk = min(size - done, PAGE_SIZE - offset)
+            yield page, offset, done, chunk
+            done += chunk
 
     # -- snapshot / restore --------------------------------------------
 

@@ -20,43 +20,29 @@ references to live mutable structures, only immutable copies.
 
 from __future__ import annotations
 
-from .memory import MemoryState
+from .cpu import Thread
 
 
 class ThreadState:
-    __slots__ = (
-        "tid", "regs", "pc", "alive", "core", "shadow",
-        "pub_stack", "priv_stack", "waiting_on", "ready_time",
-        "finish_time",
-    )
+    """A thread's architectural state, its lists frozen as tuples."""
+
+    __slots__ = Thread.__slots__
 
     def __init__(self, thread):
-        self.tid = thread.tid
-        self.regs = tuple(thread.regs)
-        self.pc = thread.pc
-        self.alive = thread.alive
-        self.core = thread.core
-        self.shadow = tuple(thread.shadow)
-        self.pub_stack = thread.pub_stack
-        self.priv_stack = thread.priv_stack
-        self.waiting_on = thread.waiting_on
-        self.ready_time = thread.ready_time
-        self.finish_time = thread.finish_time
+        for name in self.__slots__:
+            value = getattr(thread, name)
+            setattr(self, name, tuple(value) if type(value) is list else value)
 
     def materialize(self):
-        from .cpu import Thread
-
         thread = Thread(self.tid, self.core)
-        thread.regs[:] = self.regs
-        thread.pc = self.pc
-        thread.alive = self.alive
-        thread.shadow[:] = self.shadow
-        thread.pub_stack = self.pub_stack
-        thread.priv_stack = self.priv_stack
-        thread.waiting_on = self.waiting_on
-        thread.ready_time = self.ready_time
-        thread.finish_time = self.finish_time
+        for name in self.__slots__:
+            value = getattr(self, name)
+            setattr(thread, name, list(value) if name in _LISTS else value)
         return thread
+
+
+#: The Thread fields that are lists (ThreadState keeps tuples).
+_LISTS = ("regs", "shadow")
 
 
 class MachineState:
@@ -68,34 +54,21 @@ class MachineState:
         "torn_callback",
     )
 
-    def __init__(self, memory: MemoryState, core_cycles, caches, threads,
-                 stats, exit_code, fs_base, gs_base, bnd, next_tid,
-                 torn_callback):
-        self.memory = memory
-        self.core_cycles = core_cycles
-        self.caches = caches
-        self.threads = threads
-        self.stats = stats
-        self.exit_code = exit_code
-        self.fs_base = fs_base
-        self.gs_base = gs_base
-        self.bnd = bnd
-        self.next_tid = next_tid
-        self.torn_callback = torn_callback
+    def __init__(self, **fields):
+        for name in self.__slots__:
+            setattr(self, name, fields[name])
 
     @classmethod
     def capture(cls, machine) -> "MachineState":
-        stats = machine.stats
+        stats = {name: getattr(machine.stats, name)
+                 for name in machine.stats.__slots__}
+        stats["faults"] = dict(stats["faults"])
         return cls(
             memory=machine.mem.snapshot_state(),
             core_cycles=tuple(machine.core_cycles),
             caches=tuple(c.snapshot_state() for c in machine.caches),
             threads=tuple(ThreadState(t) for t in machine.threads),
-            stats=(
-                stats.instructions, stats.bnd_checks, stats.cfi_checks,
-                stats.calls, stats.t_calls, stats.loads, stats.stores,
-                dict(stats.faults),
-            ),
+            stats=stats,
             exit_code=machine.exit_code,
             fs_base=machine.fs_base,
             gs_base=machine.gs_base,
@@ -118,12 +91,11 @@ class MachineState:
         for cache, saved in zip(machine.caches, self.caches):
             cache.restore_state(saved)
         machine.threads[:] = [t.materialize() for t in self.threads]
-        (machine.stats.instructions, machine.stats.bnd_checks,
-         machine.stats.cfi_checks, machine.stats.calls,
-         machine.stats.t_calls, machine.stats.loads,
-         machine.stats.stores) = self.stats[:7]
+        for name, value in self.stats.items():
+            if name != "faults":
+                setattr(machine.stats, name, value)
         machine.stats.faults.clear()
-        machine.stats.faults.update(self.stats[7])
+        machine.stats.faults.update(self.stats["faults"])
         machine.exit_code = self.exit_code
         machine.fs_base = self.fs_base
         machine.gs_base = self.gs_base

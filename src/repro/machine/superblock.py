@@ -11,31 +11,25 @@ is known at fuse time, so the fault-free path pays one flush at block
 exit.  Exactness at faults comes from a reconcile table keyed by pc (no
 pc occurs twice in a block): each fallible statement records its pc
 first, and the ``except`` handler replays the cumulative pre-fault
-charges for that pc before re-raising.  Three per-pc tables hold blocks
-of three extents:
+charges for that pc before re-raising.  Blocks come in two extents:
 
 * a **trace** is what the scheduler (:meth:`Machine._run_blocks`) runs:
   straight-line code from its entry pc through every unconditional
   direct ``Jmp`` into the jump's target, up to the next other
   control-flow terminator, a label reached by falling through, a pc
   already in the trace or ``MAX_BLOCK`` instructions.  A trace has one
-  path, so every fault-free run retires exactly its count;
+  path, so every fault-free run retires exactly its count.  While block
+  profilers are attached the scheduler runs the same traces from a
+  second table, emitted with a tally epilogue (see :class:`BlockFuser`);
+  unprofiled runs never execute that code, so their generated sources
+  are unchanged;
 * a **stepping entry** is the one-instruction block at a pc.  The table
   ``machine._steps`` holds one per pc, emitted the first time execution
   steps that pc; it steps what no whole trace fits in (the end of a
   quantum or of the budget), the rest of a quantum after a schedule
   event, every instruction under step hooks other than a block
-  profiler, and the blocks a block profiler must see stepped.  A trace
-  of one instruction is its stepping entry;
-* while block profilers are attached the scheduler runs **tallying
-  blocks** instead of traces, emitted with a tally epilogue.  These are
-  basic blocks: a ``Jmp`` ends them and so does every label (every
-  label is a leader), so one never straddles two blocks of the block
-  profiler.  Each run adds itself, its core-cycle and L1-miss deltas
-  and its predecessor into a per-pc record the profilers fold in (see
-  :class:`BlockFuser`), and a run that faults pends its retired prefix
-  instead.  Unprofiled runs never execute that code, so their
-  generated sources are unchanged.
+  profiler, and what a block profiler must see stepped.  A trace of one
+  instruction is its stepping entry.
 
 The common shapes (moves, ALU ops, compares, loads, stores, push/pop,
 bnd/CFI/stack checks, direct calls and branches) are inlined as
@@ -56,7 +50,7 @@ reconcile tables).  Compiled code objects are cached per binary, by pc,
 and die with it, so every machine built from the same binary -- a
 serving fork, a re-load -- only binds already-compiled code to its own
 globals (:meth:`BlockFuser._bind`; known stepping entries when the
-machine is built, traces and tallying blocks when first entered), with
+machine is built, traces when first entered), with
 the objects passed as parameter defaults rather than through a
 namespace copy.
 
@@ -76,6 +70,7 @@ from __future__ import annotations
 
 import bisect
 import builtins
+import collections
 import functools
 import operator
 import struct
@@ -167,7 +162,7 @@ def _schedule_neutral(insn) -> bool:
 
 
 #: id(binary) -> (pc -> stepping entry, pc -> trace entry, pc ->
-#: tallying block entry), dropped when the binary is collected.  Entries
+#: tallying trace entry), dropped when the binary is collected.  Entries
 #: remember the instructions they were generated from and are
 #: regenerated if the code word changed.
 _IMAGES: dict[int, tuple[dict, dict, dict]] = {}
@@ -202,22 +197,27 @@ class BlockFuser:
     change the thread schedule (no ``Halt``, no native gateway), which
     lets the block loop skip its per-block schedule checks.
 
-    ``fuse(pc, tally=True)`` builds the basic block at ``pc`` for a run
-    with block observers attached -- it ends at a ``Jmp`` and at every
-    label, so each run belongs to one profiler block: its ``fn`` also
-    tallies each run into a per-pc
-    record ``[runs, cycles, misses, preds, pc, charges]`` -- the
-    core-cycle and L1-miss deltas its runs added up to, ``preds``
-    counting its runs per predecessor (the label address of the block
-    the thread ran before it, -1 for "before the pending batch") and
-    ``charges`` the cycles each instruction is charged besides
-    cache-miss penalties.  A record is appended to ``pending`` on its
-    first run after a :meth:`fold`; a run that faults pends its retired
-    prefix as a record of its own.  A block whose cost is only known one
-    instruction at a time -- a check site with a run-time cost, or the
-    native gateway, whose trusted callbacks run U instructions that the
-    observers see retire before the gateway does -- gets a ``fn`` that
-    steps it through ``Machine._step_block`` instead.
+    ``fuse(pc, tally=True)`` adds a ``record`` to the entry of the same
+    trace emitted for a run with block observers attached.  Its
+    *segments*, the stretches that begin at its entry or at a followed
+    ``Jmp``'s target, each lie inside one profiler block and are known
+    at fuse time as ``(pc, charges)``, ``charges`` being the cycles each
+    instruction is charged besides cache-miss penalties.  Its ``fn``
+    also tallies each run into ``record = [runs, extra, preds,
+    segments, *misses]``: the cycles delegated handlers charged beyond
+    those (a jump table's load), the first segment's runs per
+    predecessor (the label address of the profiler block the thread ran
+    before it, -1 for "before the pending batch"; a later segment's is
+    the segment before it) and each segment's L1 misses, noted where
+    the run enters it.  A record is appended to ``machine._pending`` on
+    its first run after a fold (``Machine._fold``); a run that faults or
+    stops at a sample point pends its retired prefix as a record of its
+    own.  A trace
+    whose cost is only known one instruction at a time -- a check site
+    with a run-time cost, or the native gateway, whose trusted
+    callbacks run U instructions that the observers see retire before
+    the gateway does -- gets a ``fn`` that steps it through
+    ``Machine._step_block`` instead, and no record.
     """
 
     def __init__(self, machine):
@@ -228,10 +228,6 @@ class BlockFuser:
             _image_entries(machine.binary)
         )
         self._labels = sorted(self.leaders)
-        # The tallied blocks' pending records and the label address of
-        # the block the running thread last ran (-1: none since a fold).
-        self.pending: list[list] = []
-        self.prev = [-1]
         # Globals of every generated function.  All of these are
         # captured by reference; the loader and MachineState.restore
         # mutate them in place (never rebind), so generated code stays
@@ -259,9 +255,9 @@ class BlockFuser:
             "SB": SIGN_BIT,
             "T64": TWO64,
             "EB": eval_bin,
-            "PEND": self.pending,
-            "PV": self.prev,
-            "PFX": self._pend_prefix,
+            "PEND": machine._pending,
+            "PV": machine._prev,
+            "PFX": machine._pend_prefix,
             **_PAGE_KERNELS,
         }
         step = self.step
@@ -293,28 +289,30 @@ class BlockFuser:
         return fn
 
     def fuse(self, pc: int, tally: bool = False):
-        """The scheduler's entry ``(fn, count, pure)`` for ``pc``: a
-        trace through direct jumps, or with ``tally`` the basic block
-        (see the class docstring)."""
-        pcs, insns = self._trace(pc, follow=not tally)
+        """The scheduler's entry ``(fn, count, pure)`` for the trace at
+        ``pc``, or with ``tally`` ``(fn, count, pure, record)`` (see the
+        class docstring)."""
+        pcs, insns = self._trace(pc)
         count = len(insns)
         if not tally:
             if count < 2:
                 return self.step(pc), 1, _schedule_neutral(insns[0])
             entry = self._entry(self._trace_entries, pcs, insns)
             return self._bind(entry[1], entry[2]), count, entry[3]
-        entry = self._entry(self._tally_entries, pcs, insns, self._anchor(pc))
-        charges = entry[4]
-        if charges is None:
+        entry = self._entry(self._tally_entries, pcs, insns, self._anchor)
+        segments = entry[4]
+        if segments is None:
             step = functools.partial(self.machine._step_block, count=count)
-            return step, count, entry[3]
-        record = [0, 0, 0, {}, pc, charges]
-        return self._bind(entry[1], (*entry[2], record)), count, entry[3]
+            return step, count, entry[3], None
+        record = [0, 0, collections.defaultdict(int), segments]
+        record += [0] * len(segments)
+        fn = self._bind(entry[1], (*entry[2], record))
+        return fn, count, entry[3], record
 
     def _entry(self, entries: dict, pcs: list, insns: list,
-               anchor: int | None = None) -> tuple:
-        """The entry ``(insns, code, objs, pure, charges)`` in
-        ``entries`` for the block of ``insns`` at ``pcs``, emitted (with
+               anchor=None) -> tuple:
+        """The entry ``(insns, code, objs, pure, segments)`` in
+        ``entries`` for the trace of ``insns`` at ``pcs``, emitted (with
         a tally epilogue keyed by ``anchor``, if given) unless the
         cached one was generated from the same instructions."""
         entry = entries.get(pcs[0])
@@ -330,17 +328,18 @@ class BlockFuser:
             code_obj, objs = emitter.build(pcs[-1], insns[-1])
             entry = entries[pcs[0]] = (
                 tuple(insns), code_obj, objs, not emitter.impure,
-                emitter.block_charges(),
+                None if emitter.unbatched else tuple(
+                    (p, tuple(charges)) for p, charges in emitter.segments
+                ),
             )
         return entry
 
-    def _trace(self, pc: int, follow: bool) -> tuple[list, list]:
-        """The pcs and instructions of the block at ``pc``: straight-line
-        code up to a terminator, a label other than where the block (or,
-        with ``follow``, the stretch after its last ``Jmp``) began, a pc
-        already in it or outside the code, or ``MAX_BLOCK``
-        instructions.  With ``follow`` an unconditional ``Jmp`` does not
-        end the block: it continues at the jump's target."""
+    def _trace(self, pc: int) -> tuple[list, list]:
+        """The pcs and instructions of the trace at ``pc``: straight-line
+        code through every unconditional ``Jmp`` into its target, up to
+        any other terminator, a label other than where the trace (or
+        the stretch after its last ``Jmp``) began, a pc already in it or
+        outside the code, or ``MAX_BLOCK`` instructions."""
         code = self.code
         n = len(code)
         leaders = self.leaders
@@ -355,7 +354,7 @@ class BlockFuser:
             pcs.append(i)
             insns.append(insn)
             seen.add(i)
-            if type(insn) is isa.Jmp and follow:
+            if type(insn) is isa.Jmp:
                 start = i = insn.addr
             elif isinstance(insn, TERMINATORS):
                 break
@@ -368,29 +367,6 @@ class BlockFuser:
         itself when there is none): one key per profiler block."""
         index = bisect.bisect_right(self._labels, pc)
         return self._labels[index - 1] if index else pc
-
-    def fold(self, thread, observers: tuple) -> None:
-        """Hand the pending records of ``thread``'s runs to every block
-        observer (see ``Machine.add_step_hook``) and start a new batch."""
-        pending = self.pending
-        if pending:
-            for observer in observers:
-                observer.fold_blocks(thread, pending, self.prev[0])
-            for record in pending:
-                record[0] = record[1] = record[2] = 0
-                record[3].clear()
-            pending.clear()
-        self.prev[0] = -1
-
-    def _pend_prefix(self, record: list, retired: int, misses: int) -> None:
-        """Pend the ``retired`` instructions a faulting run of
-        ``record``'s block retired, taking ``misses`` L1 misses."""
-        charges = record[5][:retired]
-        cycles = sum(charges) + misses * costs.CACHE_MISS_PENALTY
-        self.pending.append(
-            [1, cycles, misses, {self.prev[0]: 1}, record[4], charges]
-        )
-
 
 class _Emitter:
     """Generates the body of one fused block.
@@ -422,12 +398,11 @@ class _Emitter:
         "S.calls += {}",
     )
 
-    def __init__(self, fuser: BlockFuser, anchor: int | None = None):
+    def __init__(self, fuser: BlockFuser, anchor=None):
         self.machine = fuser.machine
-        # The block's label address when it tallies its runs (see
-        # BlockFuser), else None.
+        # pc -> label address of its profiler block when the trace
+        # tallies its runs (see BlockFuser), else None.
         self.anchor = anchor
-        self.start = 0
         self.lines: list[str] = []
         self.objs: list = []
         self.cum = [0, 0, 0, 0, 0, 0, 0]
@@ -436,11 +411,14 @@ class _Emitter:
         self.impure = False
         self.delegated = False
         self.through = False
-        # Static cycles per emitted instruction (see block_charges), the
-        # running total already flushed, and whether a block profiler
-        # must step the block.
-        self.charges: list[int] = []
+        # The trace's segments (see BlockFuser) as (pc, static cycles
+        # per instruction), those that can take L1 misses, the static
+        # cycles already flushed, whether a delegated handler may charge
+        # more, and whether a block profiler must step the trace.
+        self.segments: list[tuple[int, list]] = []
+        self.missing: set[int] = set()
         self.flushed_cycles = 0
+        self.dynamic = False
         self.unbatched = False
 
     # -- infrastructure ------------------------------------------------
@@ -460,8 +438,7 @@ class _Emitter:
 
     def _render(self) -> str:
         params = "".join(f", O{i}" for i in range(len(self.objs)))
-        anchor = self.anchor
-        tally = anchor is not None
+        tally = self.anchor is not None
         head = [f"def _superblock(t{params}{', T_' if tally else ''}):"]
         lines = list(self.lines)
         if self.needs_cache:
@@ -474,9 +451,12 @@ class _Emitter:
         if self.needs_cache:
             head.append("    sets_ = cache_._sets")
             head.append("    h_ = 0")
+        notes = [f"m{index}_" for index in range(len(self.segments))]
         if tally:
-            head.append("    c0_ = C[c]")
-            head.append("    m0_ = cache_.misses")
+            pend = f"PFX(T_[3], t.pc, mi_, ({', '.join(notes)},))"
+            head.append(f"    {' = '.join(notes)} = cache_.misses")
+            if self.dynamic:
+                head.append("    c0_ = C[c]")
         if not self.recon and not tally:
             body = ["    " + line for line in lines]
         else:
@@ -493,29 +473,34 @@ class _Emitter:
             if tally:
                 # The fault point set mi_: the retired prefix took the
                 # misses before it.
-                start = self.start
-                body.append(f"        if t.pc != {start}:")
-                body.append(f"            PFX(T_, t.pc - {start}, mi_ - m0_)")
-                body.append(f"            PV[0] = {anchor}")
+                body.append("        " + pend)
             body.append("        raise")
         if tally:
-            body.append("    T_[0] += 1")
-            body.append("    if T_[0] == 1:")
-            body.append("        PEND.append(T_)")
-            body.append("    T_[1] += C[c] - c0_")
-            body.append("    T_[2] += cache_.misses - m0_")
-            body.append("    k_ = PV[0]")
-            body.append(f"    if k_ != {anchor}:")
-            body.append("        p_ = T_[3]")
-            body.append("        p_[k_] = p_.get(k_, 0) + 1")
-            body.append(f"        PV[0] = {anchor}")
+            body.extend("    " + line for line in self._epilogue(notes))
         return "\n".join(head + body) + "\n"
 
-    def block_charges(self) -> tuple[int, ...] | None:
-        """Per-instruction cycles charged besides cache-miss penalties,
-        or None when block observers must see the block stepped (see
-        ``BlockFuser``)."""
-        return None if self.unbatched else tuple(self.charges)
+    def _epilogue(self, notes: list) -> list[str]:
+        """The tally epilogue (see ``BlockFuser``): count the run, the
+        misses of each segment that can take some (from its note to the
+        next), what delegated handlers charged besides static cycles
+        and miss penalties, and the first segment's predecessor."""
+        ends = [*notes[1:], "cache_.misses"]
+        anchors = [self.anchor(pc) for pc, _ in self.segments]
+        lines = ["T_[0] += 1", "if T_[0] == 1:", "    PEND.append(T_)"]
+        if self.dynamic:
+            lines.append(
+                f"T_[1] += C[c] - c0_ - {self.flushed_cycles} - (cache_.misses"
+                f" - m0_) * {costs.CACHE_MISS_PENALTY}"
+            )
+        lines.extend(
+            f"T_[{4 + index}] += {ends[index]} - {notes[index]}"
+            for index in sorted(self.missing)
+        )
+        lines += ["k_ = PV[0]", f"if k_ != {anchors[0]}:"]
+        lines.append("    T_[2][k_] += 1")
+        # A later segment's predecessor is static.
+        indent = "    " if anchors[-1] == anchors[0] else ""
+        return [*lines, f"{indent}PV[0] = {anchors[-1]}"]
 
     def flush(self) -> None:
         cum = self.cum
@@ -560,11 +545,12 @@ class _Emitter:
             self.lines.append("h_ = 0")
         self._fault_point(p)
         self.lines.append(f"MACH.{name}(t, {self._obj(insn)})")
-        self.delegated = True
+        self.delegated = self.dynamic = True
+        self.missing.add(len(self.segments) - 1)
 
     def _fault_point(self, p: int) -> None:
         """Mark the instruction at ``p`` as the one that may fault next;
-        a tallying block also notes the L1 misses before it."""
+        a tallying trace also notes the L1 misses before it."""
         self.lines.append(f"t.pc = {p}")
         if self.anchor is not None:
             self.lines.append("mi_ = cache_.misses")
@@ -588,6 +574,7 @@ class _Emitter:
         set -- and ``TOUCH`` for an access spanning two lines, which a
         byte never does.  A block batches its hit count into ``h_``."""
         self.needs_cache = True
+        self.missing.add(len(self.segments) - 1)
         lines = [
             f"ln_ = {var} >> {LINE_BITS}",
             f"w_ = sets_[ln_ & {DEFAULT_SETS - 1}]",
@@ -663,13 +650,14 @@ class _Emitter:
     def emit(self, p: int, insn, through: bool = False) -> None:
         """Emit ``insn`` at ``p``; ``through`` says a ``Jmp`` is not the
         block's last instruction, so the block runs on at its target."""
-        if not self.charges:
-            self.start = p
+        if not self.segments:
+            self.segments.append((p, []))
+        charges = self.segments[-1][1]
         self.delegated = False
         self.through = through
         charged = self.flushed_cycles + self.cum[1]
         self._emit(p, insn)
-        self.charges.append(self.flushed_cycles + self.cum[1] - charged)
+        charges.append(self.flushed_cycles + self.cum[1] - charged)
         # Delegated checks (the shadow-stack ops) read memory through
         # the cache, so their cost is only known at run time.
         if type(insn) is isa.JmpInd or (
@@ -937,6 +925,10 @@ class _Emitter:
     def _e_jmp(self, p, insn, cost):
         if self.through:
             self._e_magic(p, insn, cost)
+            # The target begins a segment: note its L1 misses.
+            self.segments.append((insn.addr, []))
+            if self.anchor is not None:
+                self.lines.append(f"m{len(self.segments) - 1}_ = cache_.misses")
         else:
             self._simple(cost, f"t.pc = {insn.addr}")
 

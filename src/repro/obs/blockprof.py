@@ -18,18 +18,20 @@ binary's ``label_addrs`` — every branch target carries a label, so
 label-delimited intervals are exactly the leader-delimited basic
 blocks of the final code.  The profiler attaches through
 ``Machine.add_step_hook`` as a *block observer*.  Wherever a machine
-steps instructions one at a time (the reference engine, what no whole
-fused block fits in at the end of a quantum or of the budget, runs
-with other step hooks, and the fused block that would cross a sample
-point) it is charged per instruction by
-:meth:`BlockProfiler.on_step`.  Wherever the fast engine runs fused
-blocks, which never straddle a label -- single- and multi-thread
-schedules alike -- the blocks tally their own runs, and
-:meth:`BlockProfiler.fold_blocks` folds one thread's tallies in
-whenever the machine's block loop steps or stops.  The per-instruction
-path is the oracle: both paths, and both engines, report identical
-totals, edges, sites, samples and flamegraphs, faulting runs included
-— pinned by a differential test.
+steps instructions one at a time through the step hooks (the reference
+engine, what no whole trace fits in at the end of a quantum or of the
+budget, runs with other step hooks, and a trace whose cost only
+stepping can attribute) it is charged per instruction by
+:meth:`BlockProfiler.on_step`.  Wherever the fast engine runs traces --
+single- and multi-thread schedules alike -- the traces tally their own
+runs, one record per trace with a segment per profiler block it passes
+through, and :meth:`BlockProfiler.fold_blocks` folds one thread's
+records in whenever the machine's block loop steps, reaches a sample
+point or stops; the trace that would cross a sample point is stepped
+without the hooks and tallied as two runs, split at the point.  The
+per-instruction path is the oracle: both paths, and both engines,
+report identical totals, edges, sites, samples and flamegraphs,
+faulting runs included -- pinned by a differential test.
 
 Zero-cost when off: nothing here runs unless a profiler is attached,
 and attaching one never changes the binary or simulated cycles.
@@ -53,6 +55,7 @@ import bisect
 from dataclasses import dataclass
 
 from ..backend.isa import CHECK_CATEGORIES, check_kind
+from ..machine.costs import CACHE_MISS_PENALTY
 
 #: Deterministic sampling stride for counter tracks: one sample per
 #: this many retired instructions.  Keyed on instruction counts (not
@@ -97,19 +100,6 @@ class CheckSiteRow:
     cycles: int
 
 
-class _BlockPlan:
-    """A fused block as :meth:`BlockProfiler.fold_blocks` charges it:
-    its profiler block and its check sites as ``(addr, kind, cycles)``."""
-
-    __slots__ = ("name", "start", "count", "sites")
-
-    def __init__(self, name: str, start: int, count: int, sites: tuple):
-        self.name = name
-        self.start = start
-        self.count = count
-        self.sites = sites
-
-
 class BlockProfiler:
     """Attributes execution to basic blocks, edges, and check sites."""
 
@@ -145,8 +135,14 @@ class BlockProfiler:
         self.sites: dict[int, list] = {}
         self._last_block: dict[int, str] = {}
         self._steps = 0
-        # Fused-block pc -> _BlockPlan.
-        self._plans: dict[int, _BlockPlan] = {}
+        # Running totals the counter-track samples read: check cycles
+        # per category and L1 misses.
+        self._checks = dict.fromkeys(CHECK_CATEGORIES, 0)
+        self._missed = 0
+        # (segment pc, count) -> (profiler block, count, static cycles,
+        # check sites as (site entry, cycles)): a trace segment as
+        # fold_blocks charges it.
+        self._plans: dict[tuple[int, int], tuple] = {}
         # Deterministic counter-track samples: (instruction index,
         # core-cycle timestamp, {track: cumulative value}).
         self.samples: list[tuple[int, int, dict]] = []
@@ -175,9 +171,8 @@ class BlockProfiler:
         misses = self._machine.hook_cache_misses
         if misses:
             self.cache_misses[name] = self.cache_misses.get(name, 0) + misses
-        if name not in self.block_start:
-            index = bisect.bisect_right(self._starts, pc) - 1
-            self.block_start[name] = self._starts[index] if index >= 0 else 0
+            self._missed += misses
+        self._note_start(name, pc)
         last = self._last_block.get(thread.tid)
         if last != name:
             self._edge(last, name, 1)
@@ -187,6 +182,7 @@ class BlockProfiler:
             site = self._site(pc, kind)
             site[1] += 1
             site[2] += cycles
+            self._checks[kind] += cycles
         self._steps += 1
         if self._steps % SAMPLE_STRIDE == 0:
             self._sample(thread)
@@ -198,55 +194,62 @@ class BlockProfiler:
         return SAMPLE_STRIDE - self._steps % SAMPLE_STRIDE
 
     def fold_blocks(self, thread, tallies: list, last: int) -> None:
-        """Charge the fused-block runs ``thread`` tallied since the last
-        fold (see ``Machine.add_step_hook`` for the layout).  Each run
-        is charged what ``on_step`` would have summed over its
-        instructions; the batch ends exactly at a sample point or short
-        of one."""
+        """Charge the trace runs ``thread`` tallied since the last fold
+        (see ``Machine.add_step_hook`` for the layout).  Each segment of
+        a run is charged what ``on_step`` would have summed over its
+        instructions: its static cycles plus its miss penalties, the
+        last one also what delegated handlers added.  The batch ends
+        exactly at a sample point or short of one."""
         before = self._last_block.get(thread.tid)
-        for runs, cycles, misses, preds, pc, charges in tallies:
-            plan = self._plan(pc, charges)
-            name = plan.name
-            if name in self.cycles:
-                self.cycles[name] += cycles
-                self.instructions[name] += runs * plan.count
-            else:
-                self.cycles[name] = cycles
-                self.instructions[name] = runs * plan.count
-                self.block_start[name] = plan.start
-            if misses:
-                self.cache_misses[name] = (
-                    self.cache_misses.get(name, 0) + misses
-                )
-            for addr, kind, cost in plan.sites:
-                site = self._site(addr, kind)
-                site[1] += runs
-                site[2] += runs * cost
-            for pred, count in preds.items():
-                self._edge(
-                    before if pred < 0 else self.symbolize(pred), name, count
-                )
-            self._steps += runs * plan.count
+        totals, insns = self.cycles, self.instructions
+        checks, missing = self._checks, self.cache_misses
+        for runs, extra, preds, segments, *misses in tallies:
+            src = None
+            for (pc, charges), missed in zip(segments, misses):
+                name, count, static, sites = self._plans.get(
+                    (pc, len(charges))
+                ) or self._plan(pc, charges)
+                cycles = runs * static + missed * CACHE_MISS_PENALTY
+                totals[name] = totals.get(name, 0) + cycles
+                insns[name] = insns.get(name, 0) + runs * count
+                if missed:
+                    missing[name] = missing.get(name, 0) + missed
+                    self._missed += missed
+                for site, cost in sites:
+                    site[1] += runs
+                    site[2] += runs * cost
+                    checks[site[0]] += runs * cost
+                if src is None:
+                    for pred, n in preds.items():
+                        origin = before if pred < 0 else self.symbolize(pred)
+                        self._edge(origin, name, n)
+                self._edge(src, name, runs)
+                src = name
+                self._steps += runs * count
+            # What delegated handlers charged (a jump table's load, say)
+            # is the last segment's.
+            totals[name] += extra
         self._last_block[thread.tid] = self.symbolize(last)
         if self._steps % SAMPLE_STRIDE == 0:
             self._sample(thread)
 
-    def _plan(self, pc: int, charges: tuple) -> _BlockPlan:
-        plan = self._plans.get(pc)
-        if plan is None or plan.count != len(charges):
-            code = self._machine.code
-            index = bisect.bisect_right(self._starts, pc) - 1
-            plan = self._plans[pc] = _BlockPlan(
-                self.symbolize(pc),
-                self._starts[index] if index >= 0 else 0,
-                len(charges),
-                tuple(
-                    (addr, kind, cost)
-                    for addr, cost in enumerate(charges, pc)
-                    if (kind := check_kind(code[addr])) is not None
-                ),
-            )
+    def _plan(self, pc: int, charges: tuple) -> tuple:
+        name = self.symbolize(pc)
+        self._note_start(name, pc)
+        plan = self._plans[pc, len(charges)] = (
+            name, len(charges), sum(charges),
+            tuple(
+                (self._site(addr, kind), cost)
+                for addr, cost in enumerate(charges, pc)
+                if (kind := check_kind(self._machine.code[addr]))
+            ),
+        )
         return plan
+
+    def _note_start(self, name: str, pc: int) -> None:
+        if name not in self.block_start:
+            index = bisect.bisect_right(self._starts, pc) - 1
+            self.block_start[name] = self._starts[index] if index >= 0 else 0
 
     def _edge(self, src: str | None, dst: str, runs: int) -> None:
         if src is not None and src != dst:
@@ -260,16 +263,17 @@ class BlockProfiler:
         return site
 
     def _sample(self, thread) -> None:
-        summary = self.check_summary()
-        values = {
-            f"blockprof.check_cycles.{cat}": summary[cat]["cycles"]
-            for cat in CHECK_CATEGORIES
-        }
-        values["blockprof.cache_misses"] = sum(
-            self.cache_misses.values()
-        )
         ts = self._machine.core_cycles[thread.core]
-        self.samples.append((self._steps, ts, values))
+        self.samples.append((self._steps, ts, self._totals()))
+
+    def _totals(self) -> dict:
+        """The counter tracks' values now."""
+        values = {
+            f"blockprof.check_cycles.{cat}": cycles
+            for cat, cycles in self._checks.items()
+        }
+        values["blockprof.cache_misses"] = self._missed
+        return values
 
     # -- reports ---------------------------------------------------------
 
@@ -376,16 +380,10 @@ class BlockProfiler:
             )
         registry.counter("blockprof.blocks").inc(len(self.cycles))
         registry.counter("blockprof.edges").inc(len(self.edges))
-        samples = list(self.samples)
         # Close the trajectory with the final totals so short runs
         # (under one stride) still draw a track.
-        final = {
-            f"blockprof.check_cycles.{cat}": summary[cat]["cycles"]
-            for cat in CHECK_CATEGORIES
-        }
-        final["blockprof.cache_misses"] = sum(self.cache_misses.values())
         wall = max(self._machine.core_cycles) if self._machine.core_cycles else 0
-        samples.append((self._steps, wall, final))
+        samples = [*self.samples, (self._steps, wall, self._totals())]
         for _steps, ts, values in samples:
             for track, value in sorted(values.items()):
                 registry.add_counter_sample(track, ts, value)

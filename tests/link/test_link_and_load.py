@@ -225,6 +225,22 @@ class TestHostileBinaries:
         with pytest.raises(LoadError, match="externals table"):
             load(binary)
 
+    def test_read_only_range_outside_mapped_regions_refused(self):
+        # Refused before any page of it is protected: a range this small
+        # would not exhaust memory even if it were walked.
+        binary = compile_source(HIJACK.replace("SLOT", "0"), OUR_MPX)
+        binary.read_only_ranges.append((0, 4 * 4096))
+        verify_binary(binary)
+        with pytest.raises(LoadError, match=r"read-only range \[0x0, "):
+            load(binary)
+
+    def test_initializer_outside_mapped_regions_refused(self):
+        binary = compile_source(HIJACK.replace("SLOT", "0"), OUR_MPX)
+        binary.global_inits.append((0, b"\x01"))
+        verify_binary(binary)
+        with pytest.raises(LoadError, match="initializer at 0x0 "):
+            load(binary)
+
     def test_table_stays_read_only_without_read_only_ranges(self):
         probe = compile_source(HIJACK.replace("SLOT", "0"), OUR_MPX)
         lo, _ = externals_table(probe.layout, len(probe.imports))

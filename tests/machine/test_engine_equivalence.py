@@ -28,7 +28,7 @@ from repro import BASE, OUR_MPX, OUR_SEG
 from repro.apps.merklefs import merklefs_source
 from repro.backend import isa, regs
 from repro.compiler import compile_source
-from repro.errors import FAULT_EXEC, FAULT_TORN, MachineFault
+from repro.errors import FAULT_DIV, FAULT_EXEC, FAULT_TORN, MachineFault
 from repro.link.layout import CODE_BASE, MPX_PUB_BASE
 from repro.link.loader import load
 from repro.machine import costs
@@ -220,6 +220,22 @@ FAULT_PROGRAMS = {
         isa.Load(regs.RAX, isa.Mem(base=regs.RBX), 8),
         isa.Halt(),
     ],
+    # A trace of three segments: two followed Jmps, each into a
+    # label, with an L1 miss in every segment before the fault.
+    "trace-third-segment": [
+        isa.MovRI(regs.RBX, MPX_PUB_BASE + 0x100),
+        isa.Store(isa.Mem(base=regs.RBX), regs.RBX, 8),
+        isa.Jmp("x", addr=4),
+        isa.Halt(),
+        isa.Load(regs.RCX, isa.Mem(base=regs.RBX, disp=4096), 8),
+        isa.Jmp("y", addr=7),
+        isa.Halt(),
+        isa.Alu("add", regs.RAX, regs.RAX, isa.Imm(1)),
+        isa.Store(isa.Mem(base=regs.RBX, disp=8192), regs.RAX, 8),
+        isa.MovRI(regs.RDX, 0),
+        isa.Alu("div", regs.RAX, regs.RAX, regs.RDX),
+        isa.Halt(),
+    ],
     # Jump cycles: trace formation stops before a pc already in the
     # trace, and the budget cuts the spin.
     "self-jump": [isa.Jmp("self", addr=0)],
@@ -409,6 +425,32 @@ int main() {
 """
 
 
+def chained_loop(pad: int, n: int, fault: bool):
+    """``(code, labels)`` of a loop of ``n`` runs of one trace through
+    three labels, a (4 instructions) -> b (2) -> c (4), after ``pad``
+    fillers; each run stores to a new L1 line.  With ``fault`` the
+    ``n``-th run divides by zero at c's third instruction."""
+    a, b, c = pad + 5, pad + 3, pad + 9
+    code = [
+        isa.MovRI(regs.RAX, 0),
+        isa.MovRI(regs.RBX, MPX_PUB_BASE),
+        *(isa.MovRI(regs.RCX, k) for k in range(pad)),
+        isa.Jmp("a", addr=a),
+        isa.Alu("sub", regs.RDX, isa.Imm(n if fault else n + 1), regs.RAX),
+        isa.Jmp("c", addr=c),
+        isa.Store(isa.Mem(base=regs.RBX), regs.RAX, 8),
+        isa.Alu("add", regs.RAX, regs.RAX, isa.Imm(1)),
+        isa.Alu("add", regs.RBX, regs.RBX, isa.Imm(4160)),
+        isa.Jmp("b", addr=b),
+        isa.Alu("add", regs.RCX, regs.RCX, isa.Imm(1)),
+        isa.Alu("add", regs.RCX, regs.RCX, isa.Imm(2)),
+        isa.Alu("div", regs.RCX, regs.RBX, regs.RDX),
+        isa.Br("lt", regs.RAX, isa.Imm(n), "a", addr=a),
+        isa.Halt(),
+    ]
+    return code, {"a": a, "b": b, "c": c}
+
+
 def loaded(binary):
     """A machine factory: ``binary`` loaded on the given engine."""
     return lambda engine: load(
@@ -558,6 +600,42 @@ class TestBlockProfilerEquivalence:
         reference = self.assert_columns_agree(make)
         assert reference["instructions"] == [("__start", 2), ("mid", 3)]
         assert make("predecoded")._fuser.fuse(0)[1] == 2
+
+    @pytest.mark.parametrize("pad", range(10))
+    def test_chained_trace_samples_at_every_offset_identical(self, pad):
+        # Each run of the loop's trace crosses three labels, and the
+        # pad puts its first sample point at every offset of a run.
+        code, labels = chained_loop(pad, 600, fault=False)
+
+        def make(engine):
+            return make_machine(code, engine=engine, labels=labels)
+
+        reference = self.assert_columns_agree(make)
+        assert reference["outcome"] == ("exit", 600)
+        assert len(reference["samples"]) == 5
+        record = make("predecoded")._fuser.fuse(labels["a"], tally=True)[3]
+        assert [pc for pc, _ in record[3]] == [
+            labels["a"], labels["b"], labels["c"]
+        ]
+
+    @pytest.mark.parametrize("pad", range(1, 12))
+    def test_fault_in_third_segment_identical(self, pad):
+        # The last run of the loop's trace divides by zero in its third
+        # segment.  The first sample point falls 11 - pad instructions
+        # into that run: after it (the run faults on the fused path),
+        # after the fault, one or two instructions before it (the fault
+        # comes in the rest of the segment, stepped after the sample),
+        # or earlier, so that the run goes on fused from a later
+        # segment.
+        code, labels = chained_loop(pad, 102, fault=True)
+
+        def make(engine):
+            return make_machine(code, engine=engine, labels=labels)
+
+        reference = self.assert_columns_agree(make)
+        assert reference["outcome"][:2] == ("fault", FAULT_DIV)
+        assert reference["machine"]["pcs"] == (labels["c"] + 2,)
+        assert len(reference["samples"]) == (pad > 2)
 
     def test_sample_straddling_loop_identical(self):
         binary = compile_source(STRADDLING_LOOP, OUR_MPX, seed=5)
@@ -761,6 +839,7 @@ class TestTraces:
         [
             ("trace-div-zero", 0, 8),
             ("trace-unmapped", 0, 5),
+            ("trace-third-segment", 0, 10),
             ("self-jump", 0, 1),
             ("jump-cycle", 0, 3),
             ("jump-cycle", 1, 2),
@@ -776,8 +855,12 @@ class TestTraces:
         fuse = self.make("predecoded")._fuser.fuse
         assert fuse(0)[1] == 10  # 0-2, a, b, c
         assert fuse(5)[1] == 7  # a, b, c
-        # Tallying blocks still end at the Jmp.
-        assert fuse(5, tally=True)[1] == 3
+        # A tallying trace is the same trace, one segment per label.
+        record = fuse(5, tally=True)[3]
+        assert fuse(5, tally=True)[1] == 7
+        assert [(pc, len(charges)) for pc, charges in record[3]] == [
+            (5, 3), (3, 2), (8, 2)
+        ]
 
     def test_budget_cut_at_every_instruction(self):
         reference = self.make("reference")
@@ -816,9 +899,11 @@ class TestTraces:
         fuse = machine._fuser.fuse
         traced = 0
         for pc, entry in enumerate(machine._blocks):
-            if entry is None:
+            record = entry and fuse(pc, tally=True)[3]
+            if not record:
                 continue
-            block = fuse(pc, tally=True)[1]
+            # The trace's first segment is the basic block at pc.
+            block = len(record[3][0][1])
             last = machine.code[pc + block - 1]
             if (
                 type(last) is isa.Jmp

@@ -119,7 +119,9 @@ echo "cache OK: cold == warm == uncached bench output, warm run hit the cache"
 # read back, it must pass ConfVerify, load and run to the same stdout,
 # channel-1 output and exit code as `repro run` on the same source.
 # The loader builds the externals table itself, so the same binary with
-# an initializer added over the table must be refused with a LoadError.
+# an initializer added over the table must be refused with a LoadError;
+# its layout follows from its config, so a dump that claims a layout of
+# its own must be refused with a SerializeError.
 LINKED="$WORK/quickstart.bin"
 python -m repro build --config OurMPX --seed 1 --link "$LINKED" "$SRC" \
     > /dev/null
@@ -127,10 +129,11 @@ RUN_STATUS=0
 python -m repro run --config OurMPX --seed 1 "$SRC" > "$WORK/run.out" \
     2> "$WORK/run.err" || RUN_STATUS=$?
 python - "$LINKED" "$WORK/run.out" "$WORK/run.err" "$RUN_STATUS" <<'PY'
+import json
 import re
 import sys
 
-from repro.build import load_binary
+from repro.build import SerializeError, load_binary
 from repro.errors import LoadError
 from repro.link.layout import externals_table
 from repro.link.loader import load
@@ -160,9 +163,18 @@ except LoadError:
     pass
 else:
     raise AssertionError("initializer over the externals table loaded")
+
+doc = json.loads(data)
+doc["layout"] = {"split_memory": False}
+try:
+    load_binary(json.dumps(doc).encode())
+except SerializeError:
+    pass
+else:
+    raise AssertionError("binary claiming its own layout decoded")
 print(f"linked binary OK: {len(data)} bytes verify, load and run like "
       f"`repro run` (exit {code}, channel 1 {outbox or 'empty'}); "
-      "table overwrite refused")
+      "table overwrite and claimed layout refused")
 PY
 
 # Fuzzing smoke: replay the frozen corpus (every checked-in mutant must

@@ -791,7 +791,6 @@ def lower_program(
         if info.trusted:
             module.externs[info.name] = ExternSig(
                 name=info.name,
-                sig=info.type,
                 arg_taints=[_outer_taint(p) for p in info.type.params],
                 ret_taint=(
                     PUBLIC
@@ -808,7 +807,6 @@ def lower_program(
                 )
             module.u_externs[info.name] = ExternSig(
                 name=info.name,
-                sig=info.type,
                 arg_taints=[_outer_taint(p) for p in info.type.params],
                 ret_taint=(
                     PUBLIC

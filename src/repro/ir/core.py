@@ -561,10 +561,11 @@ class IRGlobal:
 
 @dataclass
 class ExternSig:
-    """A trusted (T) function's annotated signature."""
+    """The taint signature of a function a unit calls but does not
+    define: a trusted (T) import, or an untrusted function of another
+    unit."""
 
     name: str
-    sig: FuncType
     arg_taints: list[Taint] = field(default_factory=list)
     ret_taint: Taint = PUBLIC
 

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..config import BuildConfig
+
 KB = 1024
 MB = 1024 * KB
 GB = 1024 * MB
@@ -74,8 +76,6 @@ class Region:
 class MemoryLayout:
     """Resolved layout for one loaded process."""
 
-    scheme: str | None  # None (flat/Base), "mpx", or "seg"
-    split_memory: bool  # private region exists at all
     public: Region
     private: Region | None
     t_region: Region
@@ -130,18 +130,19 @@ def externals_table(layout: MemoryLayout, n_imports: int) -> tuple[int, int]:
 
 
 def make_layout(
-    scheme: str | None,
-    split_memory: bool,
-    pub_globals_size: int,
-    priv_globals_size: int,
+    config: BuildConfig, pub_globals_size: int = 0, priv_globals_size: int = 0
 ) -> MemoryLayout:
-    """Build the layout for a configuration.
+    """The layout of a binary built under ``config`` whose globals take
+    the given bytes of each region: the one formula the linker, the
+    binary (``Binary.layout``) and so the loader and ConfVerify share.
 
-    ``split_memory`` is False for Base/BaseOA/Our1Mem, where everything
-    (including "private" data, of which those configs have none or
-    don't protect) lives in one flat region.
+    Memory is split (a private region exists) under a bounds scheme or
+    split stacks; Base/BaseOA/Our1Mem keep everything (including
+    "private" data, which those configs do not protect) in one flat
+    region.
     """
-    if scheme == "seg":
+    split_memory = config.split_stacks or config.scheme is not None
+    if config.scheme == "seg":
         public = Region(SEG_FS_BASE, REGION_SIZE)
         private = Region(SEG_GS_BASE, REGION_SIZE) if split_memory else None
     else:
@@ -152,8 +153,6 @@ def make_layout(
             else None
         )
     return MemoryLayout(
-        scheme=scheme,
-        split_memory=split_memory,
         public=public,
         private=private,
         t_region=Region(T_BASE, T_SIZE),

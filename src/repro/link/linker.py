@@ -21,7 +21,6 @@ Mirrors Section 6 of the paper:
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 from ..arith import MASK64
 from ..backend import isa
@@ -161,7 +160,6 @@ def _link(obj: UObject, entry: str, seed: int | None) -> Binary:
 
     # ------------------------------------------------------------------
     # 1. Globals layout (two regions, then absolute addresses).
-    split_memory = config.split_stacks or config.scheme is not None
     pub_offsets: dict[str, int] = {}
     priv_offsets: dict[str, int] = {}
     priv_size = 0
@@ -175,23 +173,19 @@ def _link(obj: UObject, entry: str, seed: int | None) -> Binary:
     # The externals table opens the public region, so its address is a
     # link-time constant; the loader fills and protects it.
     n_imports = len(obj.imports)
-    layout = make_layout(config.scheme, split_memory, 0, 0)
+    layout = make_layout(config)
     table_lo, table_hi = externals_table(layout, n_imports)
     pub_size = table_hi - table_lo
     for g in obj.globals.values():
-        if split_memory and g.taint is PRIVATE:
+        if layout.private is not None and g.taint is PRIVATE:
             priv_size = place(priv_offsets, priv_size, g)
         else:
             pub_size = place(pub_offsets, pub_size, g)
 
-    layout = replace(
-        layout, pub_globals_size=pub_size, priv_globals_size=priv_size
-    )
     global_addrs: dict[str, int] = {EXTERNALS_SYMBOL: table_lo}
     for name, off in pub_offsets.items():
         global_addrs[name] = layout.public.base + off
     for name, off in priv_offsets.items():
-        assert layout.private is not None
         global_addrs[name] = layout.private.base + off
 
     # ------------------------------------------------------------------
@@ -335,13 +329,14 @@ def _link(obj: UObject, entry: str, seed: int | None) -> Binary:
         config=config,
         mcall_prefix=mcall_prefix,
         mret_prefix=mret_prefix,
+        pub_globals_size=pub_size,
+        priv_globals_size=priv_size,
+        read_only_ranges=[
+            (global_addrs[name], global_addrs[name] + g.size)
+            for name, g in obj.globals.items()
+            if g.read_only
+        ],
     )
-    binary.layout = layout
-    binary.read_only_ranges = [
-        (global_addrs[name], global_addrs[name] + g.size)
-        for name, g in obj.globals.items()
-        if g.read_only
-    ]
     events.counter("linker.code_words").inc(len(code))
     events.counter("linker.check_sites").inc(
         sum(1 for insn in code if isa.check_kind(insn) is not None)

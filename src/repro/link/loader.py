@@ -17,7 +17,7 @@ from ..machine.cpu import Machine
 from ..obs import events
 from ..runtime.alloc import NativeAllocator, RegionAllocator
 from ..runtime.trusted import TrustedRuntime
-from .layout import NATIVE_BASE, externals_table
+from .layout import NATIVE_BASE, REGION_SIZE, STACK_AREA, externals_table
 from .objfile import Binary
 
 
@@ -89,8 +89,6 @@ def load(
     if runtime is None:
         runtime = TrustedRuntime()
     layout = binary.layout
-    if layout is None:
-        raise LoadError("binary has no layout (not linked?)")
     entry = binary.entry
     if not isinstance(entry, str) or entry not in binary.label_addrs:
         raise LoadError(f"entry {entry!r} names no label")
@@ -103,7 +101,11 @@ def load(
         )
 
     # Every address the binary's data names must lie in a region the
-    # loader maps, so writing or protecting it stays bounded.
+    # loader maps, so writing or protecting it stays bounded; the heaps
+    # start past the globals, inside their regions.
+    sizes = (binary.pub_globals_size, binary.priv_globals_size)
+    if not all(0 <= size <= REGION_SIZE - STACK_AREA for size in sizes):
+        raise LoadError(f"globals sizes {sizes} do not fit the regions")
     for lo, hi in binary.read_only_ranges:
         if unmapped(lo, hi):
             raise LoadError(

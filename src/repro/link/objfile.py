@@ -8,6 +8,7 @@ from ..backend.isa import Insn, mcall_bits
 from ..config import BuildConfig
 from ..ir.core import ExternSig, IRGlobal
 from ..taint.lattice import Taint
+from .layout import MemoryLayout, make_layout
 
 
 @dataclass
@@ -63,8 +64,10 @@ class Binary:
 
     A binary stores nothing a reader can compute from it: check sites
     come from ``isa.check_kind`` over ``code``, entry bits from the
-    magic words and ``imports``, and the externals table's range from
-    ``layout.externals_table`` (the loader, not the binary, fills it).
+    magic words and ``imports``, the memory layout from ``config`` and
+    the two globals sizes (:attr:`layout`), and the externals table's
+    range from ``layout.externals_table`` (the loader, not the binary,
+    fills it).
     """
 
     code: list[Insn]
@@ -77,7 +80,15 @@ class Binary:
     config: BuildConfig
     mcall_prefix: int = 0
     mret_prefix: int = 0
-    # Resolved memory layout (set by the linker) and the read-only data
-    # (string literals) the loader maps read-only besides the table.
-    layout: object = None
+    # Bytes of globals (the externals table included) in each region.
+    pub_globals_size: int = 0
+    priv_globals_size: int = 0
+    # Read-only data (string literals) the loader maps read-only
+    # besides the table.
     read_only_ranges: list[tuple[int, int]] = field(default_factory=list)
+
+    @property
+    def layout(self) -> MemoryLayout:
+        return make_layout(
+            self.config, self.pub_globals_size, self.priv_globals_size
+        )

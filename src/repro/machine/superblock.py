@@ -154,6 +154,17 @@ _PAGE_KERNELS = {
 }
 
 
+def _stepped(insn) -> bool:
+    """Whether a tallying trace holding ``insn`` steps through
+    ``Machine._step_block`` (see ``BlockFuser``): the native gateway, or
+    a check site with no emitter (the shadow-stack ops read memory
+    through the cache, so their cost is only known at run time)."""
+    kind = type(insn)
+    return kind is isa.JmpInd or (
+        kind not in _EMITTERS and check_kind(insn) is not None
+    )
+
+
 def _schedule_neutral(insn) -> bool:
     kind = type(insn)
     if kind is isa.Halt or kind is isa.JmpInd:
@@ -217,7 +228,9 @@ class BlockFuser:
     with a run-time cost, or the native gateway, whose trusted
     callbacks run U instructions that the observers see retire before
     the gateway does -- gets a ``fn`` that steps it through
-    ``Machine._step_block`` instead, and no record.
+    ``Machine._step_block`` instead, and no record; that is decided
+    from its instructions (:func:`_stepped`), so no tally epilogue is
+    emitted for it.
     """
 
     def __init__(self, machine):
@@ -299,11 +312,11 @@ class BlockFuser:
                 return self.step(pc), 1, _schedule_neutral(insns[0])
             entry = self._entry(self._trace_entries, pcs, insns)
             return self._bind(entry[1], entry[2]), count, entry[3]
+        if any(map(_stepped, insns)):
+            step = functools.partial(self.machine._step_block, count=count)
+            return step, count, all(map(_schedule_neutral, insns)), None
         entry = self._entry(self._tally_entries, pcs, insns, self._anchor)
         segments = entry[4]
-        if segments is None:
-            step = functools.partial(self.machine._step_block, count=count)
-            return step, count, entry[3], None
         record = [0, 0, collections.defaultdict(int), segments]
         record += [0] * len(segments)
         fn = self._bind(entry[1], (*entry[2], record))
@@ -328,9 +341,7 @@ class BlockFuser:
             code_obj, objs = emitter.build(pcs[-1], insns[-1])
             entry = entries[pcs[0]] = (
                 tuple(insns), code_obj, objs, not emitter.impure,
-                None if emitter.unbatched else tuple(
-                    (p, tuple(charges)) for p, charges in emitter.segments
-                ),
+                tuple((p, tuple(charges)) for p, charges in emitter.segments),
             )
         return entry
 
@@ -413,13 +424,12 @@ class _Emitter:
         self.through = False
         # The trace's segments (see BlockFuser) as (pc, static cycles
         # per instruction), those that can take L1 misses, the static
-        # cycles already flushed, whether a delegated handler may charge
-        # more, and whether a block profiler must step the trace.
+        # cycles already flushed, and whether a delegated handler may
+        # charge more.
         self.segments: list[tuple[int, list]] = []
         self.missing: set[int] = set()
         self.flushed_cycles = 0
         self.dynamic = False
-        self.unbatched = False
 
     # -- infrastructure ------------------------------------------------
 
@@ -658,12 +668,6 @@ class _Emitter:
         charged = self.flushed_cycles + self.cum[1]
         self._emit(p, insn)
         charges.append(self.flushed_cycles + self.cum[1] - charged)
-        # Delegated checks (the shadow-stack ops) read memory through
-        # the cache, so their cost is only known at run time.
-        if type(insn) is isa.JmpInd or (
-            self.delegated and check_kind(insn) is not None
-        ):
-            self.unbatched = True
 
     def _emit(self, p: int, insn) -> None:
         kind = type(insn)

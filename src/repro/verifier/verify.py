@@ -22,6 +22,12 @@ sufficient for confidentiality.  It performs, per the paper:
    ``ret``; and for the segmentation scheme, every register-anchored
    operand must be fs/gs-prefixed and 32-bit.
 
+Before any of that it checks that the binary names nothing outside its
+own spaces: every symbol (label or function magic address) lies inside
+the code, every ALU, set and branch operation is one the machine
+implements, and every register operand names a general-purpose
+register (U code names no segment register at all).
+
 It also re-checks the magic-uniqueness property: no non-magic word's
 encoding carries either 59-bit prefix — and, because code is readable
 as data, that every magic *word* is itself legitimate: a call-kind word
@@ -39,6 +45,7 @@ from dataclasses import dataclass
 from ..arith import MASK64
 from ..backend import isa, regs
 from ..errors import VerifyError
+from ..ir.core import BIN_OPS, UN_OPS
 from ..link.layout import MPX_STACK_OFFSET, externals_table
 from ..link.objfile import Binary
 from ..obs import events
@@ -46,7 +53,15 @@ from ..obs import events
 L, H = 0, 1
 ELIDE_LIMIT = 1 << 20
 
-_TRACKED_REGS = tuple(range(regs.NUM_GPRS))
+#: Instruction fields that hold a register id (or an ``Imm``).
+_REG_FIELDS = ("dst", "src", "a", "b", "reg")
+
+#: The operations the machine implements, per instruction class.
+_OPS = {
+    isa.Alu: BIN_OPS | UN_OPS,
+    isa.SetCC: isa.COND_OPS,
+    isa.Br: isa.COND_OPS,
+}
 
 
 @dataclass
@@ -75,13 +90,20 @@ class BinaryVerifier:
         self.code = binary.code
         self.mcall_word_base = binary.mcall_prefix << 5
         self.mret_word_base = binary.mret_prefix << 5
+        for symbols in (binary.label_addrs, binary.func_magic_addrs):
+            for name, addr in symbols.items():
+                if not 0 <= addr < len(self.code):
+                    raise VerifyError(
+                        "symbol-outside-code", f"{name} @{addr}"
+                    )
         self._stub_addrs = {
             addr
             for name, addr in binary.label_addrs.items()
             if name.startswith("stub.")
         }
+        self.layout = binary.layout
         self._externals_range = externals_table(
-            binary.layout, len(binary.imports)
+            self.layout, len(binary.imports)
         )
 
     # ------------------------------------------------------------------
@@ -101,7 +123,8 @@ class BinaryVerifier:
     # Stage 1: structure
 
     def _check_magic_uniqueness(self) -> None:
-        for word in self.code:
+        for addr, word in enumerate(self.code):
+            self._check_operands(addr, word)
             if isinstance(word, isa.MagicWord):
                 continue
             enc = word.encoding()
@@ -112,6 +135,28 @@ class BinaryVerifier:
                     f"non-magic word encodes a magic prefix: {word!r}",
                 )
         self._check_magic_placement()
+
+    @staticmethod
+    def _check_operands(addr: int, word) -> None:
+        """Every operation must be one the machine implements, and every
+        register operand must name a general-purpose register (the
+        dataflow tracks exactly those); U code may not name the segment
+        registers at all."""
+        ops = _OPS.get(type(word))
+        if ops is not None and word.op not in ops:
+            raise VerifyError("bad-operation", f"@{addr}: {word!r}")
+        mem = getattr(word, "mem", None)
+        operands = [getattr(word, name, None) for name in _REG_FIELDS]
+        if mem is not None:
+            operands += [mem.base, mem.index]
+        for reg in operands:
+            if type(reg) is int and not 0 <= reg < regs.NUM_GPRS:
+                raise VerifyError(
+                    "segment-register-write"
+                    if reg in (regs.FS, regs.GS)
+                    else "bad-register",
+                    f"@{addr}: {word!r}",
+                )
 
     def _check_magic_placement(self) -> None:
         """Every magic word must be legitimate *as a word*.
@@ -301,10 +346,6 @@ class BinaryVerifier:
             if isinstance(insn, (isa.MovRI, isa.MovFuncAddr)):
                 define(insn.dst, L)
             elif isinstance(insn, isa.MovRR):
-                if insn.dst in (regs.FS, regs.GS) or insn.src in (regs.FS, regs.GS):
-                    raise VerifyError(
-                        "segment-register-write", f"{proc.name}@{addr}"
-                    )
                 if insn.dst == regs.RSP:
                     raise VerifyError("rsp-overwrite", f"{proc.name}@{addr}")
                 define(insn.dst, state[insn.src])
@@ -434,7 +475,7 @@ class BinaryVerifier:
             )
 
     def _operand_region(self, proc, addr, mem: isa.Mem, checked) -> str:
-        layout = self.binary.layout
+        layout = self.layout
         if mem.abs is not None:
             if mem.index is not None:
                 raise VerifyError(
@@ -496,7 +537,11 @@ class BinaryVerifier:
                 if ext.name == name:
                     return ext.entry_bits
             raise VerifyError("unknown-import", name)  # pragma: no cover
-        magic = self.code[target_addr - 1] if target_addr > 0 else None
+        magic = (
+            self.code[target_addr - 1]
+            if 0 < target_addr <= len(self.code)
+            else None
+        )
         if not (isinstance(magic, isa.MagicWord) and magic.kind == "call"):
             raise VerifyError(
                 "call-to-non-procedure",

@@ -15,6 +15,7 @@ from repro.build import (
     BuildSession,
     ObjectCache,
     dump_binary,
+    load_uobject,
     object_cache_key,
 )
 from repro.config import ALL_CONFIGS
@@ -146,3 +147,39 @@ class TestCorruptEntryRecovery:
         assert snap["build.cache.bad_entry"] == 1
         # The entry was rewritten with a valid object.
         json.loads(path.read_bytes().decode())
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param({"imm": "x"}, id="retyped-field"),
+            pytest.param({"zzz": 0}, id="unknown-field"),
+        ],
+    )
+    def test_mistyped_entry_recompiled_and_overwritten(self, tmp_path, edit):
+        # Valid JSON of the wrong shape is as corrupt as torn bytes: the
+        # typed decoder refuses it, and the unit is rebuilt.
+        cache = ObjectCache(tmp_path)
+        session = BuildSession(cache=cache)
+        good = session.build(PROGRAM, OUR_MPX, seed=2)
+        digest, _, _ = cache.entries()[0]
+        path = pathlib.Path(cache.path_for(digest))
+        doc = json.loads(path.read_bytes())
+        nodes = [doc]
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, dict) and node.get("$") == "MovRI":
+                node["f"].update(edit)
+                break
+            if isinstance(node, (dict, list)):
+                nodes.extend(node.values() if isinstance(node, dict) else node)
+        else:
+            raise AssertionError("no MovRI in the cached unit")
+        path.write_bytes(json.dumps(doc).encode())
+
+        registry = events.Registry()
+        with events.use(registry):
+            again = session.build(PROGRAM, OUR_MPX, seed=2)
+        assert dump_binary(again) == dump_binary(good)
+        assert registry.metrics_snapshot()["build.cache.bad_entry"] == 1
+        # The entry was rewritten with a unit that decodes.
+        load_uobject(path.read_bytes())

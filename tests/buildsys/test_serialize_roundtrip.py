@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro import OUR_MPX, OUR_SEG, compile_source
+from repro.config import ALL_CONFIGS
 from repro.apps.libmini import LIBMINI
 from repro.build import (
     FORMAT_VERSION,
@@ -21,9 +22,10 @@ from repro.build import (
     load_uobject,
 )
 from repro.build.session import BuildSession
+from repro.errors import FAULT_WRAPPER, MachineFault
 from repro.link.linker import link
 from repro.link.loader import load
-from repro.runtime.trusted import T_PROTOTYPES
+from repro.runtime.trusted import T_PROTOTYPES, TrustedRuntime
 from repro.verifier.verify import verify_binary
 
 SEED = 11
@@ -194,3 +196,141 @@ class TestHeaderValidation:
         doc[key] = value
         with pytest.raises(SerializeError, match=key.split("_")[0]):
             load_binary(json.dumps(doc).encode())
+
+
+def _first(doc: dict, tag: str) -> int:
+    """Index of the first ``tag`` instruction in a binary dump."""
+    return next(i for i, node in enumerate(doc["code"]) if node["$"] == tag)
+
+
+class TestTypedDecoding:
+    """Every value is checked against its field's annotation; a
+    mismatch names its path."""
+
+    @pytest.mark.parametrize(
+        "edit, path",
+        [
+            # int is never bool, and a register is never a string.
+            pytest.param(
+                lambda d: d["code"][_first(d, "MovRI")]["f"].update(dst=True),
+                r"binary\.code\[\d+\]\.f\.dst", id="bool-as-int",
+            ),
+            pytest.param(
+                lambda d: d["code"][_first(d, "Load")]["f"]["mem"].update(
+                    base="x"
+                ),
+                r"binary\.code\[\d+\]\.f\.mem\.base", id="nested-record",
+            ),
+            # An Insn field accepts ISA nodes only.
+            pytest.param(
+                lambda d: d["code"].__setitem__(0, {"$": "Binary", "f": {}}),
+                r"binary\.code\[0\]", id="non-isa-tag",
+            ),
+            pytest.param(
+                lambda d: d["code"][0].update(f=[]),
+                r"binary\.code\[0\]\.f", id="insn-fields-not-object",
+            ),
+            # Unions: int | Imm, Mem | None.
+            pytest.param(
+                lambda d: d["code"][_first(d, "Alu")]["f"].update(b=[1]),
+                r"binary\.code\[\d+\]\.f\.b", id="int-or-imm",
+            ),
+            pytest.param(
+                lambda d: d["code"][_first(d, "BndChk")]["f"].update(mem=7),
+                r"binary\.code\[\d+\]\.f\.mem", id="mem-or-none",
+            ),
+            # Taints and bytes keep their tags.
+            pytest.param(
+                lambda d: d["imports"][0]["ret_taint"].update(v=2),
+                r"binary\.imports\[0\]\.ret_taint", id="taint",
+            ),
+            pytest.param(
+                lambda d: d["global_inits"][0][1].update(h="zz"),
+                r"binary\.global_inits\[0\]\[1\]", id="bytes",
+            ),
+            pytest.param(
+                lambda d: d["global_inits"][0].append(0),
+                r"binary\.global_inits\[0\]", id="tuple-length",
+            ),
+            # Records carry exactly their fields.
+            pytest.param(
+                lambda d: d["config"].update(zzz=False),
+                r"binary\.config", id="unknown-field",
+            ),
+            pytest.param(
+                lambda d: d["config"].pop("cfi"),
+                r"binary\.config", id="missing-field",
+            ),
+            pytest.param(
+                lambda d: d["config"].update(checkopt="max"),
+                r"binary\.config: unknown checkopt", id="post-init-check",
+            ),
+            # Dicts are pair lists with unique keys.
+            pytest.param(
+                lambda d: d["label_addrs"].append(d["label_addrs"][0]),
+                r"binary\.label_addrs: duplicate", id="duplicate-key",
+            ),
+            pytest.param(
+                lambda d: d.update(func_magic_addrs={"main": 1}),
+                r"binary\.func_magic_addrs", id="dict-as-object",
+            ),
+        ],
+    )
+    def test_mistyped_binary_refused_at_its_path(self, edit, path):
+        binary = compile_source(GLOBALS_APP, OUR_MPX, seed=SEED)
+        doc = json.loads(dump_binary(binary))
+        edit(doc)
+        with pytest.raises(SerializeError, match=path):
+            load_binary(json.dumps(doc).encode())
+
+    def test_uobject_records_typed(self):
+        obj = BuildSession().compile_unit(GLOBALS_APP, OUR_MPX, seed=SEED)
+        doc = json.loads(dump_uobject(obj))
+        doc["globals"][0][1]["size"] = "8"
+        with pytest.raises(SerializeError, match=r"uobject\.globals\[0\]"):
+            load_uobject(json.dumps(doc).encode())
+
+
+# A private buffer filled with the password, then sent on a public
+# channel.  The send wrapper refuses a buffer outside the public region,
+# so the program faults -- unless the binary could claim a flat layout,
+# under which malloc_priv hands out public memory and the loader sets
+# bnd1 to the public region.
+LAYOUT_PROBE = T_PROTOTYPES + """
+int main() {
+    private char *s = malloc_priv(8);
+    read_passwd("", s, 8);
+    send(1, (char*)s, 8);
+    return 0;
+}
+"""
+
+
+class TestDerivedLayout:
+    """A binary stores only its two globals sizes; the rest of its
+    layout follows from its config, so no dump can contradict it."""
+
+    def test_claimed_flat_layout_refused(self):
+        data = dump_binary(compile_source(LAYOUT_PROBE, OUR_MPX, seed=SEED))
+        runtime = TrustedRuntime()
+        runtime.set_password("", b"sesame\x00\x00")
+        process = load(load_binary(data), runtime=runtime)
+        with pytest.raises(MachineFault) as info:
+            process.run()
+        assert info.value.kind == FAULT_WRAPPER
+        assert runtime.channel(1).drain_out() == b""
+
+        doc = json.loads(data)
+        doc["layout"] = dict(doc.get("layout", {}), split_memory=False)
+        with pytest.raises(SerializeError, match="layout"):
+            load_binary(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("config", ALL_CONFIGS.values(), ids=lambda c: c.name)
+    def test_decoded_layout_is_the_linkers(self, config):
+        binary = compile_source(GLOBALS_APP, config, seed=SEED)
+        layout = load_binary(dump_binary(binary)).layout
+        assert layout == binary.layout
+        private = binary.global_addrs["secret_acc"]
+        region = layout.private or layout.public
+        assert region.contains(private)
+        assert layout.public.contains(binary.global_addrs["counter"])

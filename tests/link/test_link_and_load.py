@@ -26,33 +26,33 @@ int main() { g_priv = (private int)1; return g_pub; }
 
 class TestLayout:
     def test_mpx_regions_disjoint_with_guard(self):
-        layout = make_layout("mpx", True, 4096, 4096)
+        layout = make_layout(OUR_MPX, 4096, 4096)
         assert layout.public.end < layout.private.base
         assert layout.private.base - layout.public.end >= (1 << 20)
 
     def test_offset_matches_constant(self):
-        layout = make_layout("mpx", True, 0, 0)
+        layout = make_layout(OUR_MPX)
         assert layout.offset == MPX_STACK_OFFSET
 
     def test_seg_bases_4gb_aligned(self):
-        layout = make_layout("seg", True, 0, 0)
+        layout = make_layout(OUR_SEG)
         assert layout.public.base % (4 << 30) == 0
         assert layout.private.base % (4 << 30) == 0
 
     def test_heap_does_not_overlap_stack_area(self):
-        layout = make_layout("mpx", True, 1 << 20, 0)
+        layout = make_layout(OUR_MPX, 1 << 20, 0)
         heap_lo, heap_hi = layout.heap_range(False)
         stack_lo, _ = layout.stack_range(False, 7)
         assert heap_hi <= stack_lo
 
     def test_thread_stacks_disjoint(self):
-        layout = make_layout("mpx", True, 0, 0)
+        layout = make_layout(OUR_MPX)
         r0 = layout.stack_range(False, 0)
         r1 = layout.stack_range(False, 1)
         assert r1[1] == r0[0]
 
     def test_flat_layout_has_no_private(self):
-        layout = make_layout(None, False, 0, 0)
+        layout = make_layout(BASE)
         assert layout.private is None
         assert layout.offset == 0
 
@@ -239,6 +239,15 @@ class TestHostileBinaries:
         binary.global_inits.append((0, b"\x01"))
         verify_binary(binary)
         with pytest.raises(LoadError, match="initializer at 0x0 "):
+            load(binary)
+
+    @pytest.mark.parametrize("size", (-REGION_SIZE, REGION_SIZE))
+    def test_globals_size_outside_region_refused(self, size):
+        # A size past either end would start a heap outside its region.
+        binary = compile_source(HIJACK.replace("SLOT", "0"), OUR_MPX)
+        binary.priv_globals_size = size
+        verify_binary(binary)
+        with pytest.raises(LoadError, match="globals sizes"):
             load(binary)
 
     def test_table_stays_read_only_without_read_only_ranges(self):

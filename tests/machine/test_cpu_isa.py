@@ -14,7 +14,7 @@ from repro.arith import MASK64, eval_bin
 from repro.backend import isa, regs
 from repro.config import BuildConfig
 from repro.errors import MachineFault
-from repro.link.layout import CODE_BASE, make_layout
+from repro.link.layout import CODE_BASE
 from repro.link.objfile import Binary
 from repro.machine.cpu import ENGINES, Machine
 
@@ -23,7 +23,6 @@ ENGINE = ENGINES[0]
 
 
 def make_machine(code, config=BASE, bnd_private=None):
-    layout = make_layout(config.scheme, config.scheme is not None, 4096, 4096)
     binary = Binary(
         code=code,
         label_addrs={"__start": 0},
@@ -33,8 +32,11 @@ def make_machine(code, config=BASE, bnd_private=None):
         imports=[],
         entry="__start",
         config=config,
+        pub_globals_size=4096,
+        priv_globals_size=4096,
     )
-    binary.layout = layout
+    # The layout comes from the config, as for a linked binary.
+    layout = binary.layout
     machine = Machine(binary, natives=[], engine=ENGINE)
     machine.mem.map_range(layout.public.base, layout.public.end)
     if layout.private is not None:

@@ -31,7 +31,7 @@ from repro.compiler import compile_source
 from repro.errors import FAULT_DIV, FAULT_EXEC, FAULT_TORN, MachineFault
 from repro.link.layout import CODE_BASE, MPX_PUB_BASE
 from repro.link.loader import load
-from repro.machine import costs
+from repro.machine import costs, superblock
 from repro.machine.cpu import ENGINES
 from repro.machine.superblock import MAX_BLOCK
 from repro.obs import events, export
@@ -39,6 +39,7 @@ from repro.obs.blockprof import attach_block_profiler, detach_block_profiler
 from repro.runtime.trusted import T_PROTOTYPES, TrustedRuntime
 
 from examples.extensions_tour import CALLBACKS
+from examples.quickstart import FIXED as QUICKSTART
 from tests.integration.test_differential import ProgramGen
 from tests.machine.test_semantics_fixes import make_machine
 
@@ -571,6 +572,19 @@ class TestBlockProfilerEquivalence:
         assert pop[0] == "shadow" and pop[2] > costs.BASE_COST[
             isa.ShadowPop().cost_class
         ]
+
+    def test_stepped_traces_emit_no_tally_epilogue(self):
+        # Traces through the native gateway step through
+        # Machine._step_block; that is decided from their instructions,
+        # so no tally epilogue is emitted (and compiled) for them.
+        binary = compile_source(QUICKSTART, OUR_MPX, seed=1)
+        reference = self.assert_columns_agree(loaded(binary))
+        assert reference["outcome"] == ("exit", 0)
+        tallies = superblock._IMAGES[id(binary)][2]
+        assert tallies
+        for insns, _, _, _, segments in tallies.values():
+            assert segments is not None
+            assert not any(map(superblock._stepped, insns))
 
     @pytest.mark.parametrize("name", FAULT_PROGRAMS)
     def test_fault_attribution_identical(self, name):

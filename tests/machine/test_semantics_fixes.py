@@ -19,7 +19,7 @@ import pytest
 from repro import BASE
 from repro.backend import isa, regs
 from repro.errors import FAULT_EXEC, MachineFault
-from repro.link.layout import CODE_BASE, make_layout
+from repro.link.layout import CODE_BASE
 from repro.link.objfile import Binary
 from repro.machine.cache import L1Cache
 from repro.machine.costs import CACHE_MISS_PENALTY
@@ -27,7 +27,6 @@ from repro.machine.cpu import ENGINES, Machine
 
 
 def make_machine(code, config=BASE, engine="predecoded", labels=None):
-    layout = make_layout(config.scheme, config.scheme is not None, 4096, 4096)
     binary = Binary(
         code=code,
         label_addrs={"__start": 0, **(labels or {})},
@@ -37,8 +36,11 @@ def make_machine(code, config=BASE, engine="predecoded", labels=None):
         imports=[],
         entry="__start",
         config=config,
+        pub_globals_size=4096,
+        priv_globals_size=4096,
     )
-    binary.layout = layout
+    # The layout comes from the config, as for a linked binary.
+    layout = binary.layout
     machine = Machine(binary, natives=[], engine=engine)
     machine.mem.map_range(layout.public.base, layout.public.end)
     if layout.private is not None:

@@ -202,6 +202,22 @@ def test_bad_stub_outside_externals_table(mpx_binary):
     reject(b, "bad-stub")
 
 
+def test_symbol_outside_code(mpx_binary):
+    # Truncated code: the stub labels now name addresses past its end.
+    b = mutated(mpx_binary)
+    stub = min(
+        a for n, a in b.label_addrs.items() if n.startswith("stub.")
+    )
+    del b.code[stub:]
+    reject(b, "symbol-outside-code")
+
+
+def test_call_past_code_end(mpx_binary):
+    b = mutated(mpx_binary)
+    b.code[_direct_call_addr(b)].addr = len(b.code) + 17
+    reject(b, "call-to-non-procedure")
+
+
 def test_jump_outside_procedure(mpx_binary):
     b = mutated(mpx_binary)
     addr = find(
@@ -249,6 +265,30 @@ def test_segment_register_write(seg_binary):
     b = mutated(seg_binary)
     b.code[plain_alu_addr(b)] = isa.MovRR(regs.GS, regs.RAX)
     reject(b, "segment-register-write")
+
+
+@pytest.mark.parametrize("kind", (isa.Alu, isa.SetCC, isa.Br))
+def test_bad_operation(mpx_binary, kind):
+    b = mutated(mpx_binary)
+    b.code[find(b, lambda i, a: type(i) is kind, body_start(b))].op = "x"
+    reject(b, "bad-operation")
+
+
+def test_bad_register(mpx_binary):
+    b = mutated(mpx_binary)
+    b.code[plain_alu_addr(b)].dst = 99
+    reject(b, "bad-register")
+
+
+def test_bad_register_in_memory_operand(mpx_binary):
+    b = mutated(mpx_binary)
+    addr = find(
+        b,
+        lambda i, a: isinstance(i, isa.Load) and i.mem.base is not None,
+        body_start(b),
+    )
+    b.code[addr].mem.base = 99
+    reject(b, "bad-register")
 
 
 # ---------------------------------------------------------------------------

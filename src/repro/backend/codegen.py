@@ -31,6 +31,7 @@ from ..link.layout import MPX_STACK_OFFSET
 from ..minic.types import VoidType
 from ..obs import events
 from ..taint.lattice import PRIVATE, PUBLIC, Taint
+from ..verifier.evidence import access_keys, check_key, key_regs
 from . import isa, regs
 from .isa import Imm, Mem
 from .regalloc import Assignment, allocate
@@ -39,7 +40,6 @@ if TYPE_CHECKING:
     from ..link.objfile import CompiledFunction
 
 WORD = 8
-ELIDE_LIMIT = 1 << 20  # guard-zone size: displacements below this may be elided
 
 
 def _region_tag(taint: Taint) -> str:
@@ -295,34 +295,13 @@ class FunctionCodegen:
         if mem.global_name is not None or mem.abs is not None:
             return
         bnd = 1 if mem.region == "priv" else 0
-        if (
-            self._elide_small_disp
-            and mem.index is None
-            and abs(mem.disp) < ELIDE_LIMIT
-            and mem.base is not None
-        ):
-            key = ("reg", mem.base, bnd)
-            if self._coalesce_checks and key in self._checked:
-                events.counter(
-                    "codegen.checks", kind="bnd", outcome="coalesced"
-                ).inc()
-                return
-            self._checked.add(key)
-            events.counter(
-                "codegen.checks", kind="bnd", outcome="emitted"
-            ).inc()
-            self._emit(isa.BndChk(bnd, reg=mem.base))
-            return
-        key = ("mem", mem.base, mem.index, mem.scale, mem.disp, bnd)
-        if self._coalesce_checks and key in self._checked:
-            events.counter(
-                "codegen.checks", kind="bnd", outcome="coalesced"
-            ).inc()
-            return
-        self._checked.add(key)
-        events.counter("codegen.checks", kind="bnd", outcome="emitted").inc()
-        self._emit(
-            isa.BndChk(
+        # The cheapest check ConfVerify takes as evidence: the register
+        # form when the guard areas cover the displacement.
+        reg_key = ("reg", mem.base, bnd)
+        if self._elide_small_disp and reg_key in access_keys(mem, bnd):
+            chk = isa.BndChk(bnd, reg=mem.base)
+        else:
+            chk = isa.BndChk(
                 bnd,
                 mem=Mem(
                     base=mem.base,
@@ -331,18 +310,18 @@ class FunctionCodegen:
                     disp=mem.disp,
                 ),
             )
-        )
-
-    def _invalidate_checks(self, written_reg: int | None) -> None:
-        if written_reg is None:
-            self._checked.clear()
+        key = check_key(chk)
+        if self._coalesce_checks and key in self._checked:
+            events.counter(
+                "codegen.checks", kind="bnd", outcome="coalesced"
+            ).inc()
             return
-        stale = [
-            key
-            for key in self._checked
-            if written_reg in (key[1], key[2] if len(key) > 4 else None)
-        ]
-        for key in stale:
+        self._checked.add(key)
+        events.counter("codegen.checks", kind="bnd", outcome="emitted").inc()
+        self._emit(chk)
+
+    def _invalidate_checks(self, written_reg: int) -> None:
+        for key in [k for k in self._checked if written_reg in key_regs(k)]:
             self._checked.discard(key)
 
     # ------------------------------------------------------------------

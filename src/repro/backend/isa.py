@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import Literal
 
 from ..arith import MASK64, wrap
 from . import regs
@@ -51,7 +52,7 @@ class Mem:
     index: int | None = None
     scale: int = 1
     disp: int = 0
-    seg: str | None = None
+    seg: Literal["fs", "gs"] | None = None
     use32: bool = False
     abs: int | None = None
     global_name: str | None = None  # pre-link; linker resolves to abs
@@ -396,6 +397,14 @@ class BndChk(Insn):
     reg: int | None = None
     mem: Mem | None = None
     cost_class = "bndchk"
+
+    def __post_init__(self):
+        if self.bnd not in (0, 1) or (self.reg is None) == (self.mem is None):
+            raise ValueError(
+                "a bound check names bnd0 or bnd1 and exactly one of a "
+                f"register or a memory operand: bnd={self.bnd!r}, "
+                f"reg={self.reg!r}, mem={self.mem!r}"
+            )
 
     def __repr__(self):
         what = regs.name(self.reg) if self.reg is not None else repr(self.mem)

@@ -16,11 +16,12 @@ driven by the dataclasses' own field annotations:
   dicts are pair lists (the linker places globals in insertion order).
 
 Decoding is typed: every value is checked against its field's
-annotation (``int`` is never ``bool``; lists, pair-list dicts, tuples,
-unions and nested records are checked element by element), and a
-record must carry exactly its class's fields.  Any mismatch raises
-:class:`SerializeError` naming its path (``binary.code[17].f.mem.base``),
-so what ConfVerify and the loader read from :func:`load_binary` is
+annotation (``int`` is never ``bool``; a ``Literal`` field holds one
+of its values, so ``config.scheme`` is "mpx", "seg" or null; lists,
+pair-list dicts, tuples, unions and nested records are checked element
+by element), and a record must carry exactly its class's fields.  Any
+mismatch raises :class:`SerializeError` naming its path
+(``binary.code[17].f.mem.base``), so what ConfVerify and the loader read from :func:`load_binary` is
 well-typed down to instruction operands.  A binary stores nothing a
 reader can derive: its layout follows from ``config`` and the two
 globals sizes (``Binary.layout``).
@@ -124,15 +125,19 @@ def _dec(value, hint, path: str):
     """``value`` decoded as, and checked against, the annotation
     ``hint``; ``path`` names it in errors."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is types.UnionType:
-        # The arms differ in JSON shape: an object or one scalar type.
+    if origin in (types.UnionType, typing.Union):
+        # The arms differ in JSON shape: an object, one scalar type, or
+        # literals of one scalar type.
         arms = [
             arm for arm in args
             if (arm not in _SCALARS if isinstance(value, dict)
-                else arm is type(value))
+                else type(value) in (arm, *map(type, typing.get_args(arm))))
         ]
         if arms:
             return _dec(value, arms[0], path)
+    elif origin is typing.Literal:
+        if any(type(value) is type(arm) and value == arm for arm in args):
+            return value
     elif origin is list and type(value) is list:
         return [
             _dec(item, args[0], f"{path}[{index}]")

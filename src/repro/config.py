@@ -18,6 +18,7 @@ OurSeg      full ConfLLVM, bounds via fs/gs segmentation
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Literal
 
 #: Check-optimization levels, weakest to strongest (see BuildConfig.checkopt).
 CHECKOPT_LEVELS = ("off", "safe", "aggressive")
@@ -28,9 +29,9 @@ class BuildConfig:
     name: str
     # Compiler pipeline: "vanilla" runs all optimizations; "confllvm"
     # disables the ones that do not preserve taint metadata.
-    pipeline: str = "confllvm"
+    pipeline: Literal["vanilla", "confllvm"] = "confllvm"
     # Bounds-check scheme: None, "mpx", or "seg".
-    scheme: str | None = None
+    scheme: Literal["mpx", "seg"] | None = None
     # Taint-aware CFI (magic sequences at entries/return sites).
     cfi: bool = False
     # Separate T's memory from U's (and switch stacks on T calls).

@@ -2,7 +2,9 @@
 
 Each operator models one way a buggy or malicious compiler could weaken
 the ConfLLVM instrumentation while leaving the binary loadable: drop or
-retarget a bounds check, strip an fs/gs prefix or widen a 32-bit
+retarget a bounds check, trade it for an fs/gs prefix (which confines
+nothing under MPX) or anchor it at an absolute address, strip an fs/gs
+prefix or widen a 32-bit
 sub-register, flip MCall/MRet taint bits, forge or clone a magic word,
 perturb ``rsp`` arithmetic or skip ``chkstk``, redirect a direct call
 past its taint check, smuggle in an indirect jump or a segment-register
@@ -412,6 +414,75 @@ def _find_flip_store_guard(ctx: _Context) -> list[Site]:
 
 def _apply_flip_bnd(binary: Binary, site: Site) -> None:
     binary.code[site.index].bnd ^= 1
+
+
+def _checked_next_sites(
+    ctx: _Context, name: str, what: str, expected: tuple[str, ...]
+) -> list[Site]:
+    """Bounds checks that are the sole evidence for the access right
+    after them (codegen's check-then-access pattern), anchored at the
+    check; the operator rewrites both words."""
+    if ctx.scheme != "mpx":
+        return []
+    return [
+        Site(
+            name,
+            acc.addr - 1,
+            f"{what.format(check=acc.addr - 1)}; it is the sole evidence "
+            f"for the {acc.kind} @{acc.addr}",
+            expected,
+        )
+        for leader, end in ctx.blocks()
+        for acc in _scan_block(ctx, leader, end)
+        if acc.covering == {acc.addr - 1}
+    ]
+
+
+def _find_prefix_under_mpx(ctx: _Context) -> list[Site]:
+    """Replace the check with an fs/gs prefix and 32-bit addressing on
+    its access.  Under MPX the loader leaves both segment bases at 0 and
+    the regions lie below 4 GiB, so the prefix confines nothing."""
+    return _checked_next_sites(
+        ctx, "prefix-under-mpx",
+        "trade the check @{check} for an fs/gs prefix on its access",
+        ("prefix-under-mpx",),
+    )
+
+
+def _apply_prefix_under_mpx(binary: Binary, site: Site) -> None:
+    bnd = binary.code[site.index].bnd
+    binary.code[site.index] = _nop()
+    mem = binary.code[site.index + 1].mem
+    mem.seg = isa.SEG_GS if bnd else isa.SEG_FS
+    mem.use32 = True
+
+
+def _find_abs_bound_check(ctx: _Context) -> list[Site]:
+    """Give the check the access's own operand plus an absolute
+    address: the machine then checks that constant (always in bounds),
+    not the access."""
+    return _checked_next_sites(
+        ctx, "abs-bound-check",
+        "anchor the check @{check} at an absolute address",
+        ("bad-bound-check",),
+    )
+
+
+def _apply_abs_bound_check(binary: Binary, site: Site) -> None:
+    bnd = binary.code[site.index].bnd
+    mem = binary.code[site.index + 1].mem
+    layout = binary.layout
+    region = layout.private if bnd else layout.public
+    binary.code[site.index] = isa.BndChk(
+        bnd,
+        mem=isa.Mem(
+            base=mem.base,
+            index=mem.index,
+            scale=mem.scale,
+            disp=mem.disp,
+            abs=region.base,
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -943,6 +1014,12 @@ def _apply_retarget_stub(binary: Binary, site: Site) -> None:
 MUTATION_OPERATORS: list[Operator] = [
     Operator("drop-bound-check", _find_drop_bndchk, _apply_nop_out),
     Operator("flip-store-guard", _find_flip_store_guard, _apply_flip_bnd),
+    Operator(
+        "prefix-under-mpx", _find_prefix_under_mpx, _apply_prefix_under_mpx
+    ),
+    Operator(
+        "abs-bound-check", _find_abs_bound_check, _apply_abs_bound_check
+    ),
     Operator("strip-seg-prefix", _find_strip_prefix, _apply_strip_prefix),
     Operator("widen-subregister", _find_widen_subreg, _apply_widen_subreg),
     Operator(

@@ -4,11 +4,14 @@ Concrete constants are scaled-down but structurally faithful versions
 of the paper's layouts:
 
 * **MPX scheme** (Fig. 3b): a contiguous public region and private
-  region, each surrounded by unmapped guard areas at least as large as
-  the maximum elidable displacement (1 MiB), so dropping small
-  displacements from bound checks is sound.  The two stacks are kept in
-  lock-step at a constant ``OFFSET`` (here: the distance between the
-  region bases).
+  region, each surrounded by unmapped guard areas (``GUARD_SIZE``)
+  wider than the largest displacement a bounds check may leave out
+  (``ELIDE_LIMIT``, 1 MiB) plus one word, so a check on a register
+  also bounds every access ``[reg + disp]`` with ``|disp| <
+  ELIDE_LIMIT``: it lands in the region or in unmapped memory.
+  ConfVerify's evidence rule (``verifier.evidence``) relies on this.
+  The two stacks are kept in lock-step at a constant ``OFFSET`` (here:
+  the distance between the region bases).
 * **Segmentation scheme** (Fig. 3a): 4 GiB-aligned segments whose bases
   live in ``fs`` (public) and ``gs`` (private); everything outside the
   usable windows is simply unmapped, which is what makes ``fs:[e...]``
@@ -33,7 +36,10 @@ GB = 1024 * MB
 # Usable bytes per region (scaled down from the paper's 4 GiB; the
 # structure, not the size, is what the scheme depends on).
 REGION_SIZE = 64 * MB
-GUARD_SIZE = 2 * MB  # covers the +/- 1 MiB elidable displacement
+# A bounds check on a register also covers accesses within +/-
+# ELIDE_LIMIT of it; the guard areas are wider than that plus a word.
+ELIDE_LIMIT = 1 * MB
+GUARD_SIZE = 2 * ELIDE_LIMIT
 
 THREAD_STACK_SIZE = 1 * MB  # paper default, 1 MiB aligned
 MAX_THREADS = 8

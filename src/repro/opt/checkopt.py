@@ -3,15 +3,15 @@
 Runs between codegen and linking, on each function's pre-link ISA
 stream.  Three transforms, each *verifier-legal by construction* — they
 only rewrite within the extended basic block (no Label / branch / call
-in between), mirroring exactly the evidence rules ConfVerify's
-``_flow_block`` applies, so ``verify_binary`` accepts the optimized
-binary unchanged:
+in between), and every question of evidence (which key a check
+provides, which keys evidence an operand, which register write removes
+a key) is answered by ConfVerify's own rule, :mod:`repro.verifier.evidence`,
+so ``verify_binary`` accepts the optimized binary unchanged:
 
 * **redundant-check elision** — delete a ``BndChk`` whose key is
   already available: an earlier surviving check in the same extended
   block established an equal or covering key, and no instruction in
-  between redefines the key's registers (available-check dataflow, the
-  same invalidation rule the verifier applies);
+  between redefines the key's registers (available-check dataflow);
 * **lea rematerialization dedup** — delete the second of two identical
   global-address ``Lea``s into the same register when nothing between
   them redefines that register.  The machine state is unchanged (the
@@ -19,11 +19,11 @@ binary unchanged:
   register defined public by the first lea; deleting the
   rematerialization *extends check lifetimes*, turning the checks that
   followed it into redundant checks for the elision above;
-* **check widening** — rewrite a memory-form ``BndChk`` (no index,
-  displacement within the verifier's ±1 MiB ``ELIDE_LIMIT``) into the
-  cheaper register form.  The linker's guard pages (``GUARD_SIZE``)
-  give the bounds the same slack the verifier's elision rule assumes,
-  and the register key covers strictly more later accesses.
+* **check widening** — rewrite a memory-form ``BndChk`` whose operand
+  the register key evidences (no index, displacement within
+  ``ELIDE_LIMIT``, which the guard areas cover) into the cheaper
+  register form; the register key covers strictly more later
+  accesses.
 
 Like the IR passes, every rewrite is certified: the optimizer emits a
 :class:`CheckOptWitness` whose edits :func:`check_checkopt_witness`
@@ -41,10 +41,8 @@ from dataclasses import dataclass, field
 
 from ..backend import isa
 from ..obs import events
+from ..verifier.evidence import access_keys, check_key, key_regs
 from .witness import WitnessError
-
-#: Mirrors the verifier's elidable-displacement window (verify.py).
-ELIDE_LIMIT = 1 << 20
 
 #: Instructions that end an extended basic block for check evidence:
 #: labels (potential join points), control transfers, and calls (the
@@ -86,33 +84,13 @@ def _defined_regs(insn) -> tuple[int, ...]:
     return ()
 
 
-def _check_key(chk: isa.BndChk) -> tuple:
-    if chk.mem is not None:
-        return (
-            "mem",
-            chk.mem.base,
-            chk.mem.index,
-            chk.mem.scale,
-            chk.mem.disp,
-            chk.bnd,
-        )
-    return ("reg", chk.reg, chk.bnd)
-
-
-def _key_regs(key: tuple) -> tuple:
-    if key[0] == "mem":
-        return tuple(r for r in (key[1], key[2]) if r is not None)
-    return (key[1],)
-
-
 def _widenable(chk: isa.BndChk) -> bool:
+    """A memory-form check whose operand the register form's key
+    evidences."""
     return (
         chk.mem is not None
-        and chk.mem.base is not None
-        and chk.mem.index is None
-        and chk.mem.abs is None
-        and chk.mem.global_name is None
-        and abs(chk.mem.disp) < ELIDE_LIMIT
+        and check_key(chk) is not None
+        and ("reg", chk.mem.base, chk.bnd) in access_keys(chk.mem, chk.bnd)
     )
 
 
@@ -120,25 +98,14 @@ def _widen(chk: isa.BndChk) -> isa.BndChk:
     return isa.BndChk(chk.bnd, reg=chk.mem.base)
 
 
-def _covers(provider_key: tuple, key: tuple) -> bool:
-    """Does evidence ``provider_key`` satisfy an access needing ``key``?
-
-    Mirrors ``_operand_region``: an exact key match, or a register key
-    covering a no-index memory key on the same base within the elidable
-    displacement window.  The provider's registers are always a subset
-    of the covered key's, so any write invalidating the provider also
-    invalidates the covered key — coverage never outlives its subject.
-    """
-    if provider_key == key:
-        return True
-    return (
-        provider_key[0] == "reg"
-        and key[0] == "mem"
-        and key[1] == provider_key[1]  # same base
-        and key[2] is None  # no index
-        and abs(key[4]) < ELIDE_LIMIT
-        and key[5] == provider_key[2]  # same bnd
-    )
+def _covering_keys(chk: isa.BndChk) -> tuple:
+    """The keys whose evidence makes ``chk`` redundant: its own key, or
+    any key that evidences a memory-form check's operand.  A covering
+    key's registers are a subset of the check's, so any write removing
+    the cover also removes the check's own evidence."""
+    if chk.mem is None:
+        return (check_key(chk),)
+    return access_keys(chk.mem, chk.bnd)
 
 
 def _dedupable_lea(insn) -> bool:
@@ -211,21 +178,19 @@ def optimize_checks(
             out.append(insn)
             continue
         if isinstance(insn, isa.BndChk):
-            widened = False
-            if _widenable(insn):
+            widened = _widenable(insn)
+            if widened:
                 insn = _widen(insn)
-                widened = True
-            key = _check_key(insn)
-            provider = checked.get(key)
-            if provider is None and key[0] == "mem" and key[2] is None \
-                    and abs(key[4]) < ELIDE_LIMIT:
-                provider = checked.get(("reg", key[1], key[5]))
+            provider = next(
+                (checked[k] for k in _covering_keys(insn) if k in checked),
+                None,
+            )
             if provider is not None:
                 witness.edits.append(("elide", i, provider))
                 continue
             if widened:
                 witness.edits.append(("widen", i))
-            checked[key] = i
+            checked[check_key(insn)] = i
             out.append(insn)
             continue
         for reg in _defined_regs(insn):
@@ -235,7 +200,7 @@ def optimize_checks(
 
 
 def _invalidate(checked: dict, leas: dict, reg: int) -> None:
-    for key in [k for k in checked if reg in _key_regs(k)]:
+    for key in [k for k in checked if reg in key_regs(k)]:
         del checked[key]
     for key in [k for k in leas if k[0] == reg]:
         del leas[key]
@@ -320,16 +285,15 @@ def check_checkopt_witness(
                 raise WitnessError(
                     f"{name}: elide at {i} does not involve two checks"
                 )
-            key = _check_key(subject)
-            provider_key = _check_key(
+            provider_key = check_key(
                 _widen(provider) if j in widened else provider
             )
-            if not _covers(provider_key, key):
+            if provider_key not in _covering_keys(subject):
                 raise WitnessError(
                     f"{name}: check at {j} does not cover the one "
                     f"elided at {i}"
                 )
-            clear_path(j, i, _key_regs(provider_key))
+            clear_path(j, i, key_regs(provider_key))
         elif edit[0] == "dedup-lea":
             _, i, j = edit
             if not (0 <= j < i) or j in deleted:

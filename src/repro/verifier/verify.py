@@ -11,8 +11,11 @@ sufficient for confidentiality.  It performs, per the paper:
    every register at every instruction, seeded from the entry magic's
    taint bits (unused argument registers and caller-saves private,
    callee-saves public);
-3. the **checks**: memory-operand taints must be evidenced by an MPX
-   check in the same basic block or by an fs/gs prefix; every store's
+3. the **checks**: memory-operand taints must be evidenced, under the
+   MPX scheme, by an MPX check in the same basic block (the one rule in
+   :mod:`.evidence`; a prefixed or 32-bit operand is refused, since the
+   loader leaves the fs and gs bases at 0) and, under the segmentation
+   scheme, by an fs/gs prefix with 32-bit addressing; every store's
    source taint must be ⊑ the operand's region; direct calls' register
    taints must match the callee's magic bits; indirect calls and
    returns must use the CheckMagic pattern with matching bits; ``rsp``
@@ -25,8 +28,9 @@ sufficient for confidentiality.  It performs, per the paper:
 Before any of that it checks that the binary names nothing outside its
 own spaces: every symbol (label or function magic address) lies inside
 the code, every ALU, set and branch operation is one the machine
-implements, and every register operand names a general-purpose
-register (U code names no segment register at all).
+implements, every memory operand has a base register or an absolute
+address, and every register operand names a general-purpose register
+(U code names no segment register at all).
 
 It also re-checks the magic-uniqueness property: no non-magic word's
 encoding carries either 59-bit prefix — and, because code is readable
@@ -49,9 +53,10 @@ from ..ir.core import BIN_OPS, UN_OPS
 from ..link.layout import MPX_STACK_OFFSET, externals_table
 from ..link.objfile import Binary
 from ..obs import events
+# ELIDE_LIMIT is re-exported for the mutation oracle (fuzz/mutate.py).
+from .evidence import ELIDE_LIMIT, access_keys, check_key, key_regs
 
 L, H = 0, 1
-ELIDE_LIMIT = 1 << 20
 
 #: Instruction fields that hold a register id (or an ``Imm``).
 _REG_FIELDS = ("dst", "src", "a", "b", "reg")
@@ -138,16 +143,19 @@ class BinaryVerifier:
 
     @staticmethod
     def _check_operands(addr: int, word) -> None:
-        """Every operation must be one the machine implements, and every
-        register operand must name a general-purpose register (the
-        dataflow tracks exactly those); U code may not name the segment
-        registers at all."""
+        """Every operation must be one the machine implements, every
+        memory operand must be anchored at a register or an absolute
+        address, and every register operand must name a general-purpose
+        register (the dataflow tracks exactly those); U code may not
+        name the segment registers at all."""
         ops = _OPS.get(type(word))
         if ops is not None and word.op not in ops:
             raise VerifyError("bad-operation", f"@{addr}: {word!r}")
         mem = getattr(word, "mem", None)
         operands = [getattr(word, name, None) for name in _REG_FIELDS]
         if mem is not None:
+            if mem.base is None and mem.abs is None:
+                raise VerifyError("unanchored-operand", f"@{addr}: {word!r}")
             operands += [mem.base, mem.index]
         for reg in operands:
             if type(reg) is int and not 0 <= reg < regs.NUM_GPRS:
@@ -315,9 +323,10 @@ class BinaryVerifier:
     def _flow_block(self, proc, blocks, leader, state):
         """Walk one block; returns [(successor leader, out state)].
 
-        ``checked`` tracks MPX checks seen in this block, invalidated on
-        register redefinition and calls — mirroring how the paper's
-        verifier "looks for MPX checks ... in the same basic block".
+        ``checked`` holds the evidence keys of the MPX checks seen in this
+        block (:mod:`.evidence`), removed on register redefinition and
+        cleared at calls: the paper's verifier "looks for MPX checks ...
+        in the same basic block".
         """
         checked: set = set()
         edges: list[tuple[int, list[int]]] = []
@@ -327,9 +336,8 @@ class BinaryVerifier:
 
         def define(reg: int, taint: int) -> None:
             state[reg] = taint
-            stale = [k for k in checked if reg in (k[1], k[2] if len(k) > 4 else None)]
-            for k in stale:
-                checked.discard(k)
+            for key in [k for k in checked if reg in key_regs(k)]:
+                checked.discard(key)
 
         def operand_taint(op) -> int:
             if isinstance(op, isa.Imm):
@@ -376,17 +384,13 @@ class BinaryVerifier:
                         f"public memory: {insn!r}",
                     )
             elif isinstance(insn, isa.BndChk):
-                if insn.mem is not None:
-                    key = (
-                        "mem",
-                        insn.mem.base,
-                        insn.mem.index,
-                        insn.mem.scale,
-                        insn.mem.disp,
-                        insn.bnd,
+                key = check_key(insn)
+                if key is None:
+                    raise VerifyError(
+                        "bad-bound-check",
+                        f"{proc.name}@{addr}: {insn!r} has an absolute, "
+                        "global, prefixed or 32-bit operand",
                     )
-                else:
-                    key = ("reg", insn.reg, insn.bnd)
                 checked.add(key)
             elif isinstance(insn, isa.Push):
                 pass
@@ -476,6 +480,13 @@ class BinaryVerifier:
 
     def _operand_region(self, proc, addr, mem: isa.Mem, checked) -> str:
         layout = self.layout
+        mpx = self.config.scheme == "mpx"
+        if mpx and (mem.seg is not None or mem.use32):
+            # The loader leaves the fs and gs bases at 0 under MPX, and
+            # both regions lie below 4 GiB: neither confines anything.
+            raise VerifyError(
+                "prefix-under-mpx", f"{proc.name}@{addr}: {mem!r}"
+            )
         if mem.abs is not None:
             if mem.index is not None:
                 raise VerifyError(
@@ -491,18 +502,12 @@ class BinaryVerifier:
             raise VerifyError(
                 "static-operand-outside-regions", f"{proc.name}@{addr}"
             )
-        if mem.seg == isa.SEG_GS:
-            if not mem.use32:
-                raise VerifyError("unprefixed-operand", f"{proc.name}@{addr}")
-            return "priv"
-        if mem.seg == isa.SEG_FS:
-            if not mem.use32:
-                raise VerifyError("unprefixed-operand", f"{proc.name}@{addr}")
-            return "pub"
-        if self.config.scheme == "seg":
-            raise VerifyError(
-                "unprefixed-operand", f"{proc.name}@{addr}: {mem!r}"
-            )
+        if not mpx:
+            if mem.seg not in (isa.SEG_FS, isa.SEG_GS) or not mem.use32:
+                raise VerifyError(
+                    "unprefixed-operand", f"{proc.name}@{addr}: {mem!r}"
+                )
+            return "priv" if mem.seg == isa.SEG_GS else "pub"
         # MPX scheme: rsp-anchored operands are covered by chkstk.
         if mem.base == regs.RSP:
             return (
@@ -511,14 +516,7 @@ class BinaryVerifier:
                 else "pub"
             )
         for bnd, region in ((0, "pub"), (1, "priv")):
-            if (
-                mem.index is None
-                and abs(mem.disp) < ELIDE_LIMIT
-                and ("reg", mem.base, bnd) in checked
-            ):
-                return region
-            key = ("mem", mem.base, mem.index, mem.scale, mem.disp, bnd)
-            if key in checked:
+            if not checked.isdisjoint(access_keys(mem, bnd)):
                 return region
         raise VerifyError(
             "missing-bounds-check",

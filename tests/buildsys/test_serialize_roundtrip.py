@@ -265,6 +265,37 @@ class TestTypedDecoding:
                 lambda d: d["config"].update(checkopt="max"),
                 r"binary\.config: unknown checkopt", id="post-init-check",
             ),
+            # A bound check names bnd0 or bnd1 and exactly one operand.
+            pytest.param(
+                lambda d: d["code"][_first(d, "BndChk")]["f"].update(
+                    reg=None, mem=None
+                ),
+                r"binary\.code\[\d+\]\.f: a bound check",
+                id="bndchk-no-operand",
+            ),
+            pytest.param(
+                lambda d: d["code"][_first(d, "BndChk")]["f"].update(bnd=2),
+                r"binary\.code\[\d+\]\.f: a bound check", id="bndchk-bnd2",
+            ),
+            pytest.param(
+                lambda d: d["code"][_first(d, "BndChk")]["f"].update(bnd=-1),
+                r"binary\.code\[\d+\]\.f: a bound check", id="bndchk-bnd-1",
+            ),
+            # Literal domains: a scheme, a pipeline, a segment.
+            pytest.param(
+                lambda d: d["config"].update(scheme="bogus"),
+                r"binary\.config\.scheme", id="literal-scheme",
+            ),
+            pytest.param(
+                lambda d: d["config"].update(pipeline="fast"),
+                r"binary\.config\.pipeline", id="literal-pipeline",
+            ),
+            pytest.param(
+                lambda d: d["code"][_first(d, "Load")]["f"]["mem"].update(
+                    seg="xx"
+                ),
+                r"binary\.code\[\d+\]\.f\.mem\.seg", id="literal-seg",
+            ),
             # Dicts are pair lists with unique keys.
             pytest.param(
                 lambda d: d["label_addrs"].append(d["label_addrs"][0]),

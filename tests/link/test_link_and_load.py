@@ -7,6 +7,8 @@ from repro.backend import isa
 from repro.errors import LinkError, LoadError, MachineFault
 from repro.link.layout import (
     CODE_BASE,
+    ELIDE_LIMIT,
+    GUARD_SIZE,
     MPX_STACK_OFFSET,
     NATIVE_BASE,
     REGION_SIZE,
@@ -29,6 +31,14 @@ class TestLayout:
         layout = make_layout(OUR_MPX, 4096, 4096)
         assert layout.public.end < layout.private.base
         assert layout.private.base - layout.public.end >= (1 << 20)
+
+    def test_guard_covers_elided_displacements(self):
+        # A register check stands for every access [reg + disp] with
+        # |disp| < ELIDE_LIMIT, of up to one word: past the region's
+        # end, all of it must fall in the unmapped guard area.
+        assert GUARD_SIZE >= ELIDE_LIMIT + 8
+        layout = make_layout(OUR_MPX)
+        assert layout.private.base - layout.public.end == GUARD_SIZE
 
     def test_offset_matches_constant(self):
         layout = make_layout(OUR_MPX)

@@ -21,9 +21,10 @@ import pytest
 
 from repro import BASE, OUR_MPX, OUR_SEG, compile_source
 from repro.backend import isa, regs
-from repro.errors import VerifyError
+from repro.errors import FAULT_BOUNDS, MachineFault, VerifyError
 from repro.link.layout import MPX_STACK_OFFSET
-from repro.runtime.trusted import T_PROTOTYPES
+from repro.link.loader import load
+from repro.runtime.trusted import T_PROTOTYPES, TrustedRuntime
 from repro.verifier.verify import verify_binary
 
 # A single source exercising every instrumentation shape the checks
@@ -291,6 +292,21 @@ def test_bad_register_in_memory_operand(mpx_binary):
     reject(b, "bad-register")
 
 
+@pytest.mark.parametrize("global_name", (None, "g_arr"))
+def test_unanchored_operand(seg_binary, global_name):
+    # fs:[none32] once verified under OurSeg, then `run` raised an
+    # untyped TypeError reading register None.
+    b = mutated(seg_binary)
+    addr = find(
+        b,
+        lambda i, a: isinstance(i, isa.Store) and i.mem.seg is not None,
+        body_start(b),
+    )
+    b.code[addr].mem.base = None
+    b.code[addr].mem.global_name = global_name
+    reject(b, "unanchored-operand")
+
+
 # ---------------------------------------------------------------------------
 # Control transfers: returns, plain rets, indirect jumps, halts
 
@@ -521,3 +537,77 @@ def test_static_operand_outside_regions(mpx_binary):
     b = mutated(mpx_binary)
     b.code[_global_access_addr(b)].mem.abs = (1 << 47) - 16
     reject(b, "static-operand-outside-regions")
+
+
+# The MPX leak probe: a private pointer laundered through an int cast
+# is dereferenced as public.  Built as is, the bnd0 check on that load
+# stops the run; each mutation below removes what the check does while
+# keeping the word count, and would send the password's first byte.
+LEAK_PROBE = T_PROTOTYPES + """
+int main() {
+    private char *p = malloc_priv(16);
+    read_passwd("alice", p, 8);
+    char *r = (char *)(int)p;
+    char *q = malloc_pub(16);
+    q[0] = r[0];
+    send(1, q, 1);
+    return 0;
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def leak_probe():
+    binary = compile_source(LEAK_PROBE, OUR_MPX, seed=1)
+    verify_binary(binary)
+    return binary
+
+
+def _probe_check(binary) -> int:
+    """The bnd0 check guarding the laundered load."""
+    return find(
+        binary,
+        lambda i, a: isinstance(i, isa.BndChk)
+        and isinstance(binary.code[a + 1], isa.Load)
+        and binary.code[a + 1].mem.base == i.reg,
+        body_start(binary),
+    )
+
+
+def _probe_run(binary):
+    """Run the probe unverified; returns (fault kind or None, channel 1)."""
+    runtime = TrustedRuntime()
+    runtime.set_password("alice", b"sesame\x00\x00")
+    try:
+        load(binary, runtime=runtime).run()
+        fault = None
+    except MachineFault as error:
+        fault = error.kind
+    return fault, runtime.channel(1).drain_out()
+
+
+def test_leak_probe_stopped_by_its_check(leak_probe):
+    assert _probe_run(leak_probe) == (FAULT_BOUNDS, b"")
+
+
+def test_prefix_under_mpx(leak_probe):
+    # Under MPX the loader leaves fs/gs at 0 and the private region
+    # lies below 4 GiB, so the prefix confines nothing.
+    b = mutated(leak_probe)
+    addr = _probe_check(b)
+    b.code[addr] = isa.ChkStk()
+    b.code[addr + 1].mem.seg = isa.SEG_FS
+    b.code[addr + 1].mem.use32 = True
+    assert _probe_run(b) == (None, b"s")
+    reject(b, "prefix-under-mpx")
+
+
+def test_bad_bound_check(leak_probe):
+    # The machine checks the absolute address, not [rbx].
+    b = mutated(leak_probe)
+    addr = _probe_check(b)
+    b.code[addr] = isa.BndChk(
+        0, mem=isa.Mem(base=b.code[addr].reg, abs=b.layout.public.base)
+    )
+    assert _probe_run(b) == (None, b"s")
+    reject(b, "bad-bound-check")

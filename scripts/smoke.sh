@@ -6,7 +6,8 @@
 # predecoded and reference execution engines report identical cycles,
 # on the quickstart, on a 4-thread merklefs run and on the libquantum
 # and mcf kernels.  Later steps gate the cache, a `build --link` binary
-# file, the fuzzers, profiler and serving tier, diff fresh trajectory
+# file, the fuzzers, profiler (a profiled libquantum's counter samples
+# on both engines too) and serving tier, diff fresh trajectory
 # records against BENCH_seed.json exactly, and regenerate the seed and
 # `cmp` it with the committed file.
 # Run from the repo root: sh scripts/smoke.sh
@@ -275,6 +276,43 @@ wall = int(row.group(1).replace(",", ""))
 assert folded == wall, f"folded stacks sum to {folded}, wall cycles {wall}"
 print(f"callback profile OK: folded stacks sum to {wall} wall cycles")
 PY
+
+# Sample trajectory of a real kernel: the block profiler's Perfetto
+# counter events ("ph": "C", one sample per 1024 instructions) from a
+# profiled libquantum run must be byte-identical on both engines, so
+# the fast engine's samples inside fused traces match the reference
+# engine's per-instruction ones.
+QUANTUM_SRC="$WORK/libquantum.mc"
+python - "$QUANTUM_SRC" <<'PY'
+import sys
+
+from repro.apps.spec import kernel_source
+
+with open(sys.argv[1], "w") as handle:
+    handle.write(kernel_source("libquantum", scale=1))
+PY
+for ENGINE in predecoded reference; do
+    # The exit status is the kernel's checksum, compared below.
+    STATUS=0
+    python -m repro run --config OurMPX --seed 1 --profile-blocks \
+        --engine "$ENGINE" --trace "$WORK/lq_$ENGINE.json" "$QUANTUM_SRC" \
+        > /dev/null 2>&1 || STATUS=$?
+    echo "exit $STATUS" > "$WORK/lq_$ENGINE.counters"
+    python - "$WORK/lq_$ENGINE.json" "$WORK/lq_$ENGINE.counters" <<'PY'
+import json
+import sys
+
+with open(sys.argv[1]) as handle:
+    events = json.load(handle)["traceEvents"]
+counters = [e for e in events if e["ph"] == "C"]
+assert counters, "profiled run wrote no counter events"
+with open(sys.argv[2], "a") as handle:
+    for event in counters:
+        handle.write(json.dumps(event, sort_keys=True) + "\n")
+PY
+done
+cmp "$WORK/lq_predecoded.counters" "$WORK/lq_reference.counters"
+echo "sample trajectory OK: libquantum $(wc -l < "$WORK/lq_reference.counters") counter events, predecoded == reference"
 
 # Benchmark-trajectory gate: a fresh `bench --store` record must pass
 # `bench diff` against the committed seed, and an injected change of

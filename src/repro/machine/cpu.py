@@ -248,9 +248,13 @@ class Machine:
         records ``[runs, extra, preds, segments, *misses]`` of the
         traces that ran, each segment ``(pc, charges)`` inside one
         profiler block (see ``BlockFuser``), and ``last`` is the label
-        address of the profiler block the thread ran last.  A batch
-        never retires past the instruction after which
-        ``observer.until_sample()`` reaches zero, and nothing is pending
+        address of the profiler block the thread ran last.  Everything
+        is folded before ``observer.until_sample()`` more instructions
+        retire, except the run of the one trace that reaches that
+        sample point, which hands the observer the sample as of the
+        point first, as ``sample_within(segments, point, ts, misses)``:
+        ``point`` instructions into the trace, at ``ts`` core cycles,
+        after the run took ``misses`` L1 misses.  Nothing is pending
         once a run returns or raises, so detaching needs no fold."""
         if hook in self._step_hooks:
             raise ValueError("step hook already attached")
@@ -451,16 +455,13 @@ class Machine:
 
         With block observers attached the same traces tally their runs
         (see ``BlockFuser``), and the next sample point is one more
-        limit: traces run while they fit before it, and one that would
-        cross it is stepped through the stepping entries to the point,
-        folded so the sample fires, and stepped on to the end of the
-        segment the point falls in (:meth:`_cross`); the loop goes on
-        from the next segment.  So every sample sees exactly the
-        instructions before it.  A trace
-        whose cost only stepping can attribute goes through ``on_step``
-        (:meth:`_step_block`).  The tallies are folded into the
-        observers before any step through the hooks and when the run
-        stops, faults included.
+        limit: traces run while they end before it, and the one that
+        reaches it runs whole in its noting form, which hands each
+        observer the sample as of its point (:meth:`_sample_trace`).  A
+        trace whose cost only stepping can attribute goes through
+        ``on_step`` (:meth:`_step_block`).  The tallies are folded into
+        the observers before any sample or step through the hooks and
+        when the run stops, faults included.
         """
         self._called_back = False
         observers = self._block_observers
@@ -471,7 +472,7 @@ class Machine:
         n_threads = len(self.threads)
         # Blocks run while they fit in ``stop``; ``stop + slack`` is
         # what is left of ``room``.
-        stop, slack = self._sample_stop(room, observers)
+        stop, slack = self._sample_stop(room, observers, 0)
         try:
             while True:
                 pc = thread.pc
@@ -485,14 +486,15 @@ class Machine:
                     entry[0](thread)
                     stop -= count
                 elif count <= stop + slack:
-                    retired = count
+                    # The trace reaches a sample point.
+                    unfolded = 0
                     if entry[3] is None:
                         entry[0](thread)
                     else:
-                        # The loop goes on from the next segment.
-                        retired = self._cross(thread, entry[3][3], stop)
+                        self._sample_trace(thread, pc, entry[3], observers)
+                        unfolded = count
                     stop, slack = self._sample_stop(
-                        stop + slack - retired, observers
+                        stop + slack - count, observers, unfolded
                     )
                 else:
                     break
@@ -520,13 +522,16 @@ class Machine:
         )
 
     @staticmethod
-    def _sample_stop(left: int, observers: tuple) -> tuple[int, int]:
+    def _sample_stop(left: int, observers: tuple,
+                     unfolded: int) -> tuple[int, int]:
         """Split the ``left`` instructions a fused run may retire into
-        ``(stop, slack)``: ``stop`` up to the observers' next sample
-        point, ``slack`` beyond it."""
+        ``(stop, slack)``: ``stop`` before the observers' next sample
+        point, ``slack`` from it on, with ``unfolded`` instructions
+        retired since the last fold."""
         if not observers:
             return left, 0
-        stop = min(left, *(o.until_sample() for o in observers))
+        point = min(o.until_sample(unfolded) for o in observers)
+        stop = min(left, point - 1)
         return stop, left - stop
 
     def _fold(self, thread: Thread, observers: tuple) -> None:
@@ -544,12 +549,11 @@ class Machine:
         self._prev[0] = -1
 
     def _pend_prefix(self, segments: tuple, pc: int, misses: int,
-                     notes, cycles: int = 0) -> None:
+                     notes) -> None:
         """Pend the instructions a run of ``segments`` retired before
-        the one at ``pc`` (a fault or a sample point; all of them for a
-        pc in none): ``notes`` are the L1 misses where each segment
-        began, ``misses`` where that instruction began, and ``cycles``,
-        if given, what the run cost in all."""
+        the one at ``pc`` faulted (all of them for a pc in none):
+        ``notes`` are the L1 misses where each segment began and
+        ``misses`` where the faulting instruction began."""
         parts, prev, pending = [], self._prev, self._pending
         for start, charges in segments:
             if start <= pc < start + len(charges):
@@ -560,10 +564,7 @@ class Machine:
         if parts:
             marks = (*notes[:len(parts)], misses)
             missed = [b - a for a, b in zip(marks, marks[1:])]
-            if cycles:  # what delegated handlers added
-                cycles -= sum(sum(charges) for _, charges in parts)
-                cycles -= sum(missed) * costs.CACHE_MISS_PENALTY
-            pending.append([1, cycles, {prev[0]: 1}, tuple(parts), *missed])
+            pending.append([1, 0, {prev[0]: 1}, tuple(parts), *missed])
             prev[0] = self._fuser._anchor(parts[-1][0])
 
     def _step_block(self, thread: Thread, count: int) -> None:
@@ -575,39 +576,66 @@ class Machine:
         for _ in range(count):
             step(thread)
 
-    def _cross(self, thread: Thread, segments: tuple, stop: int) -> int:
-        """Run the tallying trace of ``segments`` (see ``BlockFuser``)
-        to the sample point ``stop`` instructions in and on to the end
-        of the segment the point falls in, through the stepping entries
-        and without the step hooks: pend the part before the point as a
-        run and fold, so the sample fires, then the rest of the segment.
-        A fault pends what retired before it.  Returns how many
-        instructions retired."""
-        head, tail = [], []
-        for pc, charges in segments:
-            if stop <= 0:
-                break
-            head.append((pc, charges[:stop]))
-            if stop < len(charges):
-                tail.append((pc + stop, charges[stop:]))
-            stop -= len(charges)
-        cache, core = self.caches[thread.core], thread.core
-        for parts in (head, tail):
-            notes, start = [], self.core_cycles[core]
-            try:
-                for _pc, charges in parts:
-                    notes.append(cache.misses)
-                    for _ in charges:
-                        misses = cache.misses
-                        self._steps[thread.pc](thread)
-            except MachineFault:
-                self._pend_prefix(parts, thread.pc, misses, notes)
-                raise
-            # No pc is -1: pend every part.
-            cycles = self.core_cycles[core] - start
-            self._pend_prefix(parts, -1, cache.misses, notes, cycles)
-            self._fold(thread, self._block_observers)
-        return sum(len(charges) for _, charges in head + tail)
+    def _sample_trace(self, thread: Thread, pc: int, record: list,
+                      observers: tuple) -> None:
+        """Run the tallying trace at ``pc``, which reaches a sample
+        point, whole in its noting form (``BlockFuser.noting``) after
+        folding, and hand each observer whose point falls inside it the
+        sample as of that point.  A fault pends the retired prefix, as
+        in every tallying trace, and still samples the points before
+        it."""
+        self._fold(thread, observers)
+        noted = self._fuser.noting(pc, record)
+        core = thread.core
+        start = self.core_cycles[core], self.caches[core].misses
+        try:
+            noted[0](thread)
+        except MachineFault:
+            retired = 0
+            for begin, charges in record[3]:
+                if begin <= thread.pc < begin + len(charges):
+                    retired += thread.pc - begin
+                    break
+                retired += len(charges)
+            self._hand_samples(thread, observers, record, noted, start,
+                               retired)
+            raise
+        self._hand_samples(thread, observers, record, noted, start,
+                           len(noted[2][0]) - 1)
+
+    def _hand_samples(self, thread: Thread, observers: tuple, record: list,
+                      noted: tuple, start: tuple, retired: int) -> None:
+        """Hand each observer whose sample point lies within the first
+        ``retired`` instructions of a noting run ``noted`` (see
+        ``BlockFuser.noting``) of ``record``'s trace, begun at ``start``
+        (cycles, L1 misses), its sample as of that point."""
+        _, notes, (static, after, before) = noted
+        now = self.caches[thread.core].misses
+
+        def missed(point: int) -> int:
+            """The L1 misses before the instruction ``point`` in."""
+            note = after[point]
+            # A note past the last retired instruction is stale.
+            if note is None or note[0] > retired:
+                return now
+            return notes[note[1]]
+
+        for observer in observers:
+            point = observer.until_sample()
+            if point > retired:
+                continue
+            # Count on from the entry, or from the last delegated
+            # handler before the point, whose charges only a note knows.
+            ts, misses = start
+            begin = 0
+            note = before[point]
+            if note is not None:
+                begin = note[0] + 1
+                ts, misses = notes[note[1]], missed(begin)
+            head = missed(point)
+            ts += static[point] - static[begin]
+            ts += (head - misses) * costs.CACHE_MISS_PENALTY
+            observer.sample_within(record[3], point, ts, head - start[1])
 
     def _step(self, thread: Thread) -> None:
         """One instruction through the step table, measured for the

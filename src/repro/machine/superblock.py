@@ -20,9 +20,10 @@ charges for that pc before re-raising.  Blocks come in two extents:
   already in the trace or ``MAX_BLOCK`` instructions.  A trace has one
   path, so every fault-free run retires exactly its count.  While block
   profilers are attached the scheduler runs the same traces from a
-  second table, emitted with a tally epilogue (see :class:`BlockFuser`);
-  unprofiled runs never execute that code, so their generated sources
-  are unchanged;
+  second table, emitted with a tally epilogue (see :class:`BlockFuser`),
+  and a trace that reaches a sample point in a noting form that also
+  notes where the point's sample stands; unprofiled runs never execute
+  that code, so their generated sources are unchanged;
 * a **stepping entry** is the one-instruction block at a pc.  The table
   ``machine._steps`` holds one per pc, emitted the first time execution
   steps that pc; it steps what no whole trace fits in (the end of a
@@ -173,10 +174,10 @@ def _schedule_neutral(insn) -> bool:
 
 
 #: id(binary) -> (pc -> stepping entry, pc -> trace entry, pc ->
-#: tallying trace entry), dropped when the binary is collected.  Entries
-#: remember the instructions they were generated from and are
-#: regenerated if the code word changed.
-_IMAGES: dict[int, tuple[dict, dict, dict]] = {}
+#: tallying trace entry, pc -> noting form of a tallying trace), dropped
+#: when the binary is collected.  Entries remember the instructions they
+#: were generated from and are regenerated if the code word changed.
+_IMAGES: dict[int, tuple[dict, dict, dict, dict]] = {}
 
 
 def _compile(source: str) -> types.CodeType:
@@ -187,11 +188,11 @@ def _compile(source: str) -> types.CodeType:
     )
 
 
-def _image_entries(binary) -> tuple[dict, dict, dict]:
+def _image_entries(binary) -> tuple[dict, dict, dict, dict]:
     key = id(binary)
     entries = _IMAGES.get(key)
     if entries is None:
-        entries = _IMAGES[key] = ({}, {}, {})
+        entries = _IMAGES[key] = ({}, {}, {}, {})
         weakref.finalize(binary, _IMAGES.pop, key, None)
     return entries
 
@@ -221,9 +222,11 @@ class BlockFuser:
     before it, -1 for "before the pending batch"; a later segment's is
     the segment before it) and each segment's L1 misses, noted where
     the run enters it.  A record is appended to ``machine._pending`` on
-    its first run after a fold (``Machine._fold``); a run that faults or
-    stops at a sample point pends its retired prefix as a record of its
-    own.  A trace
+    its first run after a fold (``Machine._fold``); a run that faults
+    pends its retired prefix as a record of its own.  The trace that
+    reaches a sample point runs whole in its *noting* form
+    (:meth:`noting`), which tallies like the tallying form and also
+    notes where a sample inside it would fall.  A trace
     whose cost is only known one instruction at a time -- a check site
     with a run-time cost, or the native gateway, whose trusted
     callbacks run U instructions that the observers see retire before
@@ -237,9 +240,12 @@ class BlockFuser:
         self.machine = machine
         self.code = machine.code
         self.leaders = frozenset(machine.binary.label_addrs.values())
-        self._step_entries, self._trace_entries, self._tally_entries = (
-            _image_entries(machine.binary)
-        )
+        (
+            self._step_entries, self._trace_entries, self._tally_entries,
+            self._note_entries,
+        ) = _image_entries(machine.binary)
+        # pc -> this machine's noting form of the tallying trace there.
+        self._noting: dict[int, tuple] = {}
         self._labels = sorted(self.leaders)
         # Globals of every generated function.  All of these are
         # captured by reference; the loader and MachineState.restore
@@ -322,19 +328,44 @@ class BlockFuser:
         fn = self._bind(entry[1], (*entry[2], record))
         return fn, count, entry[3], record
 
+    def noting(self, pc: int, record: list) -> tuple:
+        """The noting form of the tallying trace at ``pc``, bound to its
+        ``record``, as ``(fn, notes, plan)``; emitted on the trace's
+        first sample crossing and kept with the binary.  ``fn`` runs and
+        tallies the trace like the tallying form, and also stores the L1
+        misses into ``notes`` before each instruction that can touch the
+        L1 and the core's cycles after each delegated handler.  ``plan``
+        is ``(static, after, before)``, each indexed by a point ``k``
+        instructions in: the static charges of the instructions before
+        it, and as ``(index in the trace, slot in notes)`` or None the
+        first miss note at or after it and the last cycle note before
+        it."""
+        noted = self._noting.get(pc)
+        if noted is None:
+            pcs, insns = self._trace(pc)
+            entry = self._entry(
+                self._note_entries, pcs, insns, self._anchor, noting=True
+            )
+            plan = entry[5]
+            notes = [0] * (len(plan[1]) + len(plan[2]))
+            fn = self._bind(entry[1], (*entry[2], record, notes))
+            noted = self._noting[pc] = fn, notes, plan
+        return noted
+
     def _entry(self, entries: dict, pcs: list, insns: list,
-               anchor=None) -> tuple:
+               anchor=None, noting: bool = False) -> tuple:
         """The entry ``(insns, code, objs, pure, segments)`` in
         ``entries`` for the trace of ``insns`` at ``pcs``, emitted (with
         a tally epilogue keyed by ``anchor``, if given) unless the
-        cached one was generated from the same instructions."""
+        cached one was generated from the same instructions.  A noting
+        form (see :meth:`noting`) adds its ``plan``."""
         entry = entries.get(pcs[0])
         if (
             entry is None
             or len(entry[0]) != len(insns)
             or not all(map(operator.is_, entry[0], insns))
         ):
-            emitter = _Emitter(self, anchor)
+            emitter = _Emitter(self, anchor, noting)
             for index, (p, insn) in enumerate(zip(pcs, insns), 1):
                 # Every Jmp but a last one is run through.
                 emitter.emit(p, insn, through=index < len(insns))
@@ -342,6 +373,7 @@ class BlockFuser:
             entry = entries[pcs[0]] = (
                 tuple(insns), code_obj, objs, not emitter.impure,
                 tuple((p, tuple(charges)) for p, charges in emitter.segments),
+                *((emitter.plan(),) if noting else ()),
             )
         return entry
 
@@ -409,11 +441,12 @@ class _Emitter:
         "S.calls += {}",
     )
 
-    def __init__(self, fuser: BlockFuser, anchor=None):
+    def __init__(self, fuser: BlockFuser, anchor=None, noting=False):
         self.machine = fuser.machine
         # pc -> label address of its profiler block when the trace
         # tallies its runs (see BlockFuser), else None.
         self.anchor = anchor
+        self.noting = noting
         self.lines: list[str] = []
         self.objs: list = []
         self.cum = [0, 0, 0, 0, 0, 0, 0]
@@ -430,6 +463,20 @@ class _Emitter:
         self.missing: set[int] = set()
         self.flushed_cycles = 0
         self.dynamic = False
+        # Instructions emitted so far, and of those that can touch the
+        # L1 the count so far and when the misses were last noted in
+        # mi_ and in a segment note.
+        self.index = 0
+        self.touches = 0
+        self.noted = 0
+        self.segment_noted = 0
+        # Per segment, the local holding the L1 misses where it began:
+        # its own note, or an earlier one when nothing touched the L1
+        # in between.
+        self.notes: list[str] = []
+        # A noting form's (index, slot) notes (see BlockFuser.noting).
+        self.touch_notes: list[tuple[int, int]] = []
+        self.delegate_notes: list[tuple[int, int]] = []
 
     # -- infrastructure ------------------------------------------------
 
@@ -449,24 +496,31 @@ class _Emitter:
     def _render(self) -> str:
         params = "".join(f", O{i}" for i in range(len(self.objs)))
         tally = self.anchor is not None
-        head = [f"def _superblock(t{params}{', T_' if tally else ''}):"]
+        if tally:
+            params += ", T_, N_" if self.noting else ", T_"
+        head = [f"def _superblock(t{params}):"]
         lines = list(self.lines)
         if self.needs_cache:
             lines.append("cache_.hits += h_")
         if any("r[" in line for line in lines):
             head.append("    r = t.regs")
         head.append("    c = t.core")
-        if self.needs_cache or tally:
+        if self.needs_cache or (tally and self.touches):
             head.append("    cache_ = CACHES[c]")
         if self.needs_cache:
             head.append("    sets_ = cache_._sets")
             head.append("    h_ = 0")
-        notes = [f"m{index}_" for index in range(len(self.segments))]
-        if tally:
+        notes = self.notes
+        if tally and self.touches:
             pend = f"PFX(T_[3], t.pc, mi_, ({', '.join(notes)},))"
-            head.append(f"    {' = '.join(notes)} = cache_.misses")
+            # The except clause reads every note.
+            names = " = ".join(dict.fromkeys(notes))
+            head.append(f"    mi_ = {names} = cache_.misses")
             if self.dynamic:
                 head.append("    c0_ = C[c]")
+        elif tally:
+            # Nothing in the trace can miss.
+            pend = f"PFX(T_[3], t.pc, 0, ({'0, ' * len(notes)}))"
         if not self.recon and not tally:
             body = ["    " + line for line in lines]
         else:
@@ -481,8 +535,8 @@ class _Emitter:
                 for index, stmt in enumerate(self._FLUSH_STMTS):
                     body.append("            " + stmt.format(f"d_[{index}]"))
             if tally:
-                # The fault point set mi_: the retired prefix took the
-                # misses before it.
+                # mi_ holds the misses where the faulting instruction
+                # began: the retired prefix took those.
                 body.append("        " + pend)
             body.append("        raise")
         if tally:
@@ -511,6 +565,30 @@ class _Emitter:
         # A later segment's predecessor is static.
         indent = "    " if anchors[-1] == anchors[0] else ""
         return [*lines, f"{indent}PV[0] = {anchors[-1]}"]
+
+    def plan(self) -> tuple:
+        """A noting form's plan (see ``BlockFuser.noting``)."""
+        static = [0]
+        for _, charges in self.segments:
+            for charge in charges:
+                static.append(static[-1] + charge)
+        touches, delegates = dict(self.touch_notes), dict(self.delegate_notes)
+        after, before, note = [], [], None
+        for index in reversed(range(len(static))):
+            note = (index, touches[index]) if index in touches else note
+            after.append(note)
+        note = None
+        for index in range(len(static)):
+            before.append(note)
+            note = (index, delegates[index]) if index in delegates else note
+        return tuple(static), tuple(reversed(after)), tuple(before)
+
+    def _note(self, notes: list, value: str) -> str:
+        """A noting form's statement storing ``value`` in a new slot of
+        ``N_``, registered in ``notes`` for the current instruction."""
+        slot = len(self.touch_notes) + len(self.delegate_notes)
+        notes.append((self.index, slot))
+        return f"N_[{slot}] = {value}"
 
     def flush(self) -> None:
         cum = self.cum
@@ -555,15 +633,20 @@ class _Emitter:
             self.lines.append("h_ = 0")
         self._fault_point(p)
         self.lines.append(f"MACH.{name}(t, {self._obj(insn)})")
+        if self.noting:
+            self.lines.append(self._note(self.delegate_notes, "C[c]"))
         self.delegated = self.dynamic = True
+        self.touches += 1
         self.missing.add(len(self.segments) - 1)
 
     def _fault_point(self, p: int) -> None:
         """Mark the instruction at ``p`` as the one that may fault next;
-        a tallying trace also notes the L1 misses before it."""
+        a tallying trace also notes the L1 misses before it in ``mi_``
+        unless nothing that can touch the L1 ran since the last note."""
         self.lines.append(f"t.pc = {p}")
-        if self.anchor is not None:
+        if self.anchor is not None and self.touches != self.noted:
             self.lines.append("mi_ = cache_.misses")
+            self.noted = self.touches
 
     def _signed(self, var: str, operand) -> str:
         """A signed view of ``operand``: a literal, or ``var`` after
@@ -584,6 +667,7 @@ class _Emitter:
         set -- and ``TOUCH`` for an access spanning two lines, which a
         byte never does.  A block batches its hit count into ``h_``."""
         self.needs_cache = True
+        self.touches += 1
         self.missing.add(len(self.segments) - 1)
         lines = [
             f"ln_ = {var} >> {LINE_BITS}",
@@ -662,12 +746,20 @@ class _Emitter:
         block's last instruction, so the block runs on at its target."""
         if not self.segments:
             self.segments.append((p, []))
+            self.notes.append("m0_")
         charges = self.segments[-1][1]
         self.delegated = False
         self.through = through
         charged = self.flushed_cycles + self.cum[1]
+        start, touches = len(self.lines), self.touches
         self._emit(p, insn)
         charges.append(self.flushed_cycles + self.cum[1] - charged)
+        if self.noting and self.touches != touches:
+            # Nothing before the instruction's first line touches the L1.
+            self.lines.insert(
+                start, self._note(self.touch_notes, "cache_.misses")
+            )
+        self.index += 1
 
     def _emit(self, p: int, insn) -> None:
         kind = type(insn)
@@ -929,10 +1021,16 @@ class _Emitter:
     def _e_jmp(self, p, insn, cost):
         if self.through:
             self._e_magic(p, insn, cost)
-            # The target begins a segment: note its L1 misses.
+            # The target begins a segment: note its L1 misses, unless
+            # nothing touched the L1 since the last segment note.
             self.segments.append((insn.addr, []))
-            if self.anchor is not None:
-                self.lines.append(f"m{len(self.segments) - 1}_ = cache_.misses")
+            note = self.notes[-1]
+            if self.anchor is not None and self.touches != self.segment_noted:
+                # A segment note is a miss note too.
+                note = f"m{len(self.segments) - 1}_"
+                self.lines.append(f"{note} = mi_ = cache_.misses")
+                self.noted = self.segment_noted = self.touches
+            self.notes.append(note)
         else:
             self._simple(cost, f"t.pc = {insn.addr}")
 

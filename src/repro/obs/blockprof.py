@@ -27,8 +27,11 @@ single- and multi-thread schedules alike -- the traces tally their own
 runs, one record per trace with a segment per profiler block it passes
 through, and :meth:`BlockProfiler.fold_blocks` folds one thread's
 records in whenever the machine's block loop steps, reaches a sample
-point or stops; the trace that would cross a sample point is stepped
-without the hooks and tallied as two runs, split at the point.  The
+point or stops, each into its trace's running sums; the per-block,
+per-edge and per-site totals are expanded from those sums when read.
+The trace that reaches a sample point runs whole, noting where its
+misses and delegated cycles fell, and the machine hands the profiler
+the sample as of the point (:meth:`BlockProfiler.sample_within`).  The
 per-instruction path is the oracle: both paths, and both engines,
 report identical totals, edges, sites, samples and flamegraphs,
 faulting runs included -- pinned by a differential test.
@@ -52,6 +55,7 @@ Usage::
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass
 
 from ..backend.isa import CHECK_CATEGORIES, check_kind
@@ -61,6 +65,11 @@ from ..machine.costs import CACHE_MISS_PENALTY
 #: this many retired instructions.  Keyed on instruction counts (not
 #: host time), so the sampled trajectory is identical across engines.
 SAMPLE_STRIDE = 1024
+
+#: The check-cycle counter tracks, one per category.
+_CHECK_TRACKS = tuple(
+    f"blockprof.check_cycles.{cat}" for cat in CHECK_CATEGORIES
+)
 
 
 @dataclass
@@ -100,6 +109,39 @@ class CheckSiteRow:
     cycles: int
 
 
+class _Trace:
+    """One trace's plan, built on its first fold or sample, and what
+    its folded runs added up to."""
+
+    __slots__ = (
+        "segments", "blocks", "count", "checks", "sites",
+        "runs", "extra", "misses", "preds",
+    )
+
+    def __init__(self, segments: tuple, blocks: tuple, sites: tuple):
+        # Kept so that id(segments), the trace's key, stays unique.
+        self.segments = segments
+        # Per segment: (block name, block start, instructions, static
+        # cycles).
+        self.blocks = blocks
+        self.count = sum(block[2] for block in blocks)
+        # Check sites as (index in the trace, pc, category, cycles), and
+        # their cycles per category.
+        self.sites = sites
+        checks: dict[str, int] = {}
+        for _, _, kind, cost in sites:
+            checks[kind] = checks.get(kind, 0) + cost
+        self.checks = tuple(checks.items())
+        self.runs = self.extra = 0
+        self.misses = [0] * len(blocks)
+        # Anchor pc of the block run before the first segment -> runs.
+        self.preds: dict[int, int] = {}
+
+
+def _merged_view(field: str, doc: str) -> property:
+    return property(lambda self: self._view()[field], doc=doc)
+
+
 class BlockProfiler:
     """Attributes execution to basic blocks, edges, and check sites."""
 
@@ -126,26 +168,38 @@ class BlockProfiler:
         self._fn_starts = sorted(fn_anchors)
         self._fn_names = [fn_anchors[a] for a in self._fn_starts]
 
-        self.cycles: dict[str, int] = {}
-        self.instructions: dict[str, int] = {}
-        self.cache_misses: dict[str, int] = {}
-        self.block_start: dict[str, int] = {}
-        self.edges: dict[tuple[str, str], int] = {}
-        # pc -> [category, count, cycles]
-        self.sites: dict[int, list] = {}
-        self._last_block: dict[int, str] = {}
+        # What on_step charged: block name -> cycles, instructions, L1
+        # misses and start; (src, dst) -> runs; pc -> [category, count,
+        # cycles].
+        self._stepped = {
+            "cycles": {}, "instructions": {}, "cache_misses": {},
+            "block_start": {}, "edges": {}, "sites": {},
+        }
+        # id(segments) -> _Trace: what fold_blocks charged.
+        self._traces: dict[int, _Trace] = {}
+        # Both merged, while nothing new was charged.
+        self._merged: dict | None = None
+        # Thread id -> anchor pc of the block it ran last.
+        self._last_block: dict[int, int] = {}
         self._steps = 0
         # Running totals the counter-track samples read: check cycles
         # per category and L1 misses.
         self._checks = dict.fromkeys(CHECK_CATEGORIES, 0)
         self._missed = 0
-        # (segment pc, count) -> (profiler block, count, static cycles,
-        # check sites as (site entry, cycles)): a trace segment as
-        # fold_blocks charges it.
-        self._plans: dict[tuple[int, int], tuple] = {}
         # Deterministic counter-track samples: (instruction index,
         # core-cycle timestamp, {track: cumulative value}).
         self.samples: list[tuple[int, int, dict]] = []
+
+    cycles = _merged_view("cycles", "Block name -> cycles.")
+    instructions = _merged_view("instructions", "Block name -> instructions.")
+    cache_misses = _merged_view(
+        "cache_misses", "Block name -> L1 misses (blocks that took some)."
+    )
+    block_start = _merged_view("block_start", "Block name -> start address.")
+    edges = _merged_view("edges", "(src, dst) block names -> runs.")
+    sites = _merged_view(
+        "sites", "Check site pc -> [category, count, cycles]."
+    )
 
     # -- symbolization ---------------------------------------------------
 
@@ -161,25 +215,42 @@ class BlockProfiler:
             return "<prelude>"
         return self._fn_names[index]
 
+    def _start(self, pc: int) -> int:
+        index = bisect.bisect_right(self._starts, pc) - 1
+        return self._starts[index] if index >= 0 else 0
+
     # -- the step hook ---------------------------------------------------
 
     def on_step(self, thread, pc: int, insn, cycles: int) -> None:
         """Machine step-hook entry point (see ``Machine.add_step_hook``)."""
-        name = self.symbolize(pc)
-        self.cycles[name] = self.cycles.get(name, 0) + cycles
-        self.instructions[name] = self.instructions.get(name, 0) + 1
+        self._merged = None
+        stepped = self._stepped
+        index = bisect.bisect_right(self._starts, pc) - 1
+        name = self._names[index] if index >= 0 else "<prelude>"
+        totals = stepped["cycles"]
+        totals[name] = totals.get(name, 0) + cycles
+        insns = stepped["instructions"]
+        insns[name] = insns.get(name, 0) + 1
         misses = self._machine.hook_cache_misses
         if misses:
-            self.cache_misses[name] = self.cache_misses.get(name, 0) + misses
+            missing = stepped["cache_misses"]
+            missing[name] = missing.get(name, 0) + misses
             self._missed += misses
-        self._note_start(name, pc)
+        if name not in stepped["block_start"]:
+            stepped["block_start"][name] = self._start(pc)
+        # The anchor convention of the machine's tallies: the block's
+        # label address, or the pc itself before the first label.
+        anchor = self._starts[index] if index >= 0 else pc
         last = self._last_block.get(thread.tid)
-        if last != name:
-            self._edge(last, name, 1)
-            self._last_block[thread.tid] = name
+        if last != anchor:
+            if last is not None:
+                _edge(stepped["edges"], self.symbolize(last), name, 1)
+            self._last_block[thread.tid] = anchor
         kind = check_kind(insn)
         if kind is not None:
-            site = self._site(pc, kind)
+            site = stepped["sites"].get(pc)
+            if site is None:
+                site = stepped["sites"][pc] = [kind, 0, 0]
             site[1] += 1
             site[2] += cycles
             self._checks[kind] += cycles
@@ -189,78 +260,119 @@ class BlockProfiler:
 
     # -- the fused-block path ------------------------------------------
 
-    def until_sample(self) -> int:
-        """Instructions left up to and including the next sample point."""
-        return SAMPLE_STRIDE - self._steps % SAMPLE_STRIDE
+    def until_sample(self, unfolded: int = 0) -> int:
+        """Instructions left up to and including the next sample point,
+        ``unfolded`` instructions after what was folded in."""
+        return SAMPLE_STRIDE - (self._steps + unfolded) % SAMPLE_STRIDE
 
     def fold_blocks(self, thread, tallies: list, last: int) -> None:
-        """Charge the trace runs ``thread`` tallied since the last fold
-        (see ``Machine.add_step_hook`` for the layout).  Each segment of
-        a run is charged what ``on_step`` would have summed over its
-        instructions: its static cycles plus its miss penalties, the
-        last one also what delegated handlers added.  The batch ends
-        exactly at a sample point or short of one."""
+        """Fold in the trace runs ``thread`` tallied since the last fold
+        (see ``Machine.add_step_hook`` for the layout): each record adds
+        to its trace's running sums and to the running totals the
+        samples read.  A predecessor of -1 is the block the thread ran
+        before the batch."""
+        self._merged = None
+        traces, checks = self._traces, self._checks
         before = self._last_block.get(thread.tid)
-        totals, insns = self.cycles, self.instructions
-        checks, missing = self._checks, self.cache_misses
-        for runs, extra, preds, segments, *misses in tallies:
+        steps = missed = 0
+        for record in tallies:
+            segments = record[3]
+            trace = traces.get(id(segments)) or self._trace(segments)
+            runs = record[0]
+            trace.runs += runs
+            trace.extra += record[1]
+            misses = record[4:]
+            trace.misses = list(map(operator.add, trace.misses, misses))
+            missed += sum(misses)
+            preds = trace.preds
+            for pred, n in record[2].items():
+                if pred < 0:
+                    if before is None:
+                        continue
+                    pred = before
+                preds[pred] = preds.get(pred, 0) + n
+            steps += runs * trace.count
+            for kind, cost in trace.checks:
+                checks[kind] += runs * cost
+        self._steps += steps
+        self._missed += missed
+        self._last_block[thread.tid] = last
+
+    def sample_within(self, segments: tuple, point: int, ts: int,
+                      misses: int) -> None:
+        """Take the sample ``point`` instructions into a run of the
+        trace of ``segments`` that reaches this profiler's next sample
+        point: ``ts`` is the core's cycles there and ``misses`` the L1
+        misses the run took before it."""
+        trace = self._traces.get(id(segments)) or self._trace(segments)
+        values = dict(zip(_CHECK_TRACKS, self._checks.values()))
+        for index, _, kind, cost in trace.sites:
+            if index >= point:
+                break
+            values[f"blockprof.check_cycles.{kind}"] += cost
+        values["blockprof.cache_misses"] = self._missed + misses
+        self.samples.append((self._steps + point, ts, values))
+
+    def _trace(self, segments: tuple) -> _Trace:
+        code = self._machine.code
+        blocks, sites, index = [], [], 0
+        for pc, charges in segments:
+            blocks.append((
+                self.symbolize(pc), self._start(pc), len(charges), sum(charges)
+            ))
+            for addr, cost in enumerate(charges, pc):
+                kind = check_kind(code[addr])
+                if kind is not None:
+                    sites.append((index + addr - pc, addr, kind, cost))
+            index += len(charges)
+        trace = self._traces[id(segments)] = _Trace(
+            segments, tuple(blocks), tuple(sites)
+        )
+        return trace
+
+    def _view(self) -> dict:
+        """What on_step charged merged with the folded traces' sums
+        expanded per block, edge and site."""
+        if self._merged is not None:
+            return self._merged
+        view = {field: dict(values) for field, values in self._stepped.items()}
+        view["sites"] = {pc: list(site) for pc, site in view["sites"].items()}
+        totals, insns = view["cycles"], view["instructions"]
+        missing, starts = view["cache_misses"], view["block_start"]
+        edges, sites = view["edges"], view["sites"]
+        for trace in self._traces.values():
+            runs = trace.runs
+            if not runs:  # sampled, never folded
+                continue
             src = None
-            for (pc, charges), missed in zip(segments, misses):
-                name, count, static, sites = self._plans.get(
-                    (pc, len(charges))
-                ) or self._plan(pc, charges)
-                cycles = runs * static + missed * CACHE_MISS_PENALTY
-                totals[name] = totals.get(name, 0) + cycles
+            for (name, start, count, static), missed in zip(
+                trace.blocks, trace.misses
+            ):
+                totals[name] = (
+                    totals.get(name, 0) + runs * static
+                    + missed * CACHE_MISS_PENALTY
+                )
                 insns[name] = insns.get(name, 0) + runs * count
                 if missed:
                     missing[name] = missing.get(name, 0) + missed
-                    self._missed += missed
-                for site, cost in sites:
-                    site[1] += runs
-                    site[2] += runs * cost
-                    checks[site[0]] += runs * cost
+                starts.setdefault(name, start)
                 if src is None:
-                    for pred, n in preds.items():
-                        origin = before if pred < 0 else self.symbolize(pred)
-                        self._edge(origin, name, n)
-                self._edge(src, name, runs)
+                    for pred, n in trace.preds.items():
+                        _edge(edges, self.symbolize(pred), name, n)
+                else:
+                    _edge(edges, src, name, runs)
                 src = name
-                self._steps += runs * count
             # What delegated handlers charged (a jump table's load, say)
             # is the last segment's.
-            totals[name] += extra
-        self._last_block[thread.tid] = self.symbolize(last)
-        if self._steps % SAMPLE_STRIDE == 0:
-            self._sample(thread)
-
-    def _plan(self, pc: int, charges: tuple) -> tuple:
-        name = self.symbolize(pc)
-        self._note_start(name, pc)
-        plan = self._plans[pc, len(charges)] = (
-            name, len(charges), sum(charges),
-            tuple(
-                (self._site(addr, kind), cost)
-                for addr, cost in enumerate(charges, pc)
-                if (kind := check_kind(self._machine.code[addr]))
-            ),
-        )
-        return plan
-
-    def _note_start(self, name: str, pc: int) -> None:
-        if name not in self.block_start:
-            index = bisect.bisect_right(self._starts, pc) - 1
-            self.block_start[name] = self._starts[index] if index >= 0 else 0
-
-    def _edge(self, src: str | None, dst: str, runs: int) -> None:
-        if src is not None and src != dst:
-            edge = (src, dst)
-            self.edges[edge] = self.edges.get(edge, 0) + runs
-
-    def _site(self, addr: int, kind: str) -> list:
-        site = self.sites.get(addr)
-        if site is None:
-            site = self.sites[addr] = [kind, 0, 0]
-        return site
+            totals[name] += trace.extra
+            for _, pc, kind, cost in trace.sites:
+                site = sites.get(pc)
+                if site is None:
+                    site = sites[pc] = [kind, 0, 0]
+                site[1] += runs
+                site[2] += runs * cost
+        self._merged = view
+        return view
 
     def _sample(self, thread) -> None:
         ts = self._machine.core_cycles[thread.core]
@@ -268,10 +380,7 @@ class BlockProfiler:
 
     def _totals(self) -> dict:
         """The counter tracks' values now."""
-        values = {
-            f"blockprof.check_cycles.{cat}": cycles
-            for cat, cycles in self._checks.items()
-        }
+        values = dict(zip(_CHECK_TRACKS, self._checks.values()))
         values["blockprof.cache_misses"] = self._missed
         return values
 
@@ -387,6 +496,11 @@ class BlockProfiler:
         for _steps, ts, values in samples:
             for track, value in sorted(values.items()):
                 registry.add_counter_sample(track, ts, value)
+
+
+def _edge(edges: dict, src: str, dst: str, runs: int) -> None:
+    if src != dst:
+        edges[src, dst] = edges.get((src, dst), 0) + runs
 
 
 def attach_block_profiler(machine) -> BlockProfiler:

@@ -15,7 +15,9 @@ sufficient for confidentiality.  It performs, per the paper:
    MPX scheme, by an MPX check in the same basic block (the one rule in
    :mod:`.evidence`; a prefixed or 32-bit operand is refused, since the
    loader leaves the fs and gs bases at 0) and, under the segmentation
-   scheme, by an fs/gs prefix with 32-bit addressing; every store's
+   scheme, by an fs/gs prefix with 32-bit addressing; an absolute
+   operand is rated by its address, so it may carry neither a prefix
+   nor 32-bit addressing under either scheme; every store's
    source taint must be ⊑ the operand's region; direct calls' register
    taints must match the callee's magic bits; indirect calls and
    returns must use the CheckMagic pattern with matching bits; ``rsp``
@@ -481,6 +483,13 @@ class BinaryVerifier:
     def _operand_region(self, proc, addr, mem: isa.Mem, checked) -> str:
         layout = self.layout
         mpx = self.config.scheme == "mpx"
+        if mem.abs is not None and (mem.seg is not None or mem.use32):
+            # The machine adds the fs/gs base to a prefixed absolute
+            # address (and 32-bit addressing masks nothing there), so
+            # abs + disp is not where such an operand points.
+            raise VerifyError(
+                "prefixed-static-operand", f"{proc.name}@{addr}: {mem!r}"
+            )
         if mpx and (mem.seg is not None or mem.use32):
             # The loader leaves the fs and gs bases at 0 under MPX, and
             # both regions lie below 4 GiB: neither confines anything.

@@ -452,6 +452,51 @@ def chained_loop(pad: int, n: int, fault: bool):
     return code, {"a": a, "b": b, "c": c}
 
 
+def table_loop(pad: int, n: int):
+    """``(code, labels)`` of a loop of ``n`` runs of one trace through
+    two labels, a (a store to a new L1 line each run, two adds) -> c (an
+    add, then a jump table, whose handler charges more than its base
+    cost), then b (the loop branch), after ``pad`` fillers."""
+    a, c = pad + 3, pad + 9
+    code = [
+        isa.MovRI(regs.RAX, 0),
+        isa.MovRI(regs.RBX, MPX_PUB_BASE),
+        *(isa.MovRI(regs.RCX, k) for k in range(pad)),
+        isa.Jmp("a", addr=a),
+        isa.Store(isa.Mem(base=regs.RBX), regs.RAX, 8),
+        isa.Alu("add", regs.RAX, regs.RAX, isa.Imm(1)),
+        isa.Alu("add", regs.RBX, regs.RBX, isa.Imm(4160)),
+        isa.Jmp("c", addr=c),
+        isa.Br("lt", regs.RAX, isa.Imm(n), "a", addr=a),
+        isa.Halt(),
+        isa.Alu("add", regs.RCX, regs.RCX, isa.Imm(1)),
+        isa.JmpTable(regs.RDX, 0, ["b"], addrs=[c - 2]),
+    ]
+    return code, {"a": a, "b": c - 2, "c": c}
+
+
+def store_after_fault_loop(pad: int, n: int):
+    """``(code, labels)`` of a loop whose one-segment trace stores to a
+    new L1 line, divides, stores again and branches back, after ``pad``
+    fillers; the ``n``-th run divides by zero, before its second store."""
+    a = pad + 3
+    code = [
+        isa.MovRI(regs.RAX, 0),
+        isa.MovRI(regs.RBX, MPX_PUB_BASE),
+        *(isa.MovRI(regs.RCX, k) for k in range(pad)),
+        isa.Jmp("a", addr=a),
+        isa.Store(isa.Mem(base=regs.RBX), regs.RAX, 8),
+        isa.Alu("add", regs.RAX, regs.RAX, isa.Imm(1)),
+        isa.Alu("sub", regs.RDX, isa.Imm(n), regs.RAX),
+        isa.Alu("div", regs.RCX, regs.RBX, regs.RDX),
+        isa.Store(isa.Mem(base=regs.RBX, disp=8), regs.RAX, 8),
+        isa.Alu("add", regs.RBX, regs.RBX, isa.Imm(4160)),
+        isa.Br("lt", regs.RAX, isa.Imm(n + 1), "a", addr=a),
+        isa.Halt(),
+    ]
+    return code, {"a": a}
+
+
 def loaded(binary):
     """A machine factory: ``binary`` loaded on the given engine."""
     return lambda engine: load(
@@ -632,6 +677,37 @@ class TestBlockProfilerEquivalence:
             labels["a"], labels["b"], labels["c"]
         ]
 
+    @pytest.mark.parametrize("pad", range(7))
+    def test_jump_table_trace_samples_at_every_offset_identical(self, pad):
+        # A sample point after the jump table counts on from the cycles
+        # the noting form stored after the handler ran; the pad puts the
+        # first point at every offset of a run.
+        code, labels = table_loop(pad, 800)
+
+        def make(engine):
+            return make_machine(code, engine=engine, labels=labels)
+
+        reference = self.assert_columns_agree(make)
+        assert reference["outcome"] == ("exit", 800)
+        assert len(reference["samples"]) == 5
+
+    @pytest.mark.parametrize("pad", range(7))
+    def test_fault_before_a_later_store_identical(self, pad):
+        # The 146th run of the loop's trace faults at its fourth
+        # instruction, and the only sample point falls 6 - pad
+        # instructions into that run: after the fault, or before it,
+        # where the misses before the point come from the machine, since
+        # the note before the second store was never written on that
+        # run, or (pad 6) at the end of the run before.
+        code, labels = store_after_fault_loop(pad, 146)
+
+        def make(engine):
+            return make_machine(code, engine=engine, labels=labels)
+
+        reference = self.assert_columns_agree(make)
+        assert reference["outcome"][:2] == ("fault", FAULT_DIV)
+        assert len(reference["samples"]) == (pad >= 3)
+
     @pytest.mark.parametrize("pad", range(1, 12))
     def test_fault_in_third_segment_identical(self, pad):
         # The last run of the loop's trace divides by zero in its third
@@ -682,17 +758,19 @@ class TestBlockProfilerEquivalence:
         )
         assert profiler.cycles["stub.u_qsort"] == stub_cycles
 
+    @staticmethod
+    def cut(machine, budget):
+        """Run ``machine`` until ``budget`` instructions stop it."""
+        with pytest.raises(MachineFault) as info:
+            machine.run(max_instructions=budget)
+        assert info.value.kind == "instruction-budget-exhausted"
+
     def test_attach_and_detach_mid_run_identical(self):
         # A profiler attached between two budget cuts and detached
         # before the run finishes sees exactly the instructions retired
         # while it was attached, however it was charged.
         binary = compile_source(STRADDLING_LOOP, OUR_MPX, seed=5)
-
-        def cut(machine, budget):
-            with pytest.raises(MachineFault) as info:
-                machine.run(max_instructions=budget)
-            assert info.value.kind == "instruction-budget-exhausted"
-
+        cut = self.cut
         signatures = {}
         for column in PROFILER_COLUMNS:
             engine = "reference" if column == "reference" else "predecoded"
@@ -716,6 +794,47 @@ class TestBlockProfilerEquivalence:
         assert signatures["handlers"] == signatures["reference"]
         assert signatures["fused"] == signatures["reference"]
         assert len(signatures["reference"][2]["samples"]) == 4
+
+    def test_two_observers_out_of_phase_identical(self):
+        # Profiler A is attached from the start and B after a budget cut
+        # at every 7th instruction of a 1024-instruction window, so B's
+        # sample points fall at every seventh phase against A's,
+        # including a few instructions before or after A's inside one
+        # trace (as at the cuts 3064, 3071 and 3078).
+        # Stepped columns charge each profiler on its own, so one run
+        # per stepped column with a B attached at every cut is the
+        # oracle for the fused column's run per cut.
+        binary = compile_source(STRADDLING_LOOP, OUR_MPX, seed=5)
+        cuts = range(2560, 3584, 7)
+        assert {3064, 3071, 3078} <= set(cuts)
+        columns = {}
+        for column in ("handlers", "reference"):
+            machine, first = self.profiled(loaded(binary), column)
+            seconds = {}
+            for at in cuts:
+                self.cut(machine, at - machine.stats.instructions)
+                seconds[at] = attach_block_profiler(machine)
+            outcome = machine.run()
+            columns[column] = {
+                at: (
+                    outcome,
+                    self.profile_signature(first),
+                    self.profile_signature(second),
+                )
+                for at, second in seconds.items()
+            }
+        assert columns["handlers"] == columns["reference"]
+        for at in cuts:
+            machine, first = self.profiled(loaded(binary), "fused")
+            self.cut(machine, at)
+            second = attach_block_profiler(machine)
+            fused = (
+                machine.run(),
+                self.profile_signature(first),
+                self.profile_signature(second),
+            )
+            assert fused == columns["reference"][at], at
+        assert len(columns["reference"][3064][1]["samples"]) == 15
 
     def test_spawn_join_identical(self):
         binary = compile_source(SPAWN_JOIN, OUR_MPX, seed=5)

@@ -180,7 +180,9 @@ def test_generated_code_dies_with_its_binary():
         attach_block_profiler(profiled.machine)
         run_to_request(profiled)
         entries = superblock._IMAGES[id(binary)]
-        assert all(entries), [len(table) for table in entries]
+        # The fourth table, noting forms, fills only once a profiled run
+        # reaches a sample point; these runs stop before one.
+        assert all(entries[:3]), [len(table) for table in entries]
         dead.extend(entries)
         del binary, profiled
     gc.collect()

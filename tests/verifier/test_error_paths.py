@@ -539,6 +539,38 @@ def test_static_operand_outside_regions(mpx_binary):
     reject(b, "static-operand-outside-regions")
 
 
+@pytest.mark.parametrize("shape", ("fs", "gs", "use32"))
+@pytest.mark.parametrize("scheme", ("mpx", "seg"))
+def test_prefixed_static_operand(mpx_binary, seg_binary, scheme, shape):
+    # The machine adds the fs/gs base to a prefixed absolute address,
+    # so abs + disp is not where the operand points.
+    b = mutated(mpx_binary if scheme == "mpx" else seg_binary)
+    mem = b.code[_global_access_addr(b)].mem
+    if shape == "use32":
+        mem.use32 = True
+    else:
+        mem.seg = shape
+    reject(b, "prefixed-static-operand")
+
+
+def test_prefixed_static_store_runs_outside_its_region(seg_binary):
+    # Unverified, the edited global store writes at fs_base + abs: past
+    # the segments, so it faults instead of landing in g_arr.
+    b = mutated(seg_binary)
+    addr = find(
+        b,
+        lambda i, a: isinstance(i, isa.Store) and i.mem.abs is not None,
+        body_start(b),
+    )
+    b.code[addr].mem.seg = isa.SEG_FS
+    process = load(b, runtime=TrustedRuntime())
+    with pytest.raises(MachineFault) as info:
+        process.run()
+    target = b.code[addr].mem.abs + b.code[addr].mem.disp
+    assert info.value.addr == process.machine.fs_base + target
+    reject(b, "prefixed-static-operand")
+
+
 # The MPX leak probe: a private pointer laundered through an int cast
 # is dereferenced as public.  Built as is, the bnd0 check on that load
 # stops the run; each mutation below removes what the check does while
